@@ -85,9 +85,13 @@ class DesignMatrix:
             raise DimensionMismatch(data.shape[0], indices.shape[0], what="index count")
         if data.size and (indices.min() < 0 or indices.max() >= n_cols):
             raise ValueError("CSR column index out of range")
-        for i in range(n_rows):
-            row = indices[indptr[i] : indptr[i + 1]]
-            if row.size > 1 and np.any(np.diff(row) <= 0):
+        if indices.size > 1:
+            # A non-increasing step is an error unless it crosses a row start.
+            bad = np.diff(indices) <= 0
+            starts = indptr[1:-1]
+            bad[starts[(starts > 0) & (starts < indices.size)] - 1] = False
+            if bad.any():
+                i = int(np.searchsorted(indptr, np.argmax(bad) + 1, side="right")) - 1
                 raise ValueError(f"CSR column indices not strictly increasing in row {i}")
         if not np.all(np.isfinite(data)):
             raise ValueError("matrix contains non-finite entries")

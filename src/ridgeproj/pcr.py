@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._float64 import _ceil_tight
 from .exceptions import ConvergenceFailure
 from .matrix import DesignMatrix, _as_finite_1d
 from .project import ProjectionConfig, pc_proj
@@ -31,9 +32,6 @@ from .spectral import MatrixStats
 from .stepfn import OperatorHandle
 
 __all__ = ["PcrConfig", "pc_regress", "truncated_g_series"]
-
-_EPS = float(np.finfo(np.float64).eps)
-
 
 @dataclass(frozen=True)
 class PcrConfig:
@@ -78,8 +76,7 @@ class PcrConfig:
         if self.q_override is not None:
             q = self.q_override
         else:
-            q = math.ceil(self.c1 * math.log(max(stats.kappa_lambda, 1.0) / self.eps)
-                          * (1.0 - 8.0 * _EPS))
+            q = _ceil_tight(self.c1 * math.log(max(stats.kappa_lambda, 1.0) / self.eps))
         q = max(q, 1)
         if self.eps_inner_override is not None:
             eps_inner = self.eps_inner_override

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._float64 import _EPS, _ceil_tight
 from .matrix import DesignMatrix, _as_finite_1d
 from .ridge import RidgeParams, _gram_solver
 from .spectral import MatrixStats
@@ -36,12 +37,6 @@ from .svd import SvdFactors, exact_projection
 from .trace import ConvergenceTrace
 
 __all__ = ["ProjectionConfig", "pc_proj", "pc_proj_trace"]
-
-_EPS = float(np.finfo(np.float64).eps)
-
-
-def _ceil_tight(value: float) -> int:
-    return math.ceil(value * (1.0 - 8.0 * _EPS))
 
 
 @dataclass(frozen=True)
@@ -85,10 +80,15 @@ class ProjectionConfig:
     def resolve(self, stats: MatrixStats):
         """Concrete (q, eps_inner, delta_inner) for the given matrix stats.
 
-        Validates the accumulated-noise budget ``7 q eps_op <= eps`` where
-        ``eps_op = sqrt(kappa) * eps_inner`` bounds the error of one
-        operator application; a violating override is a configuration
-        error, raised here rather than surfacing as silent inaccuracy.
+        Validates the accumulated-noise budget ``7 q (eps_op + eps_machine)
+        <= eps`` where ``eps_op = sqrt(kappa) * eps_inner`` bounds the
+        relative error of one operator application and ``eps_machine`` its
+        query-level floor (see :func:`pc_proj`); a violating override is a
+        configuration error, raised here rather than surfacing as silent
+        inaccuracy.  An ``eps`` below ``14 q eps_machine``, twice what the
+        floor alone can cost, is beyond the float64 resolution of q steps:
+        it is met only up to that level, like the ridge residual floor,
+        and the budget is checked against it instead.
         """
         stats.check_lambda(self.lam)
         if self.q_override is not None:
@@ -109,19 +109,22 @@ class ProjectionConfig:
             cap = 1.0 / (60.0 * q * sqrt_kappa)
             eps_inner = min(eps_inner, cap)
         eps_op = sqrt_kappa * eps_inner
-        if 7.0 * q * eps_op > self.eps:
+        noise = 7.0 * q * (eps_op + _EPS)
+        budget = max(self.eps, 14.0 * q * _EPS)
+        if noise > budget:
             raise ValueError(
-                f"noise budget violated: 7*q*eps_op = {7.0 * q * eps_op:.3e}"
-                f" exceeds eps = {self.eps}; lower eps_inner or q"
+                f"noise budget violated: 7*q*(eps_op + eps_machine) = {noise:.3e}"
+                f" exceeds {budget:.3e} (eps = {self.eps}); lower eps_inner or q"
             )
         delta_inner = self.delta / (2.0 * q)
         return q, eps_inner, delta_inner
 
 
-def _smooth_projection_handle(A, cfg, stats, q, eps_inner, delta_inner):
+def _smooth_projection_handle(A, cfg, stats, y, eps_inner, delta_inner):
+    """Handle applying B with error at most ``eps_op ||v|| + eps_machine ||y||``."""
     params = RidgeParams(lam=cfg.lam, eps=eps_inner, delta=delta_inner)
     eps_op = math.sqrt(stats.kappa_lambda) * eps_inner
-    apply = _gram_solver(A, params, stats)
+    apply = _gram_solver(A, params, stats, query_norm=float(np.linalg.norm(y)))
     return OperatorHandle(dimension=A.n_cols, apply=apply, err_bound=eps_op)
 
 
@@ -134,12 +137,19 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats) -> np
     projection.  Deterministic; ridge failures propagate as
     :class:`~ridgeproj.exceptions.ConvergenceFailure` annotated with the
     iteration index.
+
+    Each of the ``2q + 1`` applications of ``B`` returns ``x`` with
+    ``||x - B v||_2 <= eps_op ||v||_2 + eps_machine ||y||_2``: the ridge
+    solves stop at the float64 resolution of the query instead of refining
+    recurrence increments far below it.  Together the two terms cost at
+    most ``7 q (eps_op + eps_machine) ||y||_2``, which
+    :meth:`ProjectionConfig.resolve` keeps within budget.
     """
     y = _as_finite_1d(y, A.n_cols, what="input vector")
     q, eps_inner, delta_inner = cfg.resolve(stats)
     if not np.any(y):
         return np.zeros(A.n_cols)
-    handle = _smooth_projection_handle(A, cfg, stats, q, eps_inner, delta_inner)
+    handle = _smooth_projection_handle(A, cfg, stats, y, eps_inner, delta_inner)
     return apply_step(handle, y, q)
 
 
@@ -154,7 +164,7 @@ def pc_proj_trace(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     """
     y = _as_finite_1d(y, A.n_cols, what="input vector")
     q, eps_inner, delta_inner = cfg.resolve(stats)
-    handle = _smooth_projection_handle(A, cfg, stats, q, eps_inner, delta_inner)
+    handle = _smooth_projection_handle(A, cfg, stats, y, eps_inner, delta_inner)
 
     records = []
     if oracle is not None:

@@ -19,6 +19,13 @@ Floating-point floor.  Residual targets below roughly
 ``64 * eps_machine * (kappa_lambda + 1) * ||y||_2`` are unreachable in
 64-bit arithmetic; the solver clamps the target there and documents that
 requested tolerances beyond the floor are met only up to the floor.
+
+Query-level floor.  The projection iteration needs each gram solve to be
+accurate only on the scale of the vector being projected, not of the
+shrinking right-hand side it is applied to.  :func:`_gram_solver` therefore
+accepts the query norm ``||y||_2`` and never targets a residual below
+``lambda * eps_machine * ||y||_2``; since ``||x - B v||_2 <= ||r||_2 /
+lambda``, that costs at most ``eps_machine * ||y||_2`` per application.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._float64 import _EPS
 from .exceptions import ConvergenceFailure
 from .matrix import DesignMatrix, _as_finite_1d, gram_apply
 from .spectral import MatrixStats
@@ -37,8 +45,6 @@ __all__ = ["RidgeParams", "ridge_solve", "ridge_apply_gram", "RESIDUAL_FLOOR_MUL
 # Multiplier on eps_machine * (kappa_lambda + 1) below which residual
 # targets are clamped; about 64x the attainable CG residual.
 RESIDUAL_FLOOR_MULT = 64.0
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,18 @@ class RidgeParams:
 
 def _default_max_iters(kappa: float, eps: float) -> int:
     return 10 * math.ceil(math.sqrt(kappa + 1.0) * math.log(2.0 / eps))
+
+
+def _resolve(params: RidgeParams, stats: MatrixStats):
+    """Relative residual target (floor included) and iteration budget."""
+    stats.check_lambda(params.lam)
+    kappa = stats.kappa_lambda
+    scale = math.sqrt(params.lam / (stats.sigma1_estimate ** 2 + params.lam))
+    floor = RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0)
+    max_iters = params.max_iters
+    if max_iters is None:
+        max_iters = _default_max_iters(kappa, params.eps)
+    return max(params.eps * scale, floor), max_iters
 
 
 def _cg(A: DesignMatrix, lam, y, resid_target, max_iters):
@@ -118,19 +136,12 @@ def ridge_solve(A: DesignMatrix, params: RidgeParams, y, stats: MatrixStats) -> 
     documented float64 floor).  Raises :class:`ConvergenceFailure` carrying
     the final residual norm if the iteration budget runs out first.
     """
-    stats.check_lambda(params.lam)
+    rel_target, max_iters = _resolve(params, stats)
     y = _as_finite_1d(y, A.n_cols, what="right-hand side")
     ny = float(np.linalg.norm(y))
     if ny == 0.0:
         return np.zeros(A.n_cols)
-    kappa = stats.kappa_lambda
-    scale = math.sqrt(params.lam / (stats.sigma1_estimate ** 2 + params.lam))
-    floor = RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0)
-    resid_target = max(params.eps * scale, floor) * ny
-    max_iters = params.max_iters
-    if max_iters is None:
-        max_iters = _default_max_iters(kappa, params.eps)
-    x, _, _ = _cg(A, params.lam, y, resid_target, max_iters)
+    x, _, _ = _cg(A, params.lam, y, rel_target * ny, max_iters)
     return x
 
 
@@ -144,23 +155,24 @@ def ridge_apply_gram(A: DesignMatrix, params: RidgeParams, x, stats: MatrixStats
     return ridge_solve(A, params, rhs, stats)
 
 
-def _gram_solver(A: DesignMatrix, params: RidgeParams, stats: MatrixStats):
+def _gram_solver(A: DesignMatrix, params: RidgeParams, stats: MatrixStats,
+                 query_norm: float):
     """Pre-resolved form of :func:`ridge_apply_gram` for iteration engines.
 
     Hoists tolerance resolution and input validation out of the per-call
     path; the returned callable assumes its argument is a finite length-d
-    vector produced by the surrounding iteration.  Semantics are identical
-    to ``ridge_solve(A, params, gram_apply(A, v), stats)``.
+    vector produced by the surrounding iteration.  With ``query_norm = 0``
+    the semantics are those of ``ridge_solve(A, params, gram_apply(A, v),
+    stats)``.  A positive ``query_norm`` (``||y||_2`` of the vector the
+    engine is transforming) adds the absolute residual floor
+    ``lambda * eps_machine * query_norm``, so each application deviates
+    from ``B v`` by at most ``(sigma1 / sqrt(lambda)) * eps * ||v||_2 +
+    eps_machine * query_norm``.  Once ``A^T A v`` falls below that floor,
+    CG runs no iteration and the result is an exact zero vector.
     """
-    stats.check_lambda(params.lam)
-    kappa = stats.kappa_lambda
-    scale = math.sqrt(params.lam / (stats.sigma1_estimate ** 2 + params.lam))
-    floor = RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0)
-    rel_target = max(params.eps * scale, floor)
-    max_iters = params.max_iters
-    if max_iters is None:
-        max_iters = _default_max_iters(kappa, params.eps)
+    rel_target, max_iters = _resolve(params, stats)
     lam = params.lam
+    abs_target = lam * _EPS * query_norm
     mv, rmv = A._mv, A._rmv
     d = A.n_cols
 
@@ -169,7 +181,7 @@ def _gram_solver(A: DesignMatrix, params: RidgeParams, stats: MatrixStats):
         ny = math.sqrt(float(rhs @ rhs))
         if ny == 0.0:
             return np.zeros(d)
-        x, _, _ = _cg(A, lam, rhs, rel_target * ny, max_iters)
+        x, _, _ = _cg(A, lam, rhs, max(rel_target * ny, abs_target), max_iters)
         return x
 
     return apply

@@ -26,6 +26,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 from scipy import integrate
 
+from ._float64 import _ceil_tight
 from .exceptions import ConvergenceFailure
 
 __all__ = [
@@ -40,18 +41,11 @@ __all__ = [
     "compressed_sign_poly",
 ]
 
-_EPS = float(np.finfo(np.float64).eps)
-
 # Monomial-basis evaluation is numerically untrustworthy at high degree;
 # Chebyshev/Clenshaw must be used instead.
 _MONOMIAL_DEGREE_LIMIT = 30
 
 _GRID_POINTS = 10_001
-
-
-def _ceil_tight(value: float) -> int:
-    """Ceiling that forgives a few ulps of upward rounding noise."""
-    return math.ceil(value * (1.0 - 8.0 * _EPS))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._float64 import _EPS
 from .exceptions import ConvergenceFailure
 from .matrix import DesignMatrix, gram_apply
 
@@ -77,7 +78,6 @@ def spectral_norm_estimate(A: DesignMatrix, tol: float = 1e-3, max_iters: int = 
     v /= nv
     rho_prev = None
     rho = None
-    eps = np.finfo(np.float64).eps
     window = deque(maxlen=9)
     candidate = None  # (iteration, rho) awaiting doubling confirmation
     for t in range(max_iters):
@@ -90,7 +90,7 @@ def spectral_norm_estimate(A: DesignMatrix, tol: float = 1e-3, max_iters: int = 
         if rho_prev is not None:
             delta = rho - rho_prev
             if candidate is None:
-                triggered = abs(delta) <= 8.0 * eps * rho
+                triggered = abs(delta) <= 8.0 * _EPS * rho
                 if not triggered and len(window) == window.maxlen \
                         and window[0] > 0 and delta > 0:
                     ratio = (delta / window[0]) ** (1.0 / window.maxlen)

@@ -35,6 +35,13 @@ class OperatorHandle:
     be symmetric with eigenvalues in [0, 1]; that is the caller's contract
     and is only checked by test oracles.  ``err_bound = 0`` declares the
     application exact.
+
+    A handle built for one input y may also err by a fixed absolute amount
+    on the scale of ``||y||_2``: the projection handle of
+    :func:`~ridgeproj.project.pc_proj` guarantees
+    ``||apply(x) - S x||_2 <= err_bound * ||x||_2 + eps_machine * ||y||_2``.
+    Over q steps that term adds at most ``7 q eps_machine ||y||_2`` to the
+    output error, next to the ``7 q err_bound ||y||_2`` of the relative term.
     """
 
     dimension: int

@@ -67,8 +67,33 @@ class TestStorage:
             DesignMatrix.from_csr(1, 2, [0, 1], [5], [1.0])
         with pytest.raises(ValueError, match="strictly increasing"):
             DesignMatrix.from_csr(1, 3, [0, 2], [1, 1], [1.0, 2.0])
+        # Rows 0 and 1 are fine (row 1 empty, indices may drop across rows);
+        # the error names row 2, the first offending one, not row 3.
+        with pytest.raises(ValueError, match="strictly increasing in row 2$"):
+            DesignMatrix.from_csr(4, 3, [0, 2, 2, 4, 6], [1, 2, 2, 0, 1, 1],
+                                  [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        ok = DesignMatrix.from_csr(3, 3, [0, 2, 2, 4], [1, 2, 0, 1], [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(ok.toarray(), [[0, 1, 2], [0, 0, 0], [3, 4, 0]])
         with pytest.raises(ValueError, match="indptr"):
             DesignMatrix.from_csr(2, 2, [0, 1], [0], [1.0])
+
+    def test_csr_row_check_matches_per_row_loop(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            indptr = np.concatenate([[0], np.cumsum(rng.integers(0, 4, n))])
+            indices = rng.integers(0, 4, indptr[-1])
+            expect = None
+            for i in range(n):
+                if np.any(np.diff(indices[indptr[i]:indptr[i + 1]]) <= 0):
+                    expect = f"CSR column indices not strictly increasing in row {i}"
+                    break
+            try:
+                DesignMatrix.from_csr(n, 4, indptr, indices, np.ones(indices.size))
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expect
 
     def test_csr_dense_agreement(self):
         rng = np.random.default_rng(11)

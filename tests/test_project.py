@@ -1,19 +1,27 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import ridgeproj.project as project
 from ridgeproj import (
     DesignMatrix,
+    OperatorHandle,
     ProjectionConfig,
+    RidgeParams,
+    apply_step,
     exact_projection,
     gen_synthetic,
     matrix_stats,
     p_k_eval,
     pc_proj,
     pc_proj_trace,
+    ridge_apply_gram,
     svd_small,
 )
+
+EPS_MACH = float(np.finfo(np.float64).eps)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +65,20 @@ class TestConfig:
                                eps_inner_override=1e-3)
         with pytest.raises(ValueError, match="noise budget"):
             cfg.resolve(stats)
+
+    def test_noise_budget_counts_the_query_floor(self):
+        A = DesignMatrix.from_dense(np.diag([1.0, 0.5]))
+        stats = matrix_stats(A, 0.5)
+        q, eps = 1000, 1e-3
+        # The relative term alone fills the budget; the eps_machine term tips it over.
+        eps_inner = eps / (7.0 * q * math.sqrt(stats.kappa_lambda))
+        cfg = ProjectionConfig(lam=0.5, gamma=0.1, eps=eps, q_override=q,
+                               eps_inner_override=eps_inner)
+        with pytest.raises(ValueError, match="noise budget"):
+            cfg.resolve(stats)
+        # An eps below the float64 resolution of q steps is met up to it, not rejected.
+        deep = ProjectionConfig(lam=0.5, gamma=0.1, eps=1e-13, q_override=14_000)
+        assert deep.resolve(stats)[0] == 14_000
 
     def test_field_validation(self):
         for kwargs in (dict(lam=0.0, gamma=0.1, eps=0.1),
@@ -176,3 +198,76 @@ class TestPcProjTrace:
         s, trace = pc_proj_trace(problem.A, cfg, y, stats)
         assert trace.final_error() == 0.0
         assert len(trace.records) == 11
+
+
+def smooth_projection(oracle, lam, v):
+    """Exact ``B v`` for ``B = (A^T A + lam I)^{-1} A^T A``, from the factorization."""
+    sig2 = oracle.singular_values ** 2
+    return oracle.V @ ((oracle.V.T @ v) * (sig2 / (sig2 + lam)))
+
+
+def recorded_applications(monkeypatch):
+    """Record ``(v, S v)`` for every operator application inside ``pc_proj``."""
+    calls = []
+    orig = project.apply_step
+
+    def apply_step_recording(S, *args, **kwargs):
+        def apply(v):
+            out = S.apply(v)
+            calls.append((v.copy(), np.array(out)))
+            return out
+        return orig(dataclasses.replace(S, apply=apply), *args, **kwargs)
+
+    monkeypatch.setattr(project, "apply_step", apply_step_recording)
+    return calls
+
+
+def relative_only_step(problem, stats, cfg, y):
+    """``apply_step`` on a handle built from the public ``ridge_apply_gram``."""
+    q, eps_inner, delta_inner = cfg.resolve(stats)
+    params = RidgeParams(lam=cfg.lam, eps=eps_inner, delta=delta_inner)
+    handle = OperatorHandle(
+        dimension=problem.A.n_cols,
+        apply=lambda v: ridge_apply_gram(problem.A, params, v, stats),
+        err_bound=math.sqrt(stats.kappa_lambda) * eps_inner,
+    )
+    return apply_step(handle, y, q)
+
+
+class TestProjectionHandle:
+    def test_every_application_meets_its_bound(self, small_problem, monkeypatch):
+        # eps = 1e-3 makes the late recurrence increments small enough that
+        # the query-level floor, not the relative tolerance, stops CG.
+        problem, stats, oracle = small_problem
+        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-3)
+        q, eps_inner, _ = cfg.resolve(stats)
+        eps_op = math.sqrt(stats.kappa_lambda) * eps_inner
+        y = np.random.default_rng(5).standard_normal(40)
+        ny = np.linalg.norm(y)
+        calls = recorded_applications(monkeypatch)
+        pc_proj(problem.A, cfg, y, stats)
+        assert len(calls) == 2 * q + 1
+        floor_bound = 0
+        for v, out in calls:
+            err = np.linalg.norm(out - smooth_projection(oracle, problem.lam, v))
+            assert err <= (eps_op * np.linalg.norm(v) + EPS_MACH * ny) * (1 + 1e-9)
+            floor_bound += err > eps_op * np.linalg.norm(v)
+        assert floor_bound >= 1
+
+    def test_matches_relative_only_path_where_floor_cannot_bind(self, small_problem):
+        problem, stats, _ = small_problem
+        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-3,
+                               q_override=10)
+        y = np.random.default_rng(9).standard_normal(40)
+        s = pc_proj(problem.A, cfg, y, stats)
+        assert s.tobytes() == relative_only_step(problem, stats, cfg, y).tobytes()
+
+    def test_deep_run_meets_oracle_bound(self, small_problem):
+        problem, stats, oracle = small_problem
+        eps = 1e-10
+        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=eps)
+        y = np.random.default_rng(10).standard_normal(40)
+        ref = exact_projection(oracle, problem.lam, y)
+        for s in (pc_proj(problem.A, cfg, y, stats),
+                  relative_only_step(problem, stats, cfg, y)):
+            assert np.linalg.norm(s - ref) <= eps * np.linalg.norm(y)
