@@ -4,6 +4,14 @@ A :class:`DesignMatrix` holds the data matrix with rows as samples, either
 dense (row-major) or in compressed-sparse-row form.  Everything downstream
 touches the matrix only through products ``A x`` and ``A^T z``, so the
 covariance matrix ``A^T A`` is never formed.
+
+Gram products ``A^T (A x)`` -- every product inside a ridge solve or a
+power-iteration step -- run on the gram factor: for a dense matrix with
+more rows than columns that is the d-by-d triangular factor R of
+``A = QR``, built once on construction, with ``R^T R = A^T A`` and d^2
+instead of n*d entries; otherwise it is the matrix itself.  QR is not PCA:
+it computes no singular value or vector, and ``A^T A`` is still never
+formed.
 """
 
 from __future__ import annotations
@@ -40,28 +48,40 @@ class DesignMatrix:
     for concurrent shared reads; no method mutates the stored arrays.
     """
 
-    __slots__ = ("n_rows", "n_cols", "storage", "_dense", "_dense_t", "_csr", "_csr_t")
+    __slots__ = ("n_rows", "n_cols", "storage", "_dense", "_csr", "_csr_t", "_factor")
 
-    def __init__(self, n_rows, n_cols, storage, dense=None, csr=None):
+    def __init__(self, n_rows, n_cols, storage, dense=None, csr=None, factor=None):
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.storage = storage
         self._dense = dense
-        self._dense_t = None if dense is None else np.ascontiguousarray(dense.T)
         self._csr = csr
         self._csr_t = None if csr is None else csr.T.tocsr()
+        self._factor = factor
 
     @classmethod
     def from_dense(cls, values) -> "DesignMatrix":
-        """Build a dense matrix from any 2-d array-like of finite reals."""
+        """Build a dense matrix from any 2-d array-like of finite reals.
+
+        With more rows than columns, also computes the gram factor R of
+        ``A = QR`` (one O(n d^2) factorization); the caller's array is
+        never modified.
+        """
         arr = np.ascontiguousarray(values, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix contains non-finite entries")
+        n, d = arr.shape
+        factor = None
+        if n > d:
+            # Before the defensive copy, so one n-by-d temporary is alive at a time.
+            r = np.linalg.qr(arr, mode="r")
+            r.setflags(write=False)
+            factor = cls(d, d, "dense", dense=r)
         arr = arr.copy()
         arr.setflags(write=False)
-        return cls(arr.shape[0], arr.shape[1], "dense", dense=arr)
+        return cls(n, d, "dense", dense=arr, factor=factor)
 
     @classmethod
     def from_csr(cls, n_rows, n_cols, indptr, indices, data) -> "DesignMatrix":
@@ -138,8 +158,13 @@ class DesignMatrix:
 
     def _rmv(self, z):
         if self.storage == "dense":
-            return self._dense_t.dot(z)
+            return self._dense.T.dot(z)
         return self._csr_t.dot(z)
+
+    @property
+    def _gram(self) -> "DesignMatrix":
+        """The smallest stored matrix G with ``G^T G = A^T A``: R if built, else A."""
+        return self if self._factor is None else self._factor
 
     def frobenius_norm(self) -> float:
         if self.storage == "dense":
@@ -153,10 +178,14 @@ class DesignMatrix:
 def gram_apply(A: DesignMatrix, x) -> np.ndarray:
     """Apply the covariance operator: return ``A^T (A x)``.
 
-    The product is computed as two matrix-vector products; ``A^T A`` is
-    never materialized.
+    The product is computed as two matrix-vector products with the gram
+    factor (``R^T (R x)`` for a tall dense matrix, ``A^T (A x)`` otherwise);
+    ``A^T A`` is never materialized, and the factor carries no spectral
+    information.
     """
-    return A.rmatvec(A.matvec(x))
+    x = _as_finite_1d(x, A.n_cols, what="input vector")
+    G = A._gram
+    return G._rmv(G._mv(x))
 
 
 def gram_norm(A: DesignMatrix, x) -> float:

@@ -1,10 +1,12 @@
 """Black-box ridge regression: solve ``(A^T A + lambda I) x = y``.
 
 Plain conjugate gradient on the regularized gram operator.  The operator is
-never materialized: each CG step costs two matrix-vector products with A
-plus a lambda-scaled add.  CG is deterministic, so the failure-probability
-parameter ``delta`` is accepted for interface parity but unused; the solver
-either meets its stopping rule or raises.
+never materialized: each CG step costs two matrix-vector products with the
+gram factor of A (its d-by-d QR factor R when A is tall and dense, else A
+itself; see :mod:`ridgeproj.matrix`) plus a lambda-scaled add.  CG is
+deterministic, so the failure-probability parameter ``delta`` is accepted
+for interface parity but unused; the solver either meets its stopping rule
+or raises.
 
 Error contract.  The returned ``x`` satisfies
 
@@ -102,7 +104,8 @@ def _cg(A: DesignMatrix, lam, y, resid_target, max_iters):
     target = 0.9 * resid_target
     target2 = target * target
     it = 0
-    mv, rmv = A._mv, A._rmv
+    G = A._gram
+    mv, rmv = G._mv, G._rmv
     while rs > target2:
         if it >= max_iters:
             raise ConvergenceFailure(
@@ -173,7 +176,8 @@ def _gram_solver(A: DesignMatrix, params: RidgeParams, stats: MatrixStats,
     rel_target, max_iters = _resolve(params, stats)
     lam = params.lam
     abs_target = lam * _EPS * query_norm
-    mv, rmv = A._mv, A._rmv
+    G = A._gram
+    mv, rmv = G._mv, G._rmv
     d = A.n_cols
 
     def apply(v):

@@ -1,14 +1,13 @@
 """Desk-scale SVD oracle and the exact projection / regression solutions.
 
 The factorization here exists to *check* the iterative algorithms, and to
-build synthetic data with a prescribed spectrum.  It is a one-sided Jacobi
-SVD: simple, very accurate, and entirely adequate up to a couple thousand
-rows or columns.  Nothing in the iterative pipeline depends on it.
+build synthetic data with a prescribed spectrum.  It is LAPACK's SVD through
+``numpy.linalg.svd``, limited to a couple thousand rows or columns.  Nothing
+in the iterative pipeline depends on it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,68 +48,25 @@ class SvdFactors:
         return (self.U * self.singular_values) @ self.V.T
 
 
-def _jacobi_orthogonalize(W, V, tol=1e-15, max_sweeps=64):
-    """Rotate column pairs of W (and track V) until all pairs are orthogonal."""
-    d = W.shape[1]
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                wp = W[:, p]
-                wq = W[:, q]
-                app = wp @ wp
-                aqq = wq @ wq
-                apq = wp @ wq
-                denom = math.sqrt(app * aqq)
-                if denom == 0.0:
-                    continue
-                off = max(off, abs(apq) / denom)
-                if abs(apq) <= tol * denom:
-                    continue
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                new_p = c * wp - s * wq
-                new_q = s * wp + c * wq
-                W[:, p] = new_p
-                W[:, q] = new_q
-                vp = c * V[:, p] - s * V[:, q]
-                vq = s * V[:, p] + c * V[:, q]
-                V[:, p] = vp
-                V[:, q] = vq
-        if off <= tol:
-            break
-
-
 def svd_small(A: DesignMatrix) -> SvdFactors:
-    """Exact thin SVD of a desk-scale matrix via one-sided Jacobi.
+    """Exact thin SVD of a desk-scale matrix via LAPACK (``numpy.linalg.svd``).
 
     Requires ``min(n, d) <= 2000`` and a nonzero matrix.  Singular values
     at or below ``RANK_CUTOFF * sigma_1`` are dropped, so the returned rank
-    is the numerical rank under that cutoff.
+    is the numerical rank under that cutoff.  Signs are fixed so that the
+    largest-magnitude entry of each column of V is positive.
     """
     if min(A.n_rows, A.n_cols) > _ORACLE_MAX_DIM:
         raise ValueError(f"SVD oracle is limited to min(n, d) <= {_ORACLE_MAX_DIM}")
-    W = A.toarray()
-    transposed = A.n_rows < A.n_cols
-    if transposed:
-        W = np.ascontiguousarray(W.T)
-    V = np.eye(W.shape[1])
-    _jacobi_orthogonalize(W, V)
-    sig = np.linalg.norm(W, axis=0)
-    order = np.argsort(sig, kind="stable")[::-1]
-    sig = sig[order]
+    U, sig, Vt = np.linalg.svd(A.toarray(), full_matrices=False)
     if sig[0] == 0.0:
         raise ValueError("rank zero: cannot factor the zero matrix")
     r = int(np.sum(sig > RANK_CUTOFF * sig[0]))
-    order = order[:r]
-    sig = sig[:r]
-    U = W[:, order] / sig
-    V = V[:, order]
-    if transposed:
-        U, V = V, U
-    sig = sig.copy()
+    V = Vt[:r].T
+    signs = np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(r)])
+    U = U[:, :r] * signs
+    V = V * signs
+    sig = sig[:r].copy()
     for arr in (U, sig, V):
         arr.setflags(write=False)
     return SvdFactors(U=U, singular_values=sig, V=V)

@@ -1,7 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from ridgeproj import DesignMatrix, DimensionMismatch, gram_apply, gram_norm
+from ridgeproj import (
+    DesignMatrix,
+    DimensionMismatch,
+    PcrConfig,
+    ProjectionConfig,
+    exact_pcr,
+    exact_projection,
+    gen_synthetic,
+    gram_apply,
+    gram_norm,
+    matrix_stats,
+    pc_proj,
+    pc_regress,
+    svd_small,
+)
 from helpers import random_csr
 
 
@@ -118,3 +135,103 @@ class TestStorage:
         A = DesignMatrix.from_dense([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
         assert A.shape == (3, 2)
         assert A.nnz == 2
+
+
+def _factor_case(kind):
+    rng = np.random.default_rng(21)
+    if kind == "csr":
+        return random_csr(rng, 60, 20)
+    shape = {"tall": (60, 20), "square": (20, 20), "wide": (15, 40),
+             "rank_deficient": (60, 20)}[kind]
+    arr = rng.standard_normal(shape)
+    if kind == "rank_deficient":
+        arr[:, 5] = arr[:, 2]
+        arr[:, 7] = 0.0
+    return DesignMatrix.from_dense(arr), arr
+
+
+class TestGramFactor:
+    @pytest.mark.parametrize("kind", ["tall", "square", "wide", "rank_deficient", "csr"])
+    def test_gram_apply_matches_two_products(self, kind):
+        A, arr = _factor_case(kind)
+        scale = np.linalg.norm(arr, 2) ** 2
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            x = rng.standard_normal(arr.shape[1])
+            err = np.linalg.norm(gram_apply(A, x) - arr.T @ (arr @ x))
+            assert err <= 1e-13 * scale * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("kind", ["tall", "square", "wide", "rank_deficient", "csr"])
+    def test_factor_only_for_tall_dense(self, kind):
+        A, arr = _factor_case(kind)
+        if kind in ("tall", "rank_deficient"):
+            d = arr.shape[1]
+            R = A._factor
+            assert R.shape == (d, d) and R.storage == "dense"
+            assert not R._dense.flags.writeable
+            assert R._factor is None
+        else:
+            assert A._factor is None
+        # The public products still run on A itself.
+        assert A.shape == arr.shape
+        assert np.array_equal(A.toarray(), arr)
+
+    def test_from_dense_leaves_caller_array_alone(self):
+        arr = np.random.default_rng(8).standard_normal((30, 6))
+        before = arr.copy()
+        A = DesignMatrix.from_dense(arr)
+        assert np.array_equal(arr, before)
+        assert arr.flags.writeable
+        assert A._dense is not arr
+
+    def test_from_dense_memory_peak(self):
+        arr = np.random.default_rng(9).standard_normal((400, 50))
+        tracemalloc.start()
+        try:
+            A = DesignMatrix.from_dense(arr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One stored copy of A plus R; a second n-by-d copy would exceed this.
+        assert peak <= 1.25 * (arr.nbytes + A._factor._dense.nbytes)
+
+
+class TestFactorReference:
+    """The same tall matrix with (dense) and without (CSR) the gram factor."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        problem = gen_synthetic(80, 30, 8, 0.2, seed=17)
+        arr = problem.A.toarray()
+        csr = sp.csr_matrix(arr)
+        plain = DesignMatrix.from_csr(*arr.shape, csr.indptr, csr.indices, csr.data)
+        assert problem.A._factor is not None and plain._factor is None
+        return problem, plain, svd_small(problem.A)
+
+    def test_matrix_stats_agree(self, pair):
+        problem, plain, _ = pair
+        s1 = matrix_stats(problem.A, problem.lam).sigma1_estimate
+        s2 = matrix_stats(plain, problem.lam).sigma1_estimate
+        assert abs(s1 - s2) <= 1e-12 * s2
+
+    def test_pc_proj_agrees(self, pair):
+        problem, plain, oracle = pair
+        eps = 1e-6
+        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=eps)
+        y = np.random.default_rng(2).standard_normal(30)
+        ref = exact_projection(oracle, problem.lam, y)
+        outs = [pc_proj(A, cfg, y, matrix_stats(A, problem.lam)) for A in (problem.A, plain)]
+        assert np.linalg.norm(outs[0] - outs[1]) <= 1e-10 * np.linalg.norm(y)
+        for s in outs:
+            assert np.linalg.norm(s - ref) <= eps * np.linalg.norm(y)
+
+    def test_pc_regress_agrees(self, pair):
+        problem, plain, oracle = pair
+        eps = 1e-6
+        cfg = PcrConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=eps)
+        b = problem.b
+        ref = exact_pcr(oracle, problem.lam, b)
+        outs = [pc_regress(A, cfg, b, matrix_stats(A, problem.lam)) for A in (problem.A, plain)]
+        assert np.linalg.norm(outs[0] - outs[1]) <= 1e-10 * np.linalg.norm(b)
+        for s in outs:
+            assert gram_norm(problem.A, s - ref) <= eps * np.linalg.norm(b)

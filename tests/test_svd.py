@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ridgeproj import DesignMatrix, exact_pcr, exact_projection, svd_small
+from ridgeproj.synthetic import haar_orthonormal
 from helpers import random_dense
 
 
@@ -40,10 +41,23 @@ class TestSvdSmall:
         assert np.all(s[:-1] >= s[1:])
         assert np.all(s > 0)
 
-    def test_matches_lapack_singular_values(self, seeded_factors):
-        A, F = seeded_factors
-        ref = np.linalg.svd(A.toarray(), compute_uv=False)
-        assert np.allclose(F.singular_values, ref[: F.rank], rtol=1e-11, atol=1e-12)
+    def test_matches_prescribed_factors(self):
+        # Independent reference: A = U diag(s) V^T with Haar-random U, V.
+        rng = np.random.default_rng(11)
+        s = np.geomspace(10.0, 0.1, 12)
+        U, V = haar_orthonormal(rng, 40, 12), haar_orthonormal(rng, 25, 12)
+        F = svd_small(DesignMatrix.from_dense((U * s) @ V.T))
+        assert F.rank == 12
+        assert np.all(np.abs(F.singular_values - s) <= 1e-12 * s)
+        # Same columns up to sign, with the sign rule fixing which one.
+        signs = np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(12)])
+        assert np.abs(F.V - V * signs).max() <= 1e-10
+        assert np.abs(F.U - U * signs).max() <= 1e-10
+
+    def test_deterministic_signs(self, seeded_factors):
+        _, F = seeded_factors
+        V = F.V
+        assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(F.rank)] > 0)
 
     def test_wide_matrix(self):
         A = random_dense(np.random.default_rng(8), 12, 40)
