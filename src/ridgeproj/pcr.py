@@ -153,8 +153,10 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
             raise ConvergenceFailure(f"series step {step['k']} failed: {exc}",
                                      diagnostic=exc.diagnostic) from exc
 
+    # ||R(v) - M^{-1} v||_2 <= ||.||_M / sqrt(lam) and ||v||_{M^{-1}} <=
+    # ||v||_2 / sqrt(lam), so the M-norm contract gives eps' ||v||_2 / lam.
     handle = OperatorHandle(dimension=A.n_cols, apply=ridge_apply,
-                            err_bound=eps_inner / math.sqrt(cfg.lam))
+                            err_bound=eps_inner / cfg.lam)
     series_cb = None
     if callback is not None:
         def series_cb(k, s_k):

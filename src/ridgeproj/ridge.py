@@ -3,10 +3,15 @@
 Plain conjugate gradient on the regularized gram operator.  The operator is
 never materialized: each CG step costs two matrix-vector products with the
 gram factor of A (its d-by-d QR factor R when A is tall and dense, else A
-itself; see :mod:`ridgeproj.matrix`) plus a lambda-scaled add.  CG is
-deterministic, so the failure-probability parameter ``delta`` is accepted
-for interface parity but unused; the solver either meets its stopping rule
-or raises.
+itself; see :mod:`ridgeproj.matrix`) plus seven BLAS level-1 calls on
+length-d vectors (``ddot``, and in-place ``daxpy`` and ``dscal``, from
+:mod:`scipy.linalg.blas`).  On small d these cost a fraction of the
+equivalent numpy expressions, whose per-call overhead dominates there.
+Results are bit-identical from run to run on one machine and BLAS build;
+another BLAS build may round the fused updates differently in the last
+bits.  CG is deterministic, so the failure-probability parameter ``delta``
+is accepted for interface parity but unused; the solver either meets its
+stopping rule or raises.
 
 Error contract.  The returned ``x`` satisfies
 
@@ -36,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot, dscal
 
 from ._float64 import _EPS
 from .exceptions import ConvergenceFailure
@@ -96,11 +102,21 @@ def _cg(A: DesignMatrix, lam, y, resid_target, max_iters):
 
     Stops at 0.9 * resid_target on the recursively updated residual so the
     true residual at the accepted iterate stays below the target.
+
+    One step is one gram product ``rmv(mv(p))`` through the gram factor's
+    ``_mv``/``_rmv`` plus seven BLAS level-1 calls on length-d vectors: two
+    ``ddot`` (``p.Mp`` and ``r.r``), three ``daxpy`` (``Mp += lam p``,
+    ``x += alpha p``, ``r -= alpha Mp``) and a ``dscal`` + ``daxpy`` pair
+    for ``p = r + beta p``.  The updates run in place on the solver's own
+    fresh arrays (``x``, ``r``, ``p`` and the product's output), never on
+    ``y``.  Each wrapper's return value is bound, since f2py hands back a
+    copy instead when an argument is not a writable contiguous float64
+    array.
     """
     x = np.zeros(A.n_cols)
     r = y.copy()
     p = y.copy()
-    rs = float(r @ r)
+    rs = ddot(r, r)
     target = 0.9 * resid_target
     target2 = target * target
     it = 0
@@ -113,20 +129,18 @@ def _cg(A: DesignMatrix, lam, y, resid_target, max_iters):
                 f" residual {math.sqrt(rs):.3e} vs target {resid_target:.3e}",
                 diagnostic=math.sqrt(rs),
             )
-        Mp = rmv(mv(p))
-        Mp += lam * p
-        denom = float(p @ Mp)
+        Mp = daxpy(p, rmv(mv(p)), a=lam)
+        denom = ddot(p, Mp)
         if denom <= 0.0:
             raise ConvergenceFailure(
                 "conjugate gradient breakdown: non-positive curvature",
                 diagnostic=math.sqrt(rs),
             )
         alpha = rs / denom
-        x += alpha * p
-        r -= alpha * Mp
-        rs_new = float(r @ r)
-        p *= rs_new / rs
-        p += r
+        x = daxpy(p, x, a=alpha)
+        r = daxpy(Mp, r, a=-alpha)
+        rs_new = ddot(r, r)
+        p = daxpy(r, dscal(rs_new / rs, p))
         rs = rs_new
         it += 1
     return x, math.sqrt(rs), it

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -157,6 +158,35 @@ class TestPcRegress:
         assert calls
         for err_m, nx in calls:
             assert err_m <= eps_inner * nx / math.sqrt(lam) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("c", [1.0, 0.1, 0.01])
+    def test_series_handle_meets_declared_bound(self, c, monkeypatch):
+        # A -> cA, lam -> c^2 lam leaves the configuration's q and eps'
+        # unchanged but scales M^{-1} by 1/c^2; the declared 2-norm bound
+        # has to scale with it.
+        problem = gen_synthetic(60, 40, 10, 0.2, seed=321)
+        A = DesignMatrix.from_dense(c * problem.A.toarray())
+        lam = c * c * problem.lam
+        stats = matrix_stats(A, lam)
+        oracle = svd_small(A)
+        cfg = PcrConfig(lam=lam, gamma=problem.algorithm_gap(), eps=1e-3)
+        calls = []
+        orig = pcr_module.truncated_g_series
+
+        def series_recording(q, lam_, handle, y0, callback=None):
+            def apply(v):
+                out = handle.apply(v)
+                calls.append((v.copy(), np.array(out), handle.err_bound))
+                return out
+            return orig(q, lam_, dataclasses.replace(handle, apply=apply), y0, callback)
+
+        monkeypatch.setattr(pcr_module, "truncated_g_series", series_recording)
+        pc_regress(A, cfg, c * problem.b, stats)
+        q, _, _ = cfg.resolve(stats)
+        assert len(calls) == q + 1
+        for v, out, bound in calls:
+            err = np.linalg.norm(out - m_inverse_apply(oracle, lam, v))
+            assert err <= bound * np.linalg.norm(v)
 
     def test_stage_labels(self, small_problem, monkeypatch):
         problem, stats, _ = small_problem

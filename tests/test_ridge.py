@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from ridgeproj import (
     ridge_solve,
     svd_small,
 )
-from helpers import m_inv_norm, m_norm, random_dense
+from ridgeproj import ridge as ridge_module
+from helpers import m_inv_norm, m_norm, random_csr, random_dense
 
 
 def _solve(A, lam, eps, y, max_iters=None):
@@ -122,3 +125,131 @@ class TestRidgeApplyGram:
         expect = sig2 / (sig2 + lam) * x
         budget = stats.sigma1_estimate / np.sqrt(lam) * eps * np.linalg.norm(x)
         assert np.linalg.norm(out - expect) <= budget
+
+
+def _numpy_cg(A, lam, y, resid_target, max_iters):
+    """Referee: the conjugate-gradient loop on numpy vector operations."""
+    x = np.zeros(A.n_cols)
+    r = y.copy()
+    p = y.copy()
+    rs = float(r @ r)
+    target = 0.9 * resid_target
+    target2 = target * target
+    it = 0
+    G = A._gram
+    mv, rmv = G._mv, G._rmv
+    while rs > target2:
+        if it >= max_iters:
+            raise ConvergenceFailure("exhausted", diagnostic=math.sqrt(rs))
+        Mp = rmv(mv(p))
+        Mp += lam * p
+        denom = float(p @ Mp)
+        if denom <= 0.0:
+            raise ConvergenceFailure("breakdown", diagnostic=math.sqrt(rs))
+        alpha = rs / denom
+        x += alpha * p
+        r -= alpha * Mp
+        rs_new = float(r @ r)
+        p *= rs_new / rs
+        p += r
+        rs = rs_new
+        it += 1
+    return x, math.sqrt(rs), it
+
+
+def _kernel_case(kind, rng):
+    shape = {"tall": (120, 80), "square": (60, 60), "wide": (40, 70), "csr": (200, 90)}[kind]
+    if kind == "csr":
+        return random_csr(rng, *shape, density=0.1)
+    arr = rng.standard_normal(shape)
+    return DesignMatrix.from_dense(arr), arr
+
+
+class TestCgKernel:
+    # lam = 0.1 sigma1^2 (kappa_lambda = 11) and residual targets well above
+    # the rounding level: there both loops take the same steps and differ
+    # only by fused multiply-adds, so 1e-12 is a rounding tolerance.  The
+    # recursive residual carries absolute rounding error on the scale of
+    # eps_machine * ||y||, so it is compared relative to ||y||.  On
+    # ill-conditioned systems CG amplifies last-bit differences, and the
+    # two loops agree only up to their stopping rule.
+    @pytest.mark.parametrize("kind", ["tall", "square", "wide", "csr"])
+    @pytest.mark.parametrize("rel", [1e-4, 1e-8])
+    def test_matches_numpy_loop(self, kind, rel):
+        rng = np.random.default_rng(404)
+        A, arr = _kernel_case(kind, rng)
+        assert (A._factor is not None) == (kind == "tall")
+        lam = 0.1 * np.linalg.norm(arr, 2) ** 2
+        y = rng.standard_normal(A.n_cols)
+        target = rel * np.linalg.norm(y)
+        x_ref, res_ref, it_ref = _numpy_cg(A, lam, y, target, 1000)
+        x, res, it = ridge_module._cg(A, lam, y, target, 1000)
+        assert it == it_ref > 0
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        assert abs(res - res_ref) <= 1e-12 * np.linalg.norm(y)
+        true_res = y - arr.T @ (arr @ x) - lam * x
+        assert np.linalg.norm(true_res) <= target
+
+    @pytest.mark.parametrize("kind", ["tall", "csr"])
+    def test_leaves_right_hand_side_unchanged(self, kind):
+        rng = np.random.default_rng(405)
+        A, arr = _kernel_case(kind, rng)
+        lam = 0.1 * np.linalg.norm(arr, 2) ** 2
+        y = rng.standard_normal(A.n_cols)
+        keep = y.copy()
+        x, _, it = ridge_module._cg(A, lam, y, 1e-8 * np.linalg.norm(y), 1000)
+        assert it > 0 and np.array_equal(y, keep)
+        y.setflags(write=False)
+        x_ro, _, it_ro = ridge_module._cg(A, lam, y, 1e-8 * np.linalg.norm(y), 1000)
+        assert np.array_equal(y, keep)
+        assert it_ro == it and np.array_equal(x_ro, x)
+
+
+class TestProductSeam:
+    """Every gram product inside a solve goes through ``DesignMatrix._mv`` / ``_rmv``."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        counts = {"mv": 0, "rmv": 0, "iters": []}
+        mv, rmv, cg = DesignMatrix._mv, DesignMatrix._rmv, ridge_module._cg
+
+        def count(name, orig):
+            def wrapped(self, v):
+                counts[name] += 1
+                return orig(self, v)
+            return wrapped
+
+        def cg_spy(*args):
+            out = cg(*args)
+            counts["iters"].append(out[2])
+            return out
+
+        monkeypatch.setattr(DesignMatrix, "_mv", count("mv", mv))
+        monkeypatch.setattr(DesignMatrix, "_rmv", count("rmv", rmv))
+        monkeypatch.setattr(ridge_module, "_cg", cg_spy)
+        return counts
+
+    @pytest.mark.parametrize("kind", ["tall", "square", "csr"])
+    def test_ridge_solve(self, kind, counted):
+        rng = np.random.default_rng(406)
+        A, arr = _kernel_case(kind, rng)
+        lam = 0.05 * np.linalg.norm(arr, 2) ** 2
+        stats = matrix_stats(A, lam)
+        counted.update(mv=0, rmv=0)
+        ridge_solve(A, RidgeParams(lam=lam, eps=1e-8), rng.standard_normal(A.n_cols), stats)
+        (iters,) = counted["iters"]
+        assert iters > 0
+        assert counted["mv"] == counted["rmv"] == iters
+
+    @pytest.mark.parametrize("kind", ["tall", "square", "csr"])
+    def test_gram_solver_application(self, kind, counted):
+        rng = np.random.default_rng(407)
+        A, arr = _kernel_case(kind, rng)
+        lam = 0.05 * np.linalg.norm(arr, 2) ** 2
+        stats = matrix_stats(A, lam)
+        apply = ridge_module._gram_solver(A, RidgeParams(lam=lam, eps=1e-8), stats, 0.0)
+        counted.update(mv=0, rmv=0)
+        apply(rng.standard_normal(A.n_cols))
+        (iters,) = counted["iters"]
+        assert iters > 0
+        assert counted["mv"] == counted["rmv"] == iters + 1
