@@ -24,7 +24,7 @@ from .fileio import (
 )
 from .matrix import DesignMatrix, gram_apply, gram_norm
 from .pcr import PcrConfig, pc_regress, truncated_g_series
-from .project import ProjectionConfig, pc_proj, pc_proj_trace
+from .project import ProjectionConfig, pc_proj
 from .ridge import RidgeParams, ridge_apply_gram, ridge_solve
 from .signpoly import (
     CompressedPoly,
@@ -38,7 +38,7 @@ from .signpoly import (
     sign_poly_degree,
 )
 from .spectral import MatrixStats, matrix_stats, spectral_norm_estimate
-from .stepfn import IterateState, OperatorHandle, apply_sign_stable, apply_step
+from .stepfn import OperatorHandle, apply_step
 from .svd import SvdFactors, exact_pcr, exact_projection, svd_small
 from .synthetic import SyntheticProblem, gen_synthetic
 from .trace import ConvergenceTrace
@@ -74,12 +74,9 @@ __all__ = [
     "chebyshev_monomial_approx",
     "compressed_sign_poly",
     "OperatorHandle",
-    "IterateState",
-    "apply_sign_stable",
     "apply_step",
     "ProjectionConfig",
     "pc_proj",
-    "pc_proj_trace",
     "PcrConfig",
     "pc_regress",
     "truncated_g_series",

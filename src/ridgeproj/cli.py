@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", type=float, required=True)
         p.add_argument("--gamma", type=float, required=True, help="algorithm gap parameter")
         p.add_argument("--eps", type=float, required=True)
-        p.add_argument("--delta", type=float, default=0.5)
         if name == "project":
             p.add_argument("--q", type=int, default=None, help="override outer iteration count")
         p.add_argument("--out", required=True, help="output vector (CSV)")
@@ -104,8 +103,7 @@ def _cmd_project(args):
     A = load_matrix(args.matrix)
     y = load_vector(args.vector)
     stats = matrix_stats(A, args.lam)
-    cfg = ProjectionConfig(lam=args.lam, gamma=args.gamma, eps=args.eps,
-                           delta=args.delta, q_override=args.q)
+    cfg = ProjectionConfig(lam=args.lam, gamma=args.gamma, eps=args.eps, q_override=args.q)
     save_vector(pc_proj(A, cfg, y, stats), args.out)
     return 0
 
@@ -114,7 +112,7 @@ def _cmd_pcr(args):
     A = load_matrix(args.matrix)
     b = load_vector(args.rhs)
     stats = matrix_stats(A, args.lam)
-    cfg = PcrConfig(lam=args.lam, gamma=args.gamma, eps=args.eps, delta=args.delta)
+    cfg = PcrConfig(lam=args.lam, gamma=args.gamma, eps=args.eps)
     save_vector(pc_regress(A, cfg, b, stats), args.out)
     return 0
 

@@ -12,9 +12,9 @@ import numpy as np
 
 from .matrix import DesignMatrix, _as_finite_1d, gram_norm
 from .pcr import PcrConfig, pc_regress
-from .project import ProjectionConfig, pc_proj_trace
+from .project import ProjectionConfig, pc_proj
 from .spectral import matrix_stats
-from .svd import exact_pcr, svd_small
+from .svd import exact_pcr, exact_projection, svd_small
 from .synthetic import SyntheticProblem
 from .trace import ConvergenceTrace
 
@@ -29,35 +29,39 @@ def convergence_trace(A: DesignMatrix, b, lam: float, gamma: float, algo: str,
     projected vector is ``A^T b`` and errors are
     ``||s_k - P A^T b||_2 / ||P A^T b||_2``; for ``algo="pcr"`` errors are
     ``||A(s_k - x*)||_2^2 / ||A x*||_2^2`` against the exact PCR solution.
-    ``max_q`` fixes the number of recorded iterations (the trace has
-    ``max_q + 1`` entries).
+    When the reference is zero, the input's norm (squared for ``"pcr"``)
+    is the denominator instead.  ``max_q`` fixes the number of recorded
+    iterations (the trace has ``max_q + 1`` entries).
     """
     if algo not in ("project", "pcr"):
         raise ValueError(f"algo must be 'project' or 'pcr', got {algo!r}")
     b = _as_finite_1d(b, A.n_rows, what="right-hand side")
     oracle = svd_small(A)
     stats = matrix_stats(A, lam)
-    metadata = {"gamma": gamma, "lam": lam, "eps": eps, "seed": seed}
 
     if algo == "project":
+        x = A.rmatvec(b)
         cfg = ProjectionConfig(lam=lam, gamma=gamma, eps=eps, q_override=max_q)
-        y = A.rmatvec(b)
-        _, trace = pc_proj_trace(A, cfg, y, stats, oracle=oracle)
-        trace.metadata.update(metadata)
-        return trace
+        run, ref, power = pc_proj, exact_projection(oracle, lam, x), 1
+        algorithm, norm = "projection", np.linalg.norm
+    else:
+        x = b
+        cfg = PcrConfig(lam=lam, gamma=gamma, eps=eps, q_override=max_q)
+        run, ref, power = pc_regress, exact_pcr(oracle, lam, b), 2
+        algorithm = "regression"
 
-    cfg = PcrConfig(lam=lam, gamma=gamma, eps=eps, q_override=max_q)
-    ref = exact_pcr(oracle, lam, b)
-    denom = gram_norm(A, ref) ** 2
-    if denom == 0.0:
-        denom = float(np.linalg.norm(b)) ** 2 or 1.0
+        def norm(v):
+            return gram_norm(A, v)
+
+    denom = float(norm(ref)) ** power or float(np.linalg.norm(x)) ** power or 1.0
     records = []
 
-    def on_iterate(i, s_i):
-        records.append((i, gram_norm(A, s_i - ref) ** 2 / denom))
+    def on_iterate(k, s_k):
+        records.append((k, float(norm(s_k - ref)) ** power / denom))
 
-    pc_regress(A, cfg, b, stats, callback=on_iterate)
-    return ConvergenceTrace(records=records, algorithm="regression", metadata=metadata)
+    run(A, cfg, x, stats, callback=on_iterate)
+    metadata = {"gamma": gamma, "lam": lam, "eps": eps, "seed": seed}
+    return ConvergenceTrace(records=records, algorithm=algorithm, metadata=metadata)
 
 
 def run_convergence(problem: SyntheticProblem, algo: str, eps: float,

@@ -12,6 +12,12 @@ more rows than columns that is the d-by-d triangular factor R of
 instead of n*d entries; otherwise it is the matrix itself.  QR is not PCA:
 it computes no singular value or vector, and ``A^T A`` is still never
 formed.
+
+Dense arrays are stored starting on a 64-byte (cache-line) boundary:
+numpy promises only 16 bytes, and a cache-resident factor that starts
+mid-line makes every gram product up to 1.5x slower (8.5 vs 5.5 us at
+d = 200), depending on where the allocator placed it.  Alignment changes
+no result bit.
 """
 
 from __future__ import annotations
@@ -24,6 +30,18 @@ import scipy.sparse as sp
 from .exceptions import DimensionMismatch
 
 __all__ = ["DesignMatrix", "gram_apply", "gram_norm"]
+
+_ALIGN = 64
+
+
+def _aligned_copy(arr):
+    """Read-only C-contiguous float64 copy of ``arr`` starting on an ``_ALIGN`` boundary."""
+    buf = np.empty(arr.nbytes + _ALIGN, dtype=np.uint8)
+    start = -buf.ctypes.data % _ALIGN
+    out = buf[start:start + arr.nbytes].view(np.float64).reshape(arr.shape)
+    out[...] = arr
+    out.setflags(write=False)
+    return out
 
 
 def _as_finite_1d(x, length, what="vector"):
@@ -76,12 +94,9 @@ class DesignMatrix:
         factor = None
         if n > d:
             # Before the defensive copy, so one n-by-d temporary is alive at a time.
-            r = np.linalg.qr(arr, mode="r")
-            r.setflags(write=False)
+            r = _aligned_copy(np.linalg.qr(arr, mode="r"))
             factor = cls(d, d, "dense", dense=r)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        return cls(n, d, "dense", dense=arr, factor=factor)
+        return cls(n, d, "dense", dense=_aligned_copy(arr), factor=factor)
 
     @classmethod
     def from_csr(cls, n_rows, n_cols, indptr, indices, data) -> "DesignMatrix":

@@ -33,26 +33,26 @@ from .stepfn import OperatorHandle
 
 __all__ = ["PcrConfig", "pc_regress", "truncated_g_series"]
 
+# Default series length q = ceil(C1 ln(kappa/eps)) and inner tolerance
+# eps / (C2 q^2 sqrt(kappa)).
+_C1 = 2.0
+_C2 = 4.0
+
+
 @dataclass(frozen=True)
 class PcrConfig:
     """Parameters of the regression series.
 
-    Defaults: ``q = ceil(c1 * ln(kappa_lambda / eps))`` with ``c1 = 2`` (so
-    the series tail ``kappa/2^q`` is safely below eps) and inner tolerance
-    ``eps' = eps / (c2 * q^2 * sqrt(kappa_lambda))`` with ``c2 = 4``.  The
-    projection of ``A^T b`` is computed once, at tolerance eps' and with
-    half the failure budget, exactly as a stochastic inner solver would be
-    granted.
+    Defaults: ``q = ceil(2 ln(kappa_lambda / eps))`` (so the series tail
+    ``kappa/2^q`` is safely below eps) and inner tolerance
+    ``eps' = eps / (4 q^2 sqrt(kappa_lambda))``.  The projection of
+    ``A^T b`` is computed once, at tolerance eps'.
     """
 
     lam: float
     gamma: float
     eps: float
-    delta: float = 0.5
-    c1: float = 2.0
-    c2: float = 4.0
     q_override: int | None = None
-    eps_inner_override: float | None = None
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -61,36 +61,34 @@ class PcrConfig:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("c1 and c2 must be positive")
         if self.q_override is not None and self.q_override < 1:
             raise ValueError("q_override must be at least 1")
-        if self.eps_inner_override is not None and not 0.0 < self.eps_inner_override < 1.0:
-            raise ValueError("eps_inner_override must lie in (0, 1)")
 
     def resolve(self, stats: MatrixStats):
-        """Concrete (q, eps_inner, delta_inner) for the given matrix stats."""
+        """Concrete (q, eps_inner, eps_op) for the given matrix stats.
+
+        ``eps_op = eps_inner / lambda`` bounds the relative 2-norm error of
+        one series application of ``M^{-1}``: ``||R(v) - M^{-1} v||_2 <=
+        ||.||_M / sqrt(lambda)`` and ``||v||_{M^{-1}} <= ||v||_2 /
+        sqrt(lambda)``, so the ridge solver's M-norm contract gives
+        ``eps_inner ||v||_2 / lambda``.
+        """
         stats.check_lambda(self.lam)
         if self.q_override is not None:
             q = self.q_override
         else:
-            q = _ceil_tight(self.c1 * math.log(max(stats.kappa_lambda, 1.0) / self.eps))
+            q = _ceil_tight(_C1 * math.log(max(stats.kappa_lambda, 1.0) / self.eps))
         q = max(q, 1)
-        if self.eps_inner_override is not None:
-            eps_inner = self.eps_inner_override
-        else:
-            eps_inner = self.eps / (self.c2 * q * q * math.sqrt(stats.kappa_lambda))
-        delta_inner = self.delta / (2.0 * (q + 1.0))
-        return q, eps_inner, delta_inner
+        eps_inner = self.eps / (_C2 * q * q * math.sqrt(stats.kappa_lambda))
+        return q, eps_inner, eps_inner / self.lam
 
 
 def truncated_g_series(q: int, lam: float, ridge_op: OperatorHandle, y0,
                        callback: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
     """Partial sum ``sum_{i=1}^{q} lambda^{i-1} (M^{-1})^i y0`` via the series recurrence.
 
-    ``ridge_op`` applies ``M^{-1} = (A^T A + lambda I)^{-1}``.  The sum is
+    ``ridge_op`` applies ``M^{-1} = (A^T A + lambda I)^{-1}``, whose
+    eigenvalues lie in (0, 1/lambda].  The sum is
     built as ``s_1 = R(y0)``, ``s_{k+1} = s_1 + lambda * R(s_k)``; only one
     extra vector is kept.  When ``y0`` lies in the span where M^{-1} has
     spectrum at most ``1/(2 lambda)`` (the top subspace), the deviation of
@@ -129,12 +127,8 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
     right-hand side.
     """
     b = _as_finite_1d(b, A.n_rows, what="right-hand side")
-    q, eps_inner, delta_inner = cfg.resolve(stats)
-    if not np.any(b):
-        return np.zeros(A.n_cols)
-
-    proj_cfg = ProjectionConfig(lam=cfg.lam, gamma=cfg.gamma, eps=eps_inner,
-                                delta=cfg.delta / 2.0)
+    q, eps_inner, eps_op = cfg.resolve(stats)
+    proj_cfg = ProjectionConfig(lam=cfg.lam, gamma=cfg.gamma, eps=eps_inner)
     y = A.rmatvec(b)
     try:
         y_proj = pc_proj(A, proj_cfg, y, stats)
@@ -142,7 +136,7 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
         raise ConvergenceFailure(f"projection stage failed: {exc}",
                                  diagnostic=exc.diagnostic) from exc
 
-    params = RidgeParams(lam=cfg.lam, eps=eps_inner, delta=delta_inner)
+    params = RidgeParams(lam=cfg.lam, eps=eps_inner)
     step = {"k": 0}
 
     def ridge_apply(v):
@@ -153,10 +147,7 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
             raise ConvergenceFailure(f"series step {step['k']} failed: {exc}",
                                      diagnostic=exc.diagnostic) from exc
 
-    # ||R(v) - M^{-1} v||_2 <= ||.||_M / sqrt(lam) and ||v||_{M^{-1}} <=
-    # ||v||_2 / sqrt(lam), so the M-norm contract gives eps' ||v||_2 / lam.
-    handle = OperatorHandle(dimension=A.n_cols, apply=ridge_apply,
-                            err_bound=eps_inner / cfg.lam)
+    handle = OperatorHandle(dimension=A.n_cols, apply=ridge_apply, err_bound=eps_op)
     series_cb = None
     if callback is not None:
         def series_cb(k, s_k):

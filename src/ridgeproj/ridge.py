@@ -9,9 +9,8 @@ length-d vectors (``ddot``, and in-place ``daxpy`` and ``dscal``, from
 equivalent numpy expressions, whose per-call overhead dominates there.
 Results are bit-identical from run to run on one machine and BLAS build;
 another BLAS build may round the fused updates differently in the last
-bits.  CG is deterministic, so the failure-probability parameter ``delta``
-is accepted for interface parity but unused; the solver either meets its
-stopping rule or raises.
+bits.  CG is deterministic: the solver either meets its stopping rule or
+raises.
 
 Error contract.  The returned ``x`` satisfies
 
@@ -59,15 +58,12 @@ RESIDUAL_FLOOR_MULT = 64.0
 class RidgeParams:
     """Tolerances for one family of ridge solves.
 
-    ``delta`` is the failure probability a stochastic solver would be
-    granted; conjugate gradient is deterministic so it is accepted and
-    ignored.  ``max_iters=None`` selects the standard CG bound
+    ``max_iters=None`` selects the standard CG bound
     ``10 * ceil(sqrt(kappa_lambda + 1) * ln(2/eps))``.
     """
 
     lam: float
     eps: float
-    delta: float = 0.5
     max_iters: int | None = None
 
     def __post_init__(self):
@@ -75,8 +71,6 @@ class RidgeParams:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 

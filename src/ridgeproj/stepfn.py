@@ -1,7 +1,7 @@
-"""Iterative application of the sign and step polynomials to an operator.
+"""Iterative application of the step polynomial to an operator.
 
 The operator is available only as a black box that applies a symmetric
-matrix approximately.  Both recurrences below tolerate that noise: the
+matrix approximately.  The recurrence below tolerates that noise: the
 error of the output grows at most linearly in the iteration count times
 the per-application error, provided the iteration count stays within the
 budget ``k <= 1/(7 eps)``.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import BudgetExceeded, ConvergenceFailure, DimensionMismatch
 
-__all__ = ["OperatorHandle", "IterateState", "apply_sign_stable", "apply_step"]
+__all__ = ["OperatorHandle", "apply_step"]
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,12 @@ class OperatorHandle:
 
     ``apply(x)`` returns an approximation of ``S x`` with
     ``||apply(x) - S x||_2 <= err_bound * ||x||_2``.  The underlying S must
-    be symmetric with eigenvalues in [0, 1]; that is the caller's contract
-    and is only checked by test oracles.  ``err_bound = 0`` declares the
-    application exact.
+    be symmetric; that is the caller's contract and is only checked by test
+    oracles.  ``err_bound = 0`` declares the application exact.  Any
+    requirement on the spectrum of S belongs to the consumer:
+    :func:`apply_step` needs eigenvalues in [0, 1], while
+    :func:`~ridgeproj.pcr.truncated_g_series` takes ``M^{-1}`` with
+    eigenvalues in (0, 1/lambda].
 
     A handle built for one input y may also err by a fixed absolute amount
     on the scale of ``||y||_2``: the projection handle of
@@ -53,20 +56,6 @@ class OperatorHandle:
             raise ValueError("dimension must be positive")
         if self.err_bound < 0:
             raise ValueError("err_bound must be nonnegative")
-
-
-@dataclass
-class IterateState:
-    """Iterates carried across step-function iterations.
-
-    After ``k`` updates with an exact operator, ``s`` equals
-    ``(1/2) (y + p_k(2S - I) y)`` and ``w`` is half the k-th sign-recurrence
-    term ``(1/2) t_k(2S - I) y``.
-    """
-
-    s: np.ndarray
-    w: np.ndarray
-    k: int
 
 
 def _check_vec(v, dim, what):
@@ -89,34 +78,8 @@ def _guarded(op: OperatorHandle, x, k):
     return np.asarray(out, dtype=np.float64)
 
 
-def apply_sign_stable(C: OperatorHandle, t0, p0, k: int):
-    """Run k steps of the stable sign-polynomial recurrence.
-
-    ``C`` applies ``I - B^2`` for a symmetric B with ||B|| <= 1, and
-    ``t0, p0`` approximate ``B y``.  Returns ``(t_k, p_k)`` where, with an
-    exact operator, ``t_k = t_k(B) y`` and ``p_k = p_k(B) y``; with
-    per-application error eps, both deviate by at most ``7 k eps ||y||_2``.
-
-    Raises :class:`BudgetExceeded` when ``k`` exceeds the ``1/(7 eps)``
-    range in which that guarantee is valid.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if C.err_bound > 0 and k > 1.0 / (7.0 * C.err_bound):
-        raise BudgetExceeded(
-            f"error budget exhausted: k={k} exceeds 1/(7*err_bound)="
-            f"{1.0 / (7.0 * C.err_bound):.1f}"
-        )
-    t = _check_vec(t0, C.dimension, "t0").copy()
-    p = _check_vec(p0, C.dimension, "p0").copy()
-    for j in range(k):
-        t = ((2 * j + 1) / (2 * j + 2)) * _guarded(C, t, j)
-        p = p + t
-    return t, p
-
-
 def apply_step(S: OperatorHandle, y, q: int,
-               callback: Optional[Callable[[IterateState], None]] = None) -> np.ndarray:
+               callback: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
     """Apply the soft spectral step of ``S`` to ``y`` through q iterations.
 
     Runs the recurrence
@@ -124,12 +87,13 @@ def apply_step(S: OperatorHandle, y, q: int,
         s_0 = S y,   w_0 = s_0 - y/2,
         w_{k+1} = 4 (2k+1)/(2k+2) * S(w_k - S w_k),   s_{k+1} = s_k + w_{k+1},
 
-    where every ``S``-application goes through the black box.  With an exact
-    operator the result is exactly ``(1/2)(y + p_q(2S - I) y)``, which maps
-    eigenvalues of S above 1/2 toward 1 and below 1/2 toward 0.  With
-    per-application error eps the output error is O(q * eps) * ||y||_2.
+    where every ``S``-application goes through the black box, and S must
+    have its eigenvalues in [0, 1].  With an exact operator the result is
+    exactly ``(1/2)(y + p_q(2S - I) y)``, which maps eigenvalues of S above
+    1/2 toward 1 and below 1/2 toward 0.  With per-application error eps
+    the output error is O(q * eps) * ||y||_2.
 
-    ``callback`` (if given) receives the :class:`IterateState` after
+    ``callback(k, s_k)`` (if given) receives a copy of the iterate after
     initialization (k = 0) and after each of the q updates.
     """
     if q < 1:
@@ -147,11 +111,11 @@ def apply_step(S: OperatorHandle, y, q: int,
     s = _guarded(S, y, 0)
     w = s - 0.5 * y
     if callback is not None:
-        callback(IterateState(s=s.copy(), w=w.copy(), k=0))
+        callback(0, s.copy())
     for k in range(q):
         inner = _guarded(S, w, k)
         w = (4.0 * (2 * k + 1) / (2 * k + 2)) * _guarded(S, w - inner, k)
         s = s + w
         if callback is not None:
-            callback(IterateState(s=s.copy(), w=w.copy(), k=k + 1))
+            callback(k + 1, s.copy())
     return s

@@ -3,6 +3,7 @@ import pytest
 
 from ridgeproj import (
     ConvergenceTrace,
+    convergence_trace,
     exact_pcr,
     gen_synthetic,
     gram_norm,
@@ -50,11 +51,9 @@ class TestRunConvergence:
         stats = matrix_stats(problem.A, problem.lam)
         oracle = svd_small(problem.A)
         cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(),
-                               eps=trace_eps_inner(problem, 1e-3, 10),
-                               delta=0.25)
+                               eps=trace_eps_inner(problem, 1e-3, 10))
         y_proj = pc_proj(problem.A, cfg, problem.A.rmatvec(problem.b), stats)
-        params = RidgeParams(lam=problem.lam, eps=trace_eps_inner(problem, 1e-3, 10),
-                             delta=0.01)
+        params = RidgeParams(lam=problem.lam, eps=trace_eps_inner(problem, 1e-3, 10))
         s0 = ridge_solve(problem.A, params, y_proj, stats)
         ref = exact_pcr(oracle, problem.lam, problem.b)
         expect0 = gram_norm(problem.A, s0 - ref) ** 2 / gram_norm(problem.A, ref) ** 2
@@ -71,6 +70,13 @@ class TestRunConvergence:
         assert trace.metadata["gamma"] == problem.gamma
         assert trace.metadata["lam"] == problem.lam
         assert trace.metadata["seed"] == problem.seed
+
+    def test_zero_rhs_records_every_iterate(self, problem):
+        for algo in ("project", "pcr"):
+            trace = convergence_trace(problem.A, np.zeros(problem.A.n_rows), problem.lam,
+                                      problem.algorithm_gap(), algo, 1e-3, 6)
+            assert trace.records == [(k, 0.0) for k in range(7)]
+            assert trace.final_error() == 0.0
 
     def test_algo_validation(self, problem):
         with pytest.raises(ValueError, match="algo"):

@@ -34,15 +34,14 @@ class TestConfig:
         A = DesignMatrix.from_dense(np.diag([1.0, 0.5]))
         stats = matrix_stats(A, 0.5)
         cfg = PcrConfig(lam=0.5, gamma=0.1, eps=1e-3)
-        q, eps_inner, delta_inner = cfg.resolve(stats)
+        q, eps_inner, eps_op = cfg.resolve(stats)
         assert q == math.ceil(2.0 * math.log(stats.kappa_lambda / 1e-3))
         assert eps_inner == pytest.approx(1e-3 / (4.0 * q * q * math.sqrt(stats.kappa_lambda)))
-        assert delta_inner == pytest.approx(0.5 / (2.0 * (q + 1)))
+        assert eps_op == eps_inner / 0.5
 
     def test_validation(self):
         for kwargs in (dict(lam=0.0, gamma=0.1, eps=0.1),
                        dict(lam=1.0, gamma=0.1, eps=1.5),
-                       dict(lam=1.0, gamma=0.1, eps=0.1, c1=0.0),
                        dict(lam=1.0, gamma=0.1, eps=0.1, q_override=0)):
             with pytest.raises(ValueError):
                 PcrConfig(**kwargs)

@@ -16,7 +16,6 @@ from ridgeproj import (
     matrix_stats,
     p_k_eval,
     pc_proj,
-    pc_proj_trace,
     ridge_apply_gram,
     svd_small,
 )
@@ -37,18 +36,11 @@ class TestConfig:
         cfg = ProjectionConfig(lam=0.5, gamma=0.05, eps=1e-4)
         A = DesignMatrix.from_dense(np.diag([1.0, 0.5]))
         stats = matrix_stats(A, 0.5)
-        q, eps_inner, delta_inner = cfg.resolve(stats)
+        q, eps_inner, eps_op = cfg.resolve(stats)
         assert q == math.ceil((2 * 0.05) ** -2 * math.log(2.0 / 1e-4))
         expect = 1e-4 ** 2 * 0.05 ** 2 / (8.0 * math.sqrt(stats.kappa_lambda))
         assert eps_inner == pytest.approx(expect)
-        assert delta_inner == pytest.approx(cfg.delta / (2 * q))
-
-    def test_c1_switches_formula(self):
-        A = DesignMatrix.from_dense(np.diag([1.0, 0.5]))
-        stats = matrix_stats(A, 0.5)
-        cfg = ProjectionConfig(lam=0.5, gamma=0.1, eps=1e-3, c1=1.0)
-        q, _, _ = cfg.resolve(stats)
-        assert q == math.ceil(0.1 ** -2 * math.log(1e3))
+        assert eps_op == math.sqrt(stats.kappa_lambda) * eps_inner
 
     def test_overrides(self):
         A = DesignMatrix.from_dense(np.diag([1.0, 0.5]))
@@ -84,8 +76,6 @@ class TestConfig:
         for kwargs in (dict(lam=0.0, gamma=0.1, eps=0.1),
                        dict(lam=1.0, gamma=1.0, eps=0.1),
                        dict(lam=1.0, gamma=0.1, eps=0.0),
-                       dict(lam=1.0, gamma=0.1, eps=0.1, delta=1.0),
-                       dict(lam=1.0, gamma=0.1, eps=0.1, c2=0.0),
                        dict(lam=1.0, gamma=0.1, eps=0.1, q_override=0)):
             with pytest.raises(ValueError):
                 ProjectionConfig(**kwargs)
@@ -167,37 +157,34 @@ class TestPcProj:
 
     def test_deterministic(self, small_problem):
         problem, stats, _ = small_problem
-        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-3,
-                               delta=0.9)
+        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-3)
         y = np.random.default_rng(8).standard_normal(40)
         assert np.array_equal(pc_proj(problem.A, cfg, y, stats),
                               pc_proj(problem.A, cfg, y, stats))
 
 
 class TestPcProjTrace:
+    """pc_proj traced through its ``callback``."""
+
     def test_trace_shape_and_final_error(self, small_problem):
         problem, stats, oracle = small_problem
         eps = 1e-4
         cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=eps)
         q, _, _ = cfg.resolve(stats)
         y = np.random.default_rng(1).standard_normal(40)
-        s, trace = pc_proj_trace(problem.A, cfg, y, stats, oracle=oracle)
-        assert len(trace.records) == q + 1
-        assert trace.records[0][0] == 0
         ref = exact_projection(oracle, problem.lam, y)
-        assert trace.final_error() <= eps * np.linalg.norm(y) / np.linalg.norm(ref)
-        # errors settle monotonically after burn-in
-        errs = np.array(trace.errors())[3:]
-        assert np.all(np.diff(errs) <= 1e-12)
+        records = []
 
-    def test_trace_without_oracle_ends_at_zero(self, small_problem):
-        problem, stats, _ = small_problem
-        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-3,
-                               q_override=10)
-        y = np.random.default_rng(2).standard_normal(40)
-        s, trace = pc_proj_trace(problem.A, cfg, y, stats)
-        assert trace.final_error() == 0.0
-        assert len(trace.records) == 11
+        def on_iterate(k, s_k):
+            records.append((k, np.linalg.norm(s_k - ref) / np.linalg.norm(ref)))
+
+        s = pc_proj(problem.A, cfg, y, stats, callback=on_iterate)
+        assert [k for k, _ in records] == list(range(q + 1))
+        assert records[-1][1] == np.linalg.norm(s - ref) / np.linalg.norm(ref)
+        assert records[-1][1] <= eps * np.linalg.norm(y) / np.linalg.norm(ref)
+        # errors settle monotonically after burn-in
+        errs = np.array([err for _, err in records])[3:]
+        assert np.all(np.diff(errs) <= 1e-12)
 
 
 def smooth_projection(oracle, lam, v):
@@ -224,12 +211,12 @@ def recorded_applications(monkeypatch):
 
 def relative_only_step(problem, stats, cfg, y):
     """``apply_step`` on a handle built from the public ``ridge_apply_gram``."""
-    q, eps_inner, delta_inner = cfg.resolve(stats)
-    params = RidgeParams(lam=cfg.lam, eps=eps_inner, delta=delta_inner)
+    q, eps_inner, eps_op = cfg.resolve(stats)
+    params = RidgeParams(lam=cfg.lam, eps=eps_inner)
     handle = OperatorHandle(
         dimension=problem.A.n_cols,
         apply=lambda v: ridge_apply_gram(problem.A, params, v, stats),
-        err_bound=math.sqrt(stats.kappa_lambda) * eps_inner,
+        err_bound=eps_op,
     )
     return apply_step(handle, y, q)
 

@@ -72,18 +72,19 @@ class TestRidgeSolve:
             ridge_solve(A, RidgeParams(lam=0.3, eps=1e-10, max_iters=2), y, stats)
         assert exc.value.diagnostic > 0
 
-    def test_deterministic_and_delta_ignored(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(7)
         A = random_dense(rng, 25, 12)
         y = rng.standard_normal(12)
         stats = matrix_stats(A, 1.0)
-        a = ridge_solve(A, RidgeParams(lam=1.0, eps=1e-8, delta=0.9), y, stats)
-        b = ridge_solve(A, RidgeParams(lam=1.0, eps=1e-8, delta=0.001), y, stats)
+        params = RidgeParams(lam=1.0, eps=1e-8)
+        a = ridge_solve(A, params, y, stats)
+        b = ridge_solve(A, params, y, stats)
         assert np.array_equal(a, b)
 
     def test_params_validation(self):
         for kwargs in (dict(lam=0.0, eps=0.1), dict(lam=1.0, eps=0.0),
-                       dict(lam=1.0, eps=1.0), dict(lam=1.0, eps=0.1, delta=0.0),
+                       dict(lam=1.0, eps=1.0),
                        dict(lam=1.0, eps=0.1, max_iters=0)):
             with pytest.raises(ValueError):
                 RidgeParams(**kwargs)

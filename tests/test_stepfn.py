@@ -4,7 +4,6 @@ import pytest
 from ridgeproj import (
     BudgetExceeded,
     OperatorHandle,
-    apply_sign_stable,
     apply_step,
     p_k_eval,
 )
@@ -31,55 +30,6 @@ def step_reference(eigs, Q, y, q):
     """Exact (1/2)(y + p_q(2S - I) y) through the known eigenstructure."""
     vals = np.array([0.5 * (1.0 + p_k_eval(2.0 * e - 1.0, q)) for e in eigs])
     return Q @ (vals * (Q.T @ y))
-
-
-class TestApplySignStable:
-    def test_identity_c_matches_scalar_factors(self):
-        # C = I corresponds to B = 0; given t0, each step only scales by the ratios.
-        d = 4
-        t0 = np.arange(1.0, d + 1.0)
-        C = exact_handle(np.eye(d))
-        t, p = apply_sign_stable(C, t0, t0, 5)
-        prod = 1.0
-        acc = t0.copy()
-        tk = t0.copy()
-        for j in range(5):
-            prod *= (2 * j + 1) / (2 * j + 2)
-            tk = tk * ((2 * j + 1) / (2 * j + 2))
-            acc = acc + tk
-        assert np.allclose(t, t0 * prod, rtol=1e-14)
-        assert np.allclose(p, acc, rtol=1e-14)
-
-    def test_zero_c_freezes_p(self):
-        # C = 0 corresponds to B = I: t dies immediately, p stays at p0.
-        d = 3
-        t0 = np.ones(d)
-        C = exact_handle(np.zeros((d, d)))
-        t, p = apply_sign_stable(C, t0, t0, 7)
-        assert np.all(t == 0.0)
-        assert np.array_equal(p, t0)
-
-    def test_matches_scalar_toolkit(self):
-        # B = diag(0.5): C = I - B^2 = diag(0.75); start from t0 = p0 = B y.
-        b = 0.5
-        C = exact_handle(np.array([[1.0 - b * b]]))
-        y = np.array([1.0])
-        t0 = p0 = b * y
-        _, p = apply_sign_stable(C, t0, p0, 8)
-        assert abs(p[0] - p_k_eval(b, 8)) <= 1e-12
-
-    def test_budget_guard(self):
-        C = OperatorHandle(dimension=2, apply=lambda v: v, err_bound=1e-2)
-        with pytest.raises(BudgetExceeded, match="budget"):
-            apply_sign_stable(C, np.ones(2), np.ones(2), 100)
-        # k within budget passes
-        apply_sign_stable(C, np.ones(2), np.ones(2), 14)
-
-    def test_k_zero_returns_inputs(self):
-        C = exact_handle(np.eye(2))
-        t, p = apply_sign_stable(C, np.array([1.0, 2.0]), np.array([3.0, 4.0]), 0)
-        assert np.array_equal(t, [1.0, 2.0])
-        assert np.array_equal(p, [3.0, 4.0])
 
 
 class TestApplyStep:
@@ -147,12 +97,14 @@ class TestApplyStep:
         eigs = rng.uniform(0.0, 1.0, size=8)
         S, Q = rotated_symmetric(rng, eigs)
         y = rng.standard_normal(8)
-        states = []
-        apply_step(exact_handle(S), y, 12, callback=states.append)
-        assert [st.k for st in states] == list(range(13))
-        for st in states:
-            ref = step_reference(eigs, Q, y, st.k)
-            assert np.linalg.norm(st.s - ref) <= 1e-11 * max(1.0, np.linalg.norm(ref))
+        iterates = []
+        out = apply_step(exact_handle(S), y, 12,
+                         callback=lambda k, s: iterates.append((k, s)))
+        assert [k for k, _ in iterates] == list(range(13))
+        assert np.array_equal(iterates[-1][1], out)
+        for k, s in iterates:
+            ref = step_reference(eigs, Q, y, k)
+            assert np.linalg.norm(s - ref) <= 1e-11 * max(1.0, np.linalg.norm(ref))
 
     def test_validation(self):
         S = exact_handle(np.eye(2))
