@@ -25,7 +25,7 @@ from .fileio import (
 from .matrix import DesignMatrix, gram_apply, gram_norm
 from .pcr import PcrConfig, pc_regress, truncated_g_series
 from .project import ProjectionConfig, pc_proj
-from .ridge import RidgeParams, ridge_apply_gram, ridge_solve
+from .ridge import RidgeParams, ridge_solve
 from .signpoly import (
     CompressedPoly,
     SignPolyDegree,
@@ -63,7 +63,6 @@ __all__ = [
     "spectral_norm_estimate",
     "RidgeParams",
     "ridge_solve",
-    "ridge_apply_gram",
     "SignPolyDegree",
     "CompressedPoly",
     "p_k_eval",

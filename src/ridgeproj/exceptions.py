@@ -25,8 +25,8 @@ class BudgetExceeded(RidgeProjError, ValueError):
 class ConvergenceFailure(RidgeProjError, RuntimeError):
     """An iterative routine ran out of iterations before its stopping rule.
 
-    ``diagnostic`` holds the last residual norm / Rayleigh quotient /
-    quadrature estimate, depending on the routine.
+    ``diagnostic`` holds the last residual norm / Ritz value / quadrature
+    estimate, depending on the routine.
     """
 
     def __init__(self, message, diagnostic=None):

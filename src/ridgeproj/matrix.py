@@ -6,7 +6,7 @@ touches the matrix only through products ``A x`` and ``A^T z``, so the
 covariance matrix ``A^T A`` is never formed.
 
 Gram products ``A^T (A x)`` -- every product inside a ridge solve or a
-power-iteration step -- run on the gram factor: for a dense matrix with
+Lanczos step -- run on the gram factor: for a dense matrix with
 more rows than columns that is the d-by-d triangular factor R of
 ``A = QR``, built once on construction, with ``R^T R = A^T A`` and d^2
 instead of n*d entries; otherwise it is the matrix itself.  QR is not PCA:

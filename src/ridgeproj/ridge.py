@@ -44,10 +44,10 @@ from scipy.linalg.blas import daxpy, ddot, dscal
 
 from ._float64 import _EPS
 from .exceptions import ConvergenceFailure
-from .matrix import DesignMatrix, _as_finite_1d, gram_apply
+from .matrix import DesignMatrix, _as_finite_1d
 from .spectral import MatrixStats
 
-__all__ = ["RidgeParams", "ridge_solve", "ridge_apply_gram", "RESIDUAL_FLOOR_MULT"]
+__all__ = ["RidgeParams", "ridge_solve", "RESIDUAL_FLOOR_MULT"]
 
 # Multiplier on eps_machine * (kappa_lambda + 1) below which residual
 # targets are clamped; about 64x the attainable CG residual.
@@ -58,21 +58,18 @@ RESIDUAL_FLOOR_MULT = 64.0
 class RidgeParams:
     """Tolerances for one family of ridge solves.
 
-    ``max_iters=None`` selects the standard CG bound
+    The CG iteration budget is always the standard bound
     ``10 * ceil(sqrt(kappa_lambda + 1) * ln(2/eps))``.
     """
 
     lam: float
     eps: float
-    max_iters: int | None = None
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
 
 
 def _default_max_iters(kappa: float, eps: float) -> int:
@@ -85,10 +82,7 @@ def _resolve(params: RidgeParams, stats: MatrixStats):
     kappa = stats.kappa_lambda
     scale = math.sqrt(params.lam / (stats.sigma1_estimate ** 2 + params.lam))
     floor = RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0)
-    max_iters = params.max_iters
-    if max_iters is None:
-        max_iters = _default_max_iters(kappa, params.eps)
-    return max(params.eps * scale, floor), max_iters
+    return max(params.eps * scale, floor), _default_max_iters(kappa, params.eps)
 
 
 def _cg(A: DesignMatrix, lam, y, resid_target, max_iters):
@@ -156,19 +150,9 @@ def ridge_solve(A: DesignMatrix, params: RidgeParams, y, stats: MatrixStats) -> 
     return x
 
 
-def ridge_apply_gram(A: DesignMatrix, params: RidgeParams, x, stats: MatrixStats) -> np.ndarray:
-    """Apply the smooth projection operator ``B = (A^T A + lambda I)^{-1} A^T A``.
-
-    Computed as a ridge solve against ``A^T A x``; the output deviates from
-    ``B x`` by at most ``(sigma1 / sqrt(lambda)) * eps * ||x||_2``.
-    """
-    rhs = gram_apply(A, x)
-    return ridge_solve(A, params, rhs, stats)
-
-
 def _gram_solver(A: DesignMatrix, params: RidgeParams, stats: MatrixStats,
                  query_norm: float):
-    """Pre-resolved form of :func:`ridge_apply_gram` for iteration engines.
+    """Apply ``B = (A^T A + lambda I)^{-1} A^T A`` with a pre-resolved ridge solve.
 
     Hoists tolerance resolution and input validation out of the per-call
     path; the returned callable assumes its argument is a finite length-d

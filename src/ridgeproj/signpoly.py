@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 from scipy import integrate
 
 from ._float64 import _ceil_tight
@@ -40,10 +39,6 @@ __all__ = [
     "chebyshev_monomial_approx",
     "compressed_sign_poly",
 ]
-
-# Monomial-basis evaluation is numerically untrustworthy at high degree;
-# Chebyshev/Clenshaw must be used instead.
-_MONOMIAL_DEGREE_LIMIT = 30
 
 _GRID_POINTS = 10_001
 
@@ -68,10 +63,9 @@ class SignPolyDegree:
 
 @dataclass(frozen=True)
 class CompressedPoly:
-    """Polynomial in a tagged basis; ``degree == len(coefficients) - 1``."""
+    """Polynomial in the Chebyshev basis; ``degree == len(coefficients) - 1``."""
 
     coefficients: np.ndarray
-    basis: str = "chebyshev"
     degree: int = field(init=False)
 
     def __post_init__(self):
@@ -80,22 +74,14 @@ class CompressedPoly:
             raise ValueError("coefficients must be a nonempty 1-d array")
         if not np.all(np.isfinite(coef)):
             raise ValueError("coefficients must be finite")
-        if self.basis not in ("chebyshev", "monomial"):
-            raise ValueError(f"unknown basis {self.basis!r}")
         coef = coef.copy()
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
         object.__setattr__(self, "degree", coef.size - 1)
 
     def __call__(self, x):
-        """Evaluate at scalar or array ``x`` (Clenshaw recurrence for Chebyshev)."""
-        if self.basis == "chebyshev":
-            return _cheb.chebval(x, self.coefficients)
-        if self.degree > _MONOMIAL_DEGREE_LIMIT:
-            raise ValueError(
-                f"monomial evaluation not supported above degree {_MONOMIAL_DEGREE_LIMIT}"
-            )
-        return _poly.polyval(x, self.coefficients)
+        """Evaluate at scalar or array ``x`` by the Clenshaw recurrence."""
+        return _cheb.chebval(x, self.coefficients)
 
 
 def _check_domain(x: float):
@@ -232,7 +218,7 @@ def chebyshev_monomial_approx(s: int, d: int) -> CompressedPoly:
         raise ValueError(f"s must be a positive integer, got {s}")
     if not (isinstance(d, (int, np.integer)) and d >= 1):
         raise ValueError(f"d must be a positive integer, got {d}")
-    return CompressedPoly(_chebyshev_power_coeffs(int(s), int(d)), basis="chebyshev")
+    return CompressedPoly(_chebyshev_power_coeffs(int(s), int(d)))
 
 
 def _sign_grid(alpha: float) -> np.ndarray:
@@ -284,7 +270,7 @@ def compressed_sign_poly(alpha: float, eps: float) -> CompressedPoly:
         degree = 1 + 2 * min(attempt_d, k)
         coef = _cheb.chebinterpolate(evaluate, degree)
         coef[::2] = 0.0  # the construction is odd; even modes are rounding noise
-        poly = CompressedPoly(coef, basis="chebyshev")
+        poly = CompressedPoly(coef)
         last_err = float(np.abs(sgn - poly(grid)).max())
         if last_err <= eps:
             return poly

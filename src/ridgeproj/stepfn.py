@@ -21,7 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import BudgetExceeded, ConvergenceFailure, DimensionMismatch
+from .exceptions import BudgetExceeded, ConvergenceFailure
+from .matrix import _as_finite_1d
 
 __all__ = ["OperatorHandle", "apply_step"]
 
@@ -56,15 +57,6 @@ class OperatorHandle:
             raise ValueError("dimension must be positive")
         if self.err_bound < 0:
             raise ValueError("err_bound must be nonnegative")
-
-
-def _check_vec(v, dim, what):
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != dim:
-        raise DimensionMismatch(dim, v.shape[0] if v.ndim == 1 else v.shape, what=what)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} contains non-finite entries")
-    return v
 
 
 def _guarded(op: OperatorHandle, x, k):
@@ -107,7 +99,7 @@ def apply_step(S: OperatorHandle, y, q: int,
                 f"error budget exhausted: q={q} exceeds 1/(7*eps_C)="
                 f"{1.0 / (7.0 * eps_c):.1f} for operator error {err:.3e}"
             )
-    y = _check_vec(y, S.dimension, "input vector")
+    y = _as_finite_1d(y, S.dimension, what="input vector")
     s = _guarded(S, y, 0)
     w = s - 0.5 * y
     if callback is not None:

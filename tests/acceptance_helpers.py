@@ -71,21 +71,27 @@ def integral_identity_worker(k):
     return k, worst, quad_tol
 
 
-def ridge_contract_worker(seed):
-    """One seeded ridge instance; returns (lhs, rhs) of the error contract."""
-    from ridgeproj import RidgeParams, ridge_solve
+def ridge_contract_instance(seed):
+    """One seeded ridge instance of criterion 8: ``(arr, A, lam, eps, y)``."""
+    from ridgeproj import DesignMatrix
 
     rng = np.random.default_rng([seed, 4242])
     n = int(rng.integers(10, 120))
     d = int(rng.integers(4, min(n, 100) + 1))
     arr = rng.standard_normal((n, d))
     arr *= float(rng.uniform(0.5, 2.0)) / np.linalg.norm(arr, 2)
-    from ridgeproj import DesignMatrix
-
     A = DesignMatrix.from_dense(arr)
     lam = float(rng.uniform(0.05, 5.0))
     eps = float(10 ** rng.uniform(-8, -0.5))
     y = rng.standard_normal(d)
+    return arr, A, lam, eps, y
+
+
+def ridge_contract_worker(seed):
+    """One seeded ridge instance; returns (lhs, rhs) of the error contract."""
+    from ridgeproj import RidgeParams, ridge_solve
+
+    _, A, lam, eps, y = ridge_contract_instance(seed)
     stats = matrix_stats(A, lam)
     x = ridge_solve(A, RidgeParams(lam=lam, eps=eps), y, stats)
 

@@ -13,10 +13,11 @@ from ridgeproj import (
     apply_step,
     exact_projection,
     gen_synthetic,
+    gram_apply,
     matrix_stats,
     p_k_eval,
     pc_proj,
-    ridge_apply_gram,
+    ridge_solve,
     svd_small,
 )
 
@@ -210,12 +211,12 @@ def recorded_applications(monkeypatch):
 
 
 def relative_only_step(problem, stats, cfg, y):
-    """``apply_step`` on a handle built from the public ``ridge_apply_gram``."""
+    """``apply_step`` on a public ``ridge_solve`` against ``A^T A v``."""
     q, eps_inner, eps_op = cfg.resolve(stats)
     params = RidgeParams(lam=cfg.lam, eps=eps_inner)
     handle = OperatorHandle(
         dimension=problem.A.n_cols,
-        apply=lambda v: ridge_apply_gram(problem.A, params, v, stats),
+        apply=lambda v: ridge_solve(problem.A, params, gram_apply(problem.A, v), stats),
         err_bound=eps_op,
     )
     return apply_step(handle, y, q)

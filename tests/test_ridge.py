@@ -9,7 +9,6 @@ from ridgeproj import (
     RidgeParams,
     gram_apply,
     matrix_stats,
-    ridge_apply_gram,
     ridge_solve,
     svd_small,
 )
@@ -17,9 +16,9 @@ from ridgeproj import ridge as ridge_module
 from helpers import m_inv_norm, m_norm, random_csr, random_dense
 
 
-def _solve(A, lam, eps, y, max_iters=None):
+def _solve(A, lam, eps, y):
     stats = matrix_stats(A, lam)
-    return ridge_solve(A, RidgeParams(lam=lam, eps=eps, max_iters=max_iters), y, stats)
+    return ridge_solve(A, RidgeParams(lam=lam, eps=eps), y, stats)
 
 
 class TestRidgeSolve:
@@ -67,9 +66,8 @@ class TestRidgeSolve:
         rng = np.random.default_rng(6)
         A = random_dense(rng, 30, 20, scale=2.0)
         y = rng.standard_normal(20)
-        stats = matrix_stats(A, 0.3)
         with pytest.raises(ConvergenceFailure) as exc:
-            ridge_solve(A, RidgeParams(lam=0.3, eps=1e-10, max_iters=2), y, stats)
+            ridge_module._cg(A, 0.3, y, 1e-10 * np.linalg.norm(y), 2)
         assert exc.value.diagnostic > 0
 
     def test_deterministic(self):
@@ -84,8 +82,7 @@ class TestRidgeSolve:
 
     def test_params_validation(self):
         for kwargs in (dict(lam=0.0, eps=0.1), dict(lam=1.0, eps=0.0),
-                       dict(lam=1.0, eps=1.0),
-                       dict(lam=1.0, eps=0.1, max_iters=0)):
+                       dict(lam=1.0, eps=1.0)):
             with pytest.raises(ValueError):
                 RidgeParams(**kwargs)
 
@@ -96,23 +93,28 @@ def _exact_solve(F, lam, y):
     return F.V @ (coeff / (F.singular_values ** 2 + lam)) + perp / lam
 
 
+def _apply_gram(A, params, x, stats):
+    """``B x`` for ``B = (A^T A + lambda I)^{-1} A^T A``: a ridge solve against ``A^T A x``."""
+    return ridge_solve(A, params, gram_apply(A, x), stats)
+
+
 class TestRidgeApplyGram:
     def test_diagonal_mapping(self):
         A = DesignMatrix.from_dense(np.diag([2.0, 0.5]))
         stats = matrix_stats(A, 1.0)
-        out = ridge_apply_gram(A, RidgeParams(lam=1.0, eps=1e-12), np.array([1.0, 1.0]), stats)
+        out = _apply_gram(A, RidgeParams(lam=1.0, eps=1e-12), np.array([1.0, 1.0]), stats)
         assert np.allclose(out, [0.8, 0.2])
 
     def test_null_space_maps_to_zero(self):
         A = DesignMatrix.from_dense(np.array([[1.0, 0.0]]))
         stats = matrix_stats(A, 1.0)
-        out = ridge_apply_gram(A, RidgeParams(lam=1.0, eps=1e-10), np.array([0.0, 1.0]), stats)
+        out = _apply_gram(A, RidgeParams(lam=1.0, eps=1e-10), np.array([0.0, 1.0]), stats)
         assert np.abs(out).max() <= 1e-12
 
     def test_eigenvalue_at_lambda_halves(self):
         A = DesignMatrix.from_dense(np.diag([1.0]))
         stats = matrix_stats(A, 1.0)
-        out = ridge_apply_gram(A, RidgeParams(lam=1.0, eps=1e-12), np.array([2.0]), stats)
+        out = _apply_gram(A, RidgeParams(lam=1.0, eps=1e-12), np.array([2.0]), stats)
         assert out[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_spectrum_mapping_diagonal(self):
@@ -122,7 +124,7 @@ class TestRidgeApplyGram:
         lam, eps = 1.2, 1e-9
         stats = matrix_stats(A, lam)
         x = rng.standard_normal(5)
-        out = ridge_apply_gram(A, RidgeParams(lam=lam, eps=eps), x, stats)
+        out = _apply_gram(A, RidgeParams(lam=lam, eps=eps), x, stats)
         expect = sig2 / (sig2 + lam) * x
         budget = stats.sigma1_estimate / np.sqrt(lam) * eps * np.linalg.norm(x)
         assert np.linalg.norm(out - expect) <= budget

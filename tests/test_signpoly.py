@@ -225,20 +225,11 @@ class TestCompressedSignPoly:
 
 class TestCompressedPolyType:
     def test_degree_invariant(self):
-        poly = CompressedPoly(np.array([0.0, 1.0, 0.5]), basis="chebyshev")
+        poly = CompressedPoly(np.array([0.0, 1.0, 0.5]))
         assert poly.degree == 2
-
-    def test_monomial_low_degree_ok_high_degree_forbidden(self):
-        low = CompressedPoly(np.array([1.0, 2.0]), basis="monomial")
-        assert low(2.0) == 5.0
-        high = CompressedPoly(np.zeros(40), basis="monomial")
-        with pytest.raises(ValueError, match="degree"):
-            high(0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             CompressedPoly(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError):
-            CompressedPoly(np.array([1.0]), basis="legendre")
         with pytest.raises(ValueError):
             CompressedPoly(np.array([]))

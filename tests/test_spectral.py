@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ridgeproj.spectral as spectral
 from ridgeproj import (
     ConvergenceFailure,
     DesignMatrix,
+    gen_synthetic,
     matrix_stats,
     spectral_norm_estimate,
     svd_small,
 )
+from ridgeproj.synthetic import haar_orthonormal
+from acceptance_helpers import ridge_contract_instance
 from helpers import random_dense
 
 
@@ -76,3 +83,70 @@ class TestMatrixStats:
         stats = matrix_stats(A, lam=0.5)
         with pytest.raises(ValueError, match="lambda"):
             stats.check_lambda(0.25)
+
+
+def _spectrum(kind, d):
+    """Prescribed singular values, descending, with top value 1."""
+    rest = np.linspace(0.9, 0.1, d)
+    return {
+        "repeated-top": np.r_[1.0, 1.0, 1.0, rest[3:]],
+        "cluster-1e-4": np.r_[1.0, 1.0 - 1e-4, rest[2:]],
+        "cluster-1e-8": np.r_[1.0, 1.0 - 1e-8, rest[2:]],
+        "rank-1": np.r_[1.0, np.zeros(d - 1)],
+        "rank-deficient": np.r_[1.0, rest[1:d // 2], np.zeros(d - d // 2)],
+        "flat": np.ones(d),
+    }[kind]
+
+
+def _design(arr, storage):
+    if storage == "dense":
+        return DesignMatrix.from_dense(arr)
+    csr = sp.csr_matrix(arr)
+    csr.sort_indices()
+    return DesignMatrix.from_csr(*arr.shape, csr.indptr, csr.indices, csr.data)
+
+
+class TestLanczosEstimate:
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("kind", ["repeated-top", "cluster-1e-4", "cluster-1e-8",
+                                      "rank-1", "rank-deficient", "flat"])
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_prescribed_spectra(self, kind, storage, seed):
+        n, d = 40, 24
+        rng = np.random.default_rng(seed)
+        U, V = haar_orthonormal(rng, n, d), haar_orthonormal(rng, d, d)
+        for c in (1e-3, 1.0, 1e3):
+            sigma = c * _spectrum(kind, d)
+            A = _design((U * sigma) @ V.T, storage)
+            for tol in (1e-3, 1e-5):
+                est = spectral_norm_estimate(A, tol=tol, seed=seed)
+                # A Ritz value never exceeds sigma_1^2, and the residual stop
+                # puts est within tol * sigma_1 of some singular value.
+                assert est <= sigma[0] * (1.0 + 1e-12)
+                assert np.abs(est - sigma).min() <= tol * sigma[0]
+                if kind == "cluster-1e-4" and tol < 1e-4:
+                    # A top pair wider than tol but too close to split in the
+                    # steps the stop takes: a start leaning far enough toward
+                    # the second direction settles on sigma_2.
+                    assert est >= sigma[1] * (1.0 - tol)
+                else:
+                    assert abs(est - sigma[0]) <= tol * sigma[0]
+
+    def test_inflated_estimate_bounds_sigma1_on_ridge_instances(self):
+        for seed in range(100):
+            arr, A, lam, _, _ = ridge_contract_instance(seed)
+            assert matrix_stats(A, lam).sigma1_estimate >= np.linalg.norm(arr, 2)
+
+    def test_gram_products_per_estimate(self, monkeypatch):
+        problem = gen_synthetic(120, 80, 20, 0.1, seed=0)
+        calls = []
+        orig = spectral.gram_apply
+
+        def counted(A, v):
+            calls.append(1)
+            return orig(A, v)
+
+        monkeypatch.setattr(spectral, "gram_apply", counted)
+        matrix_stats(problem.A, problem.lam)
+        assert 0 < len(calls) <= 40

@@ -112,6 +112,10 @@ class TestApplyStep:
             apply_step(S, np.ones(2), 0)
         with pytest.raises(Exception):
             apply_step(S, np.ones(3), 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_step(S, np.array([1.0, np.nan]), 3)
+        with pytest.raises(ValueError):
+            apply_step(S, np.ones((2, 1)), 3)
         with pytest.raises(ValueError):
             OperatorHandle(dimension=0, apply=lambda v: v)
         with pytest.raises(ValueError):
