@@ -8,9 +8,23 @@ CSV files are headerless, comma-separated, one matrix row per line with
 written with 17 significant digits, so write/read round-trips are exact.
 
 Parse errors report the offending line number.
+
+Matrix Market files are read in one bulk pass: the banner, leading comments
+and size line one line at a time, then the whole body split once, each token
+converted by the same ``int`` / ``float`` call as the per-line reader uses,
+and the field count per line and the index range checked by numpy.  A file that fails a
+check, or raises anywhere in that pass, is parsed again by the per-line
+reader; that reader is the only place errors come from, so messages and
+line numbers do not depend on which pass ran.  The bulk pass keeps its
+per-byte temporaries to one byte each: its peak memory is about the token
+list, below the per-line reader's (10.4 against 15.4 MB for a 1.55 MB,
+50,000-entry file), where an int64 array per byte would add 12 MB.
 """
 
 from __future__ import annotations
+
+import re
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,29 +58,58 @@ def _parse_floats(path, lineno, fields):
 # ---------------------------------------------------------------------------
 # Matrix Market
 
+_BANNER = re.compile(rb"\s*%%MatrixMarket")
 
-def _load_matrix_market(path, lines):
-    header = lines[0][1].split()
+# The bytes the bulk pass accepts: printable ASCII, and the four whitespace
+# bytes that split lines and fields alike for ``bytes`` and ``str``.  Any
+# other byte (form feed, other control bytes, non-ASCII) sends the file to
+# the per-line reader.
+_BULK_BYTES = bytes(range(0x21, 0x7F)) + b"\t\n\r "
+
+
+def _mm_layout(path, no, banner):
+    header = banner.split()
     if len(header) < 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
-        _fail(path, lines[0][0], "malformed MatrixMarket header")
+        _fail(path, no, "malformed MatrixMarket header")
     layout, field, symmetry = (tok.lower() for tok in header[2:5])
     if layout not in ("coordinate", "array"):
-        _fail(path, lines[0][0], f"unsupported layout {layout!r}")
+        _fail(path, no, f"unsupported layout {layout!r}")
     if field not in ("real", "integer"):
-        _fail(path, lines[0][0], f"unsupported field {field!r} (real or integer only)")
+        _fail(path, no, f"unsupported field {field!r} (real or integer only)")
     if symmetry != "general":
-        _fail(path, lines[0][0], f"unsupported symmetry {symmetry!r} (general only)")
+        _fail(path, no, f"unsupported symmetry {symmetry!r} (general only)")
+    return layout
 
+
+def _mm_sizes(path, no, size_line, layout):
+    sizes = size_line.split()
+    if layout == "coordinate":
+        if len(sizes) != 3:
+            _fail(path, no, "coordinate size line must be 'rows cols nnz'")
+    elif len(sizes) != 2:
+        _fail(path, no, "array size line must be 'rows cols'")
+    return [int(tok) for tok in sizes]
+
+
+def _csr_from_coo(n, d, rows, cols, vals):
+    """Sum duplicates and sort: the CSR matrix of zero-based coordinate entries."""
+    csr = sp.coo_matrix((vals, (rows, cols)), shape=(n, d)).tocsr()
+    csr.sum_duplicates()
+    csr.sort_indices()
+    return DesignMatrix.from_csr(n, d, csr.indptr, csr.indices, csr.data)
+
+
+def _parse_matrix_market(path, lines):
+    """The per-line reader: the reference semantics, and the only source of errors."""
+    layout = _mm_layout(path, *lines[0])
     body = [(no, ln) for no, ln in lines[1:] if not ln.startswith("%")]
     if not body:
         _fail(path, lines[-1][0], "missing size line")
     size_no, size_line = body[0]
-    sizes = size_line.split()
+    sizes = _mm_sizes(path, size_no, size_line, layout)
 
     if layout == "coordinate":
-        if len(sizes) != 3:
-            _fail(path, size_no, "coordinate size line must be 'rows cols nnz'")
-        n, d, nnz = (int(tok) for tok in sizes)
+        n, d, nnz = sizes
         entries = body[1:]
         if len(entries) != nnz:
             _fail(path, size_no, f"expected {nnz} entries, found {len(entries)}")
@@ -85,14 +128,9 @@ def _load_matrix_market(path, lines):
             if not (1 <= i <= n and 1 <= j <= d):
                 _fail(path, no, f"index ({i}, {j}) outside {n}x{d}")
             rows[idx], cols[idx], vals[idx] = i - 1, j - 1, v
-        csr = sp.coo_matrix((vals, (rows, cols)), shape=(n, d)).tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        return DesignMatrix.from_csr(n, d, csr.indptr, csr.indices, csr.data)
+        return _csr_from_coo(n, d, rows, cols, vals)
 
-    if len(sizes) != 2:
-        _fail(path, size_no, "array size line must be 'rows cols'")
-    n, d = (int(tok) for tok in sizes)
+    n, d = sizes
     values = []
     for no, ln in body[1:]:
         values.extend(_parse_floats(path, no, ln.split()))
@@ -101,6 +139,72 @@ def _load_matrix_market(path, lines):
               f"expected {n * d} values, found {len(values)}")
     dense = np.array(values, dtype=np.float64).reshape((d, n)).T  # column-major
     return DesignMatrix.from_dense(dense)
+
+
+def _one_triple_per_line(body, count):
+    """Whether the byte view ``body`` holds ``count`` lines of 3 fields, and blanks.
+
+    Allocates one-byte masks per byte and int64 offsets per field and per
+    line only: an int64 array per byte would take eight times the file.
+    """
+    space = body <= 0x20  # tab, LF, CR or space, once the bytes are whitelisted
+    start = ~space
+    start[1:] &= space[:-1]
+    fields = np.flatnonzero(start)
+    del space, start
+    if fields.size != 3 * count:
+        return False
+    ends = np.append(np.flatnonzero(body == 0x0A), body.size)
+    per_line = np.diff(np.searchsorted(fields, ends), prepend=0)
+    return bool(np.all((per_line == 0) | (per_line == 3)))
+
+
+def _bulk_matrix_market(path, raw):
+    """Parse whitelisted bytes in one pass; None where a check fails.
+
+    The tokens are the per-line reader's, and each goes through the same
+    ``int`` / ``float`` call, so a file that passes every check builds the
+    identical matrix.  The caller discards any error raised here and
+    parses the file again with the per-line reader.
+    """
+    if raw.translate(None, _BULK_BYTES) or (
+            b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
+        return None
+    head, pos, no = [], 0, 0
+    while len(head) < 2:  # banner, then size line, past blanks and comments
+        end = raw.index(b"\n", pos) + 1
+        no += 1
+        line = raw[pos:end].strip().decode("ascii")
+        pos = end
+        if line and not (head and line.startswith("%")):
+            head.append((no, line))
+    if raw.find(b"%", pos) >= 0:
+        return None  # a comment inside the body
+    layout = _mm_layout(path, *head[0])
+    sizes = _mm_sizes(path, *head[1], layout)
+    first = len(raw[:pos].split())
+
+    if layout == "array":
+        n, d = sizes
+        tokens = raw.split()
+        if len(tokens) - first != n * d:
+            return None
+        dense = np.fromiter(map(float, islice(tokens, first, None)), np.float64, n * d)
+        return DesignMatrix.from_dense(dense.reshape((d, n)).T)  # column-major
+
+    n, d, nnz = sizes
+    if not _one_triple_per_line(np.frombuffer(raw, dtype=np.uint8, offset=pos), nnz):
+        return None
+    tokens = raw.split()
+    rows = np.fromiter(map(int, islice(tokens, first, None, 3)), np.int64, nnz)
+    cols = np.fromiter(map(int, islice(tokens, first + 1, None, 3)), np.int64, nnz)
+    vals = np.fromiter(map(float, islice(tokens, first + 2, None, 3)), np.float64, nnz)
+    del tokens
+    if nnz and not (1 <= rows.min() and rows.max() <= n and 1 <= cols.min() and cols.max() <= d):
+        return None
+    rows -= 1
+    cols -= 1
+    return _csr_from_coo(n, d, rows, cols, vals)
 
 
 def _save_matrix_market(A: DesignMatrix, path):
@@ -138,11 +242,20 @@ def load_matrix(path) -> DesignMatrix:
     The format is detected from the first line: a ``%%MatrixMarket`` banner
     selects the exchange format, anything else is parsed as CSV.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if _BANNER.match(raw):
+        try:
+            A = _bulk_matrix_market(path, raw)
+        except (ValueError, OverflowError):
+            A = None  # the per-line reader decides, and words the error
+        return A if A is not None else _parse_matrix_market(path, _numbered_lines(path))
+    del raw
     lines = _numbered_lines(path)
     if not lines:
         raise ValueError(f"{path}:1: empty file")
-    if lines[0][1].startswith("%%MatrixMarket"):
-        return _load_matrix_market(path, lines)
+    if lines[0][1].startswith("%%MatrixMarket"):  # after \x1c-\x1f, space to str only
+        return _parse_matrix_market(path, lines)
     rows = []
     width = None
     for no, ln in lines:

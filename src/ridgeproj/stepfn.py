@@ -85,8 +85,16 @@ def apply_step(S: OperatorHandle, y, q: int,
     1/2 toward 1 and below 1/2 toward 0.  With per-application error eps
     the output error is O(q * eps) * ||y||_2.
 
+    An increment ``w_{k+1}`` that is exactly zero ends the loop: with
+    S(0) = 0 every later increment is zero too, so s is final and no further
+    application is made.  This is exact, not approximate: the ridge handles
+    of :func:`~ridgeproj.project.pc_proj` return +0.0 vectors for a
+    right-hand side below their query-level floor, and once one +0.0
+    increment has been added, adding more changes no bit of s.
+
     ``callback(k, s_k)`` (if given) receives a copy of the iterate after
-    initialization (k = 0) and after each of the q updates.
+    initialization (k = 0) and after each of the q updates, also for the
+    steps skipped after a zero increment.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -110,4 +118,9 @@ def apply_step(S: OperatorHandle, y, q: int,
         s = s + w
         if callback is not None:
             callback(k + 1, s.copy())
+        if not np.count_nonzero(w):  # exact, and a third of the cost of w.any()
+            break
+    if callback is not None:
+        for j in range(k + 2, q + 1):
+            callback(j, s.copy())
     return s

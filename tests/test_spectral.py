@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import ridgeproj.spectral as spectral
 from ridgeproj import (
@@ -150,3 +151,31 @@ class TestLanczosEstimate:
         monkeypatch.setattr(spectral, "gram_apply", counted)
         matrix_stats(problem.A, problem.lam)
         assert 0 < len(calls) <= 40
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("kind", ["repeated-top", "cluster-1e-4", "cluster-1e-8",
+                                      "rank-1", "rank-deficient", "flat"])
+    def test_top_ritz_matches_eigh_tridiagonal(self, kind, storage, monkeypatch):
+        direct = spectral._top_ritz
+        steps = []
+
+        def referee(alphas, betas):
+            k = len(alphas) - 1
+            ritz, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(k, k))
+            expected = (float(ritz[0]), float(s[-1, 0]))
+            assert direct(alphas, betas) == expected  # bit-identical at every step
+            steps.append(k)
+            return expected
+
+        n, d = 40, 24
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            U, V = haar_orthonormal(rng, n, d), haar_orthonormal(rng, d, d)
+            for c in (1e-3, 1.0, 1e3):
+                A = _design((U * (c * _spectrum(kind, d))) @ V.T, storage)
+                for tol in (1e-3, 1e-5):
+                    est = spectral_norm_estimate(A, tol=tol, seed=seed)
+                    with monkeypatch.context() as m:
+                        m.setattr(spectral, "_top_ritz", referee)
+                        assert spectral_norm_estimate(A, tol=tol, seed=seed) == est
+        assert len(steps) >= 18  # every run went through the referee

@@ -1,12 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import ridgeproj.project as project
 from ridgeproj import (
     BudgetExceeded,
+    DesignMatrix,
     OperatorHandle,
+    ProjectionConfig,
     apply_step,
+    matrix_stats,
     p_k_eval,
+    pc_proj,
 )
+from ridgeproj.synthetic import haar_orthonormal
 from helpers import rotated_symmetric
 
 
@@ -120,3 +128,78 @@ class TestApplyStep:
             OperatorHandle(dimension=0, apply=lambda v: v)
         with pytest.raises(ValueError):
             OperatorHandle(dimension=2, apply=lambda v: v, err_bound=-1.0)
+
+
+def apply_step_every_step(S, y, q, callback=None):
+    """The recurrence through all q steps, with no stop at a zero increment: the referee."""
+    s = np.asarray(S.apply(y), dtype=np.float64)
+    w = s - 0.5 * y
+    if callback is not None:
+        callback(0, s.copy())
+    for k in range(q):
+        inner = np.asarray(S.apply(w), dtype=np.float64)
+        w = (4.0 * (2 * k + 1) / (2 * k + 2)) * np.asarray(S.apply(w - inner), dtype=np.float64)
+        s = s + w
+        if callback is not None:
+            callback(k + 1, s.copy())
+    return s
+
+
+class TestZeroIncrement:
+    @staticmethod
+    def floored_handle(S, floor, inputs):
+        """``S v``, or +0.0 once it is below ``floor``, as the ridge handles' query floor does."""
+        def apply(v):
+            inputs.append(bool(v.any()))
+            out = S @ v
+            return out if np.linalg.norm(out) > floor else np.zeros(S.shape[0])
+        return OperatorHandle(dimension=S.shape[0], apply=apply)
+
+    def test_no_application_after_zero_increment(self):
+        rng = np.random.default_rng(23)
+        S, _ = rotated_symmetric(rng, np.r_[rng.uniform(0.8, 1.0, 4), rng.uniform(0.0, 0.2, 4)])
+        y = rng.standard_normal(8)
+        q = 80
+        runs = []
+        for run in (apply_step_every_step, apply_step):
+            inputs, records = [], []
+            handle = self.floored_handle(S, 1e-9 * np.linalg.norm(y), inputs)
+            out = run(handle, y, q, callback=lambda k, s: records.append((k, s.tobytes())))
+            runs.append((out.tobytes(), records, inputs))
+        (ref, ref_records, ref_inputs), (got, got_records, got_inputs) = runs
+        assert got == ref and got_records == ref_records
+        assert [k for k, _ in got_records] == list(range(q + 1))
+        # The referee's first zero input follows the zero increment; every
+        # application after it is of a zero vector, and none is made.
+        first_zero = ref_inputs.index(False)
+        assert 0 < first_zero < 2 * q + 1 and not any(ref_inputs[first_zero:])
+        assert got_inputs == ref_inputs[:first_zero]
+
+    def test_pc_proj_outputs_bit_identical_to_every_step(self, monkeypatch):
+        # Squared singular values far from lam: the increments reach the
+        # ridge handle's query floor long before q = 133 steps.
+        rng = np.random.default_rng(31)
+        sigma = np.sqrt(np.r_[4.0, 3.0, 2.0, 0.05, 0.02, 0.01])
+        A = DesignMatrix.from_dense((haar_orthonormal(rng, 12, 6) * sigma)
+                                    @ haar_orthonormal(rng, 6, 6).T)
+        stats = matrix_stats(A, 0.5)
+        cfg = ProjectionConfig(lam=0.5, gamma=0.1, eps=1e-2)
+        y = rng.standard_normal(6)
+        runs = []
+        for run in (apply_step_every_step, apply_step):
+            calls, records = [], []
+
+            def counted_step(S, *args, run=run, calls=calls, **kwargs):
+                def apply(v):
+                    calls.append(1)
+                    return S.apply(v)
+                return run(dataclasses.replace(S, apply=apply), *args, **kwargs)
+
+            monkeypatch.setattr(project, "apply_step", counted_step)
+            out = pc_proj(A, cfg, y, stats, callback=lambda k, s: records.append((k, s.tobytes())))
+            runs.append((out.tobytes(), records, len(calls)))
+        (ref, ref_records, ref_calls), (got, got_records, got_calls) = runs
+        assert got == ref and got_records == ref_records
+        q = cfg.resolve(stats)[0]
+        assert len(got_records) == q + 1
+        assert got_calls < ref_calls == 2 * q + 1
