@@ -23,7 +23,7 @@ from .fileio import (
     save_vector,
 )
 from .matrix import DesignMatrix, gram_apply, gram_norm
-from .pcr import PcrConfig, pc_regress, truncated_g_series
+from .pcr import PcrConfig, pc_regress
 from .project import ProjectionConfig, pc_proj
 from .ridge import RidgeParams, ridge_solve
 from .signpoly import (
@@ -78,7 +78,6 @@ __all__ = [
     "pc_proj",
     "PcrConfig",
     "pc_regress",
-    "truncated_g_series",
     "SyntheticProblem",
     "gen_synthetic",
     "ConvergenceTrace",

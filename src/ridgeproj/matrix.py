@@ -181,11 +181,6 @@ class DesignMatrix:
         """The smallest stored matrix G with ``G^T G = A^T A``: R if built, else A."""
         return self if self._factor is None else self._factor
 
-    def frobenius_norm(self) -> float:
-        if self.storage == "dense":
-            return float(np.linalg.norm(self._dense))
-        return float(np.sqrt((self._csr.data ** 2).sum()))
-
     def __repr__(self):
         return f"<DesignMatrix {self.n_rows}x{self.n_cols} {self.storage}>"
 

@@ -9,10 +9,11 @@ the correction series
 
     g(x) = x / (1 - lambda x) = sum_{i>=1} lambda^{i-1} x^i,
 
-truncated at q terms.  On the top subspace, where M^{-1} has spectrum at
-most 1/(2 lambda), the truncation tail is below ``kappa_lambda / 2^q``
-after q terms, while the small singular directions are deliberately *not*
-fully inverted; that is the source of the method's stability.
+truncated after q + 1 terms.  :func:`pc_regress` sums it itself, one
+ridge solve per term.  On the top subspace, where M^{-1} has spectrum at
+most 1/(2 lambda), the truncation tail is below ``kappa_lambda / 2^q``,
+while the small singular directions are deliberately *not* fully
+inverted; that is the source of the method's stability.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ import numpy as np
 from ._float64 import _ceil_tight
 from .exceptions import ConvergenceFailure
 from .matrix import DesignMatrix, _as_finite_1d
-from .project import ProjectionConfig, pc_proj
+from .project import ProjectionConfig, _StageConfig, pc_proj
 from .ridge import RidgeParams, ridge_solve
 from .spectral import MatrixStats
-from .stepfn import OperatorHandle
 
-__all__ = ["PcrConfig", "pc_regress", "truncated_g_series"]
+__all__ = ["PcrConfig", "pc_regress"]
 
 # Default series length q = ceil(C1 ln(kappa/eps)) and inner tolerance
 # eps / (C2 q^2 sqrt(kappa)).
@@ -40,7 +40,7 @@ _C2 = 4.0
 
 
 @dataclass(frozen=True)
-class PcrConfig:
+class PcrConfig(_StageConfig):
     """Parameters of the regression series.
 
     Defaults: ``q = ceil(2 ln(kappa_lambda / eps))`` (so the series tail
@@ -48,21 +48,6 @@ class PcrConfig:
     ``eps' = eps / (4 q^2 sqrt(kappa_lambda))``.  The projection of
     ``A^T b`` is computed once, at tolerance eps'.
     """
-
-    lam: float
-    gamma: float
-    eps: float
-    q_override: int | None = None
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.q_override is not None and self.q_override < 1:
-            raise ValueError("q_override must be at least 1")
 
     def resolve(self, stats: MatrixStats):
         """Concrete (q, eps_inner, eps_op) for the given matrix stats.
@@ -78,39 +63,8 @@ class PcrConfig:
             q = self.q_override
         else:
             q = _ceil_tight(_C1 * math.log(max(stats.kappa_lambda, 1.0) / self.eps))
-        q = max(q, 1)
         eps_inner = self.eps / (_C2 * q * q * math.sqrt(stats.kappa_lambda))
         return q, eps_inner, eps_inner / self.lam
-
-
-def truncated_g_series(q: int, lam: float, ridge_op: OperatorHandle, y0,
-                       callback: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
-    """Partial sum ``sum_{i=1}^{q} lambda^{i-1} (M^{-1})^i y0`` via the series recurrence.
-
-    ``ridge_op`` applies ``M^{-1} = (A^T A + lambda I)^{-1}``, whose
-    eigenvalues lie in (0, 1/lambda].  The sum is
-    built as ``s_1 = R(y0)``, ``s_{k+1} = s_1 + lambda * R(s_k)``; only one
-    extra vector is kept.  When ``y0`` lies in the span where M^{-1} has
-    spectrum at most ``1/(2 lambda)`` (the top subspace), the deviation of
-    the exact partial sum from the full inverse is bounded by
-    ``kappa_lambda ||b||_2 / 2^q`` in the ``A^T A`` norm.
-
-    ``callback(k, s_k)`` is invoked for k = 1..q.
-    """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    y0 = _as_finite_1d(y0, ridge_op.dimension, what="series seed")
-    s1 = np.asarray(ridge_op.apply(y0), dtype=np.float64)
-    s = s1
-    if callback is not None:
-        callback(1, s.copy())
-    for k in range(1, q):
-        s = s1 + lam * np.asarray(ridge_op.apply(s), dtype=np.float64)
-        if callback is not None:
-            callback(k + 1, s.copy())
-    return s
 
 
 def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
@@ -119,15 +73,20 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
 
     Returns ``s`` with ``||s - x_pcr||_{A^T A} <= eps ||b||_2`` under the
     spectral-gap window of the projection step, where ``x_pcr`` is the
-    exact PCR solution for threshold lambda.  Inner failures carry a stage
-    label ("projection" or "series step k").
+    exact PCR solution for threshold lambda.  After projecting
+    ``y = A^T b``, the series runs ``q + 1`` ridge solves ``R``:
 
-    ``callback(i, s_i)`` reports the series iterate after i steps,
-    i = 0..q, where iterate 0 is the plain ridge solution of the projected
-    right-hand side.
+        s_0 = R(P y),   s_k = s_0 + lambda R(s_{k-1}),   k = 1..q,
+
+    so ``s_q = sum_{i=1}^{q+1} lambda^{i-1} (M^{-1})^i P y``.  Inner
+    failures carry a stage label: "projection", or "series step j" for
+    the j-th series solve, j = 1..q+1.
+
+    ``callback(k, s_k)`` (if given) receives a copy of each series iterate,
+    k = 0..q.
     """
     b = _as_finite_1d(b, A.n_rows, what="right-hand side")
-    q, eps_inner, eps_op = cfg.resolve(stats)
+    q, eps_inner, _ = cfg.resolve(stats)
     proj_cfg = ProjectionConfig(lam=cfg.lam, gamma=cfg.gamma, eps=eps_inner)
     y = A.rmatvec(b)
     try:
@@ -137,22 +96,19 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
                                  diagnostic=exc.diagnostic) from exc
 
     params = RidgeParams(lam=cfg.lam, eps=eps_inner)
-    step = {"k": 0}
 
-    def ridge_apply(v):
-        step["k"] += 1
+    def solve(v, step):
         try:
             return ridge_solve(A, params, v, stats)
         except ConvergenceFailure as exc:
-            raise ConvergenceFailure(f"series step {step['k']} failed: {exc}",
+            raise ConvergenceFailure(f"series step {step} failed: {exc}",
                                      diagnostic=exc.diagnostic) from exc
 
-    handle = OperatorHandle(dimension=A.n_cols, apply=ridge_apply, err_bound=eps_op)
-    series_cb = None
+    s0 = s = solve(y_proj, 1)
     if callback is not None:
-        def series_cb(k, s_k):
-            callback(k - 1, s_k)
-
-    # Algorithm loop: s_0 := ridge(y_proj), then q updates s := s_0 + lam*ridge(s),
-    # i.e. the (q+1)-term truncation of the correction series.
-    return truncated_g_series(q + 1, cfg.lam, handle, y_proj, callback=series_cb)
+        callback(0, s.copy())
+    for k in range(1, q + 1):
+        s = s0 + cfg.lam * solve(s, k + 1)
+        if callback is not None:
+            callback(k, s.copy())
+    return s

@@ -41,20 +41,17 @@ _C2 = 8.0
 
 
 @dataclass(frozen=True)
-class ProjectionConfig:
-    """Parameters of the projection iteration.
+class _StageConfig:
+    """Threshold ``lam``, gap ``gamma``, target ``eps`` and optional ``q_override``.
 
-    Defaults derive the outer iteration count as
-    ``q = ceil((2 gamma)^-2 ln(2/eps))`` and the inner ridge tolerance as
-    ``eps' = eps^2 gamma^2 / (8 sqrt(kappa_lambda))``;
-    ``q_override`` / ``eps_inner_override`` pin either quantity directly.
+    The fields shared by :class:`ProjectionConfig` and
+    :class:`~ridgeproj.pcr.PcrConfig`, checked on construction.
     """
 
     lam: float
     gamma: float
     eps: float
     q_override: int | None = None
-    eps_inner_override: float | None = None
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -65,8 +62,18 @@ class ProjectionConfig:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if self.q_override is not None and self.q_override < 1:
             raise ValueError("q_override must be at least 1")
-        if self.eps_inner_override is not None and not 0.0 < self.eps_inner_override < 1.0:
-            raise ValueError("eps_inner_override must lie in (0, 1)")
+
+
+@dataclass(frozen=True)
+class ProjectionConfig(_StageConfig):
+    """Parameters of the projection iteration.
+
+    The outer iteration count defaults to
+    ``q = ceil((2 gamma)^-2 ln(2/eps))``, and ``q_override`` pins it.  The
+    inner ridge tolerance always follows from eps, gamma and q:
+    ``eps' = min(eps^2 gamma^2 / (8 sqrt(kappa_lambda)),
+    1 / (60 q sqrt(kappa_lambda)))``.
+    """
 
     def resolve(self, stats: MatrixStats):
         """Concrete (q, eps_inner, eps_op) for the given matrix stats.
@@ -86,24 +93,19 @@ class ProjectionConfig:
             q = self.q_override
         else:
             q = _ceil_tight((2.0 * self.gamma) ** -2 * math.log(2.0 / self.eps))
-        q = max(q, 1)
         sqrt_kappa = math.sqrt(stats.kappa_lambda)
-        if self.eps_inner_override is not None:
-            eps_inner = self.eps_inner_override
-        else:
-            eps_inner = self.eps ** 2 * self.gamma ** 2 / (_C2 * sqrt_kappa)
-            # Keep the default inside the validity range of the stable
-            # recurrence (q <= 1/(7 eps_C), eps_C ~ 8 eps_op); only binds
-            # for eps near 1.
-            cap = 1.0 / (60.0 * q * sqrt_kappa)
-            eps_inner = min(eps_inner, cap)
+        eps_inner = self.eps ** 2 * self.gamma ** 2 / (_C2 * sqrt_kappa)
+        # Keep eps' inside the validity range of the stable recurrence
+        # (q <= 1/(7 eps_C), eps_C ~ 8 eps_op); only binds for eps near 1.
+        cap = 1.0 / (60.0 * q * sqrt_kappa)
+        eps_inner = min(eps_inner, cap)
         eps_op = sqrt_kappa * eps_inner
         noise = 7.0 * q * (eps_op + _EPS)
         budget = max(self.eps, 14.0 * q * _EPS)
         if noise > budget:
             raise ValueError(
                 f"noise budget violated: 7*q*(eps_op + eps_machine) = {noise:.3e}"
-                f" exceeds {budget:.3e} (eps = {self.eps}); lower eps_inner or q"
+                f" exceeds {budget:.3e} (eps = {self.eps}); lower q or raise eps"
             )
         return q, eps_inner, eps_op
 

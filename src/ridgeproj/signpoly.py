@@ -97,22 +97,18 @@ def _check_k(k: int):
 def p_k_eval(x: float, k: int) -> float:
     """Evaluate the sign-approximating polynomial p_k at ``x`` in [-1, 1].
 
-    Uses the term recurrence, so the cost is O(k) with no cancellation;
-    the result is odd in ``x`` to the last ulp.
+    The scalar form of :func:`p_k_grid`, bit for bit.
     """
     _check_domain(x)
-    _check_k(k)
-    t = x
-    s = x
-    c = 1.0 - x * x
-    for i in range(k):
-        t *= c * ((2 * i + 1) / (2 * i + 2))
-        s += t
-    return min(1.0, max(-1.0, s))
+    return float(p_k_grid(np.array([x]), k)[0])
 
 
 def p_k_grid(xs, k: int) -> np.ndarray:
-    """Vectorized :func:`p_k_eval` over an array of abscissas."""
+    """Evaluate p_k at every abscissa of ``xs``, each in [-1, 1].
+
+    Uses the term recurrence, so the cost is O(k) per point with no
+    cancellation; the result is odd in ``x`` to the last ulp.
+    """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.size and (np.abs(xs).max() > 1.0 or not np.all(np.isfinite(xs))):
         raise ValueError("all grid points must lie in [-1, 1]")

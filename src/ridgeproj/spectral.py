@@ -26,12 +26,11 @@ class MatrixStats:
     ``sigma1_estimate`` is deliberately inflated by the estimation tolerance
     so it upper-bounds the true spectral norm; a slight overestimate only
     tightens derived tolerances.  ``kappa_lambda = sigma1_estimate**2 / lam``
-    always holds exactly as computed; ``stable_rank`` is informational.
+    always holds exactly as computed.
     """
 
     sigma1_estimate: float
     kappa_lambda: float
-    stable_rank: float
     lam: float
 
     def __post_init__(self):
@@ -136,11 +135,8 @@ def matrix_stats(A: DesignMatrix, lam: float, tol: float = 1e-3, max_iters: int 
         raise ValueError(f"lambda must be positive, got {lam}")
     sigma1 = spectral_norm_estimate(A, tol=tol, max_iters=max_iters, seed=seed)
     sigma1 *= 1.0 + tol
-    fro2 = A.frobenius_norm() ** 2
     return MatrixStats(
         sigma1_estimate=sigma1,
         kappa_lambda=sigma1 ** 2 / lam,
-        # sr(A) >= 1 always; the clamp absorbs the inflated sigma1 estimate.
-        stable_rank=max(1.0, fro2 / sigma1 ** 2),
         lam=lam,
     )

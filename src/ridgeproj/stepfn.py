@@ -34,11 +34,9 @@ class OperatorHandle:
     ``apply(x)`` returns an approximation of ``S x`` with
     ``||apply(x) - S x||_2 <= err_bound * ||x||_2``.  The underlying S must
     be symmetric; that is the caller's contract and is only checked by test
-    oracles.  ``err_bound = 0`` declares the application exact.  Any
-    requirement on the spectrum of S belongs to the consumer:
-    :func:`apply_step` needs eigenvalues in [0, 1], while
-    :func:`~ridgeproj.pcr.truncated_g_series` takes ``M^{-1}`` with
-    eigenvalues in (0, 1/lambda].
+    oracles.  ``err_bound = 0`` declares the application exact.  The
+    handle states no spectrum; :func:`apply_step`, its consumer, needs the
+    eigenvalues of S in [0, 1].
 
     A handle built for one input y may also err by a fixed absolute amount
     on the scale of ``||y||_2``: the projection handle of

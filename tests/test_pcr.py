@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from ridgeproj import (
     ConvergenceFailure,
     DesignMatrix,
-    OperatorHandle,
     PcrConfig,
     exact_pcr,
     gen_synthetic,
@@ -15,7 +13,6 @@ from ridgeproj import (
     matrix_stats,
     pc_regress,
     svd_small,
-    truncated_g_series,
 )
 from ridgeproj import pcr as pcr_module
 from helpers import m_inverse_apply, m_norm
@@ -48,32 +45,29 @@ class TestConfig:
 
 
 class TestTruncatedSeries:
-    def test_single_term_is_inverse_apply(self):
-        op = OperatorHandle(dimension=2, apply=lambda v: 0.25 * v)
-        y0 = np.array([2.0, -4.0])
-        assert np.allclose(truncated_g_series(1, 1.0, op, y0), 0.25 * y0)
-
-    def test_scalar_geometric_limit(self):
-        # Operator is multiplication by x = 1/(2 lam): partial sums approach
-        # g(x) = 1/lam with ratio 1/2 per added term.
-        lam = 2.0
-        x = 1.0 / (2.0 * lam)
-        op = OperatorHandle(dimension=1, apply=lambda v: x * v)
-        y0 = np.array([1.0])
-        errors = []
-        for q in (1, 2, 5, 10, 20):
-            s = truncated_g_series(q, lam, op, y0)[0]
-            errors.append(abs(s - 1.0 / lam))
-        assert abs(errors[-1]) <= 1.0 / (2 ** 20 * lam) + 1e-15
-        ratios = [b / a for a, b in zip(errors, errors[1:])]
-        assert errors == sorted(errors, reverse=True)
-
-    def test_diagonal_matches_exact_inverse(self):
-        # A = diag(2), lam = 1: M^{-1} = 1/5, 20 terms reach (A^T A)^{-1} = 1/4.
-        lam = 1.0
-        op = OperatorHandle(dimension=1, apply=lambda v: v / 5.0)
-        s = truncated_g_series(20, lam, op, np.array([1.0]))
-        assert abs(s[0] - 0.25) <= 1e-5
+    def test_diagonal_iterates_are_partial_sums(self):
+        # A = diag(a): iterate k is sum_{i<=k+1} lam^{i-1} m^i (P A^T b)_j in
+        # direction j, with m = 1 / (a_j^2 + lam).  The tolerance scales
+        # eps_op by (k+1)^2 for the projection and solve errors carried
+        # through k+1 terms; a sum off by one term misses by over 1e-4 here.
+        sq = np.array([4.0, 2.5, 0.3, 0.1])
+        lam, q = 1.0, 6
+        A = DesignMatrix.from_dense(np.diag(np.sqrt(sq)))
+        stats = matrix_stats(A, lam)
+        cfg = PcrConfig(lam=lam, gamma=0.1, eps=1e-6, q_override=q)
+        _, _, eps_op = cfg.resolve(stats)
+        b = np.array([1.0, -2.0, 3.0, 0.5])
+        y = np.sqrt(sq) * b
+        py = np.where(sq >= lam, y, 0.0)
+        m = 1.0 / (sq + lam)
+        seen = []
+        s = pc_regress(A, cfg, b, stats, callback=lambda k, s_k: seen.append((k, s_k)))
+        assert [k for k, _ in seen] == list(range(q + 1))
+        assert s.tobytes() == seen[-1][1].tobytes()
+        for k, s_k in seen:
+            partial = sum(lam ** (i - 1) * m ** i for i in range(1, k + 2)) * py
+            err = np.linalg.norm(s_k - partial)
+            assert err <= 2.0 * (k + 1) ** 2 * eps_op * np.linalg.norm(y)
 
     def test_geometric_tail_bound_scalar(self):
         # g(x) - p_k(x) <= 1 / (2^k lam) for x in (0, 1/(2 lam)].
@@ -85,13 +79,6 @@ class TestTruncatedSeries:
                     partial = sum(lam ** (i - 1) * x ** i for i in range(1, k + 1))
                     tail = g - partial
                     assert -1e-12 <= tail <= 1.0 / (2 ** k * lam) + 1e-12
-
-    def test_validation(self):
-        op = OperatorHandle(dimension=1, apply=lambda v: v)
-        with pytest.raises(ValueError):
-            truncated_g_series(0, 1.0, op, np.array([1.0]))
-        with pytest.raises(ValueError):
-            truncated_g_series(1, 0.0, op, np.array([1.0]))
 
 
 class TestPcRegress:
@@ -162,7 +149,7 @@ class TestPcRegress:
     def test_series_handle_meets_declared_bound(self, c, monkeypatch):
         # A -> cA, lam -> c^2 lam leaves the configuration's q and eps'
         # unchanged but scales M^{-1} by 1/c^2; the declared 2-norm bound
-        # has to scale with it.
+        # eps_op of resolve() has to scale with it.
         problem = gen_synthetic(60, 40, 10, 0.2, seed=321)
         A = DesignMatrix.from_dense(c * problem.A.toarray())
         lam = c * c * problem.lam
@@ -170,22 +157,20 @@ class TestPcRegress:
         oracle = svd_small(A)
         cfg = PcrConfig(lam=lam, gamma=problem.algorithm_gap(), eps=1e-3)
         calls = []
-        orig = pcr_module.truncated_g_series
+        orig = pcr_module.ridge_solve
 
-        def series_recording(q, lam_, handle, y0, callback=None):
-            def apply(v):
-                out = handle.apply(v)
-                calls.append((v.copy(), np.array(out), handle.err_bound))
-                return out
-            return orig(q, lam_, dataclasses.replace(handle, apply=apply), y0, callback)
+        def ridge_recording(A_, params, v, stats_):
+            out = orig(A_, params, v, stats_)
+            calls.append((v.copy(), np.array(out)))
+            return out
 
-        monkeypatch.setattr(pcr_module, "truncated_g_series", series_recording)
+        monkeypatch.setattr(pcr_module, "ridge_solve", ridge_recording)
         pc_regress(A, cfg, c * problem.b, stats)
-        q, _, _ = cfg.resolve(stats)
+        q, _, eps_op = cfg.resolve(stats)
         assert len(calls) == q + 1
-        for v, out, bound in calls:
+        for v, out in calls:
             err = np.linalg.norm(out - m_inverse_apply(oracle, lam, v))
-            assert err <= bound * np.linalg.norm(v)
+            assert err <= eps_op * np.linalg.norm(v)
 
     def test_stage_labels(self, small_problem, monkeypatch):
         problem, stats, _ = small_problem

@@ -46,27 +46,26 @@ class TestConfig:
     def test_overrides(self):
         A = DesignMatrix.from_dense(np.diag([1.0, 0.5]))
         stats = matrix_stats(A, 0.5)
-        cfg = ProjectionConfig(lam=0.5, gamma=0.1, eps=1e-3, q_override=7,
-                               eps_inner_override=1e-9)
+        cfg = ProjectionConfig(lam=0.5, gamma=0.1, eps=1e-3, q_override=7)
         q, eps_inner, _ = cfg.resolve(stats)
-        assert (q, eps_inner) == (7, 1e-9)
+        sqrt_kappa = math.sqrt(stats.kappa_lambda)
+        assert (q, eps_inner) == (7, 1e-3 ** 2 * 0.1 ** 2 / (8.0 * sqrt_kappa))
 
     def test_noise_budget_assertion(self):
         A = DesignMatrix.from_dense(np.diag([1.0, 0.5]))
         stats = matrix_stats(A, 0.5)
-        cfg = ProjectionConfig(lam=0.5, gamma=0.1, eps=1e-3, q_override=10_000,
-                               eps_inner_override=1e-3)
-        with pytest.raises(ValueError, match="noise budget"):
+        cfg = ProjectionConfig(lam=0.5, gamma=0.2, eps=1e-2, q_override=40_000)
+        with pytest.raises(ValueError, match="noise budget.*lower q or raise eps"):
             cfg.resolve(stats)
 
     def test_noise_budget_counts_the_query_floor(self):
         A = DesignMatrix.from_dense(np.diag([1.0, 0.5]))
         stats = matrix_stats(A, 0.5)
-        q, eps = 1000, 1e-3
-        # The relative term alone fills the budget; the eps_machine term tips it over.
-        eps_inner = eps / (7.0 * q * math.sqrt(stats.kappa_lambda))
-        cfg = ProjectionConfig(lam=0.5, gamma=0.1, eps=eps, q_override=q,
-                               eps_inner_override=eps_inner)
+        q, eps = 1000, 7.0 / 60.0 * (1.0 + 1e-13)
+        # The cap eps' = 1 / (60 q sqrt(kappa)) binds, so eps_op = 1 / (60 q):
+        # the relative term alone fills the budget; the eps_machine term tips it over.
+        assert 7.0 * q / (60.0 * q) <= eps < 7.0 * q * (1.0 / (60.0 * q) + EPS_MACH)
+        cfg = ProjectionConfig(lam=0.5, gamma=0.2, eps=eps, q_override=q)
         with pytest.raises(ValueError, match="noise budget"):
             cfg.resolve(stats)
         # An eps below the float64 resolution of q steps is met up to it, not rejected.
