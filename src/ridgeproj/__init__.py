@@ -25,7 +25,7 @@ from .fileio import (
 from .matrix import DesignMatrix, gram_apply, gram_norm
 from .pcr import PcrConfig, pc_regress
 from .project import ProjectionConfig, pc_proj
-from .ridge import RidgeParams, ridge_solve
+from .ridge import ridge_solve
 from .signpoly import (
     CompressedPoly,
     SignPolyDegree,
@@ -61,7 +61,6 @@ __all__ = [
     "MatrixStats",
     "matrix_stats",
     "spectral_norm_estimate",
-    "RidgeParams",
     "ridge_solve",
     "SignPolyDegree",
     "CompressedPoly",

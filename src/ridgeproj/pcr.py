@@ -28,7 +28,7 @@ from ._float64 import _ceil_tight
 from .exceptions import ConvergenceFailure
 from .matrix import DesignMatrix, _as_finite_1d
 from .project import ProjectionConfig, _StageConfig, pc_proj
-from .ridge import RidgeParams, ridge_solve
+from .ridge import ridge_solve
 from .spectral import MatrixStats
 
 __all__ = ["PcrConfig", "pc_regress"]
@@ -95,11 +95,9 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
         raise ConvergenceFailure(f"projection stage failed: {exc}",
                                  diagnostic=exc.diagnostic) from exc
 
-    params = RidgeParams(lam=cfg.lam, eps=eps_inner)
-
     def solve(v, step):
         try:
-            return ridge_solve(A, params, v, stats)
+            return ridge_solve(A, eps_inner, v, stats)
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(f"series step {step} failed: {exc}",
                                      diagnostic=exc.diagnostic) from exc

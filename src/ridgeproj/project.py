@@ -30,9 +30,9 @@ import numpy as np
 
 from ._float64 import _EPS, _ceil_tight
 from .matrix import DesignMatrix, _as_finite_1d
-from .ridge import RidgeParams, _gram_solver
-from .spectral import MatrixStats
-from .stepfn import OperatorHandle, apply_step
+from .ridge import _gram_solver
+from .spectral import MatrixStats, _check_lam
+from .stepfn import OperatorHandle, _check_q, apply_step
 
 __all__ = ["ProjectionConfig", "pc_proj"]
 
@@ -54,14 +54,13 @@ class _StageConfig:
     q_override: int | None = None
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        _check_lam(self.lam)
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.q_override is not None and self.q_override < 1:
-            raise ValueError("q_override must be at least 1")
+        if self.q_override is not None:
+            _check_q(self.q_override, "q_override")
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,6 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     """
     y = _as_finite_1d(y, A.n_cols, what="input vector")
     q, eps_inner, eps_op = cfg.resolve(stats)
-    apply = _gram_solver(A, RidgeParams(lam=cfg.lam, eps=eps_inner), stats,
-                         query_norm=float(np.linalg.norm(y)))
+    apply = _gram_solver(A, stats, eps_inner, query_norm=float(np.linalg.norm(y)))
     handle = OperatorHandle(dimension=A.n_cols, apply=apply, err_bound=eps_op)
     return apply_step(handle, y, q, callback=callback)

@@ -1,16 +1,20 @@
 """Black-box ridge regression: solve ``(A^T A + lambda I) x = y``.
 
-Plain conjugate gradient on the regularized gram operator.  The operator is
-never materialized: each CG step costs two matrix-vector products with the
-gram factor of A (its d-by-d QR factor R when A is tall and dense, else A
-itself; see :mod:`ridgeproj.matrix`) plus seven BLAS level-1 calls on
-length-d vectors (``ddot``, and in-place ``daxpy`` and ``dscal``, from
-:mod:`scipy.linalg.blas`).  On small d these cost a fraction of the
-equivalent numpy expressions, whose per-call overhead dominates there.
-Results are bit-identical from run to run on one machine and BLAS build;
-another BLAS build may round the fused updates differently in the last
-bits.  CG is deterministic: the solver either meets its stopping rule or
-raises.
+One solver, used two ways: :func:`_solver` resolves the residual target
+and CG budget once per matrix, :class:`MatrixStats` (which hold lambda) and
+tolerance; :func:`ridge_solve` calls it on one right-hand side, and
+:func:`_gram_solver` on ``A^T A v`` for every projection step.
+
+Plain conjugate gradient on the regularized gram operator, which is never
+materialized: each CG step makes one gram product on the gram factor of A
+(its d-by-d QR factor R when A is tall and dense, else A itself; see
+:mod:`ridgeproj.matrix`) and seven BLAS level-1 calls from
+:mod:`scipy.linalg.blas` (see :func:`_cg`), which on small d cost a
+fraction of the equivalent numpy expressions.  Results are bit-identical
+from run to run on one machine and BLAS build; another BLAS build may
+round the fused updates differently in the last bits.  CG is
+deterministic: within ``10 * ceil(sqrt(kappa_lambda + 1) * ln(2/eps))``
+iterations it either meets its stopping rule or raises.
 
 Error contract.  The returned ``x`` satisfies
 
@@ -37,7 +41,6 @@ lambda``, that costs at most ``eps_machine * ||y||_2`` per application.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot, dscal
@@ -47,42 +50,11 @@ from .exceptions import ConvergenceFailure
 from .matrix import DesignMatrix, _as_finite_1d
 from .spectral import MatrixStats
 
-__all__ = ["RidgeParams", "ridge_solve", "RESIDUAL_FLOOR_MULT"]
+__all__ = ["ridge_solve", "RESIDUAL_FLOOR_MULT"]
 
 # Multiplier on eps_machine * (kappa_lambda + 1) below which residual
 # targets are clamped; about 64x the attainable CG residual.
 RESIDUAL_FLOOR_MULT = 64.0
-
-
-@dataclass(frozen=True)
-class RidgeParams:
-    """Tolerances for one family of ridge solves.
-
-    The CG iteration budget is always the standard bound
-    ``10 * ceil(sqrt(kappa_lambda + 1) * ln(2/eps))``.
-    """
-
-    lam: float
-    eps: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-
-
-def _default_max_iters(kappa: float, eps: float) -> int:
-    return 10 * math.ceil(math.sqrt(kappa + 1.0) * math.log(2.0 / eps))
-
-
-def _resolve(params: RidgeParams, stats: MatrixStats):
-    """Relative residual target (floor included) and iteration budget."""
-    stats.check_lambda(params.lam)
-    kappa = stats.kappa_lambda
-    scale = math.sqrt(params.lam / (stats.sigma1_estimate ** 2 + params.lam))
-    floor = RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0)
-    return max(params.eps * scale, floor), _default_max_iters(kappa, params.eps)
 
 
 def _cg(A: DesignMatrix, lam, y, resid_target, max_iters):
@@ -134,50 +106,52 @@ def _cg(A: DesignMatrix, lam, y, resid_target, max_iters):
     return x, math.sqrt(rs), it
 
 
-def ridge_solve(A: DesignMatrix, params: RidgeParams, y, stats: MatrixStats) -> np.ndarray:
-    """Solve ``(A^T A + lambda I) x = y`` to the relative-energy contract.
+def _solver(A: DesignMatrix, stats: MatrixStats, eps: float, abs_floor: float = 0.0):
+    """``solve(rhs)`` for ``(A^T A + stats.lam I) x = rhs``, target and budget resolved once.
+
+    The residual target is ``eps * sqrt(lambda / (sigma1^2 + lambda)) *
+    ||rhs||_2``, raised to the float64 floor and to ``abs_floor``.
+    ``solve`` takes a finite length-d ``rhs``; a zero one gives zeros.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    lam, kappa = stats.lam, stats.kappa_lambda
+    scale = math.sqrt(lam / (stats.sigma1_estimate ** 2 + lam))
+    rel_target = max(eps * scale, RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0))
+    max_iters = 10 * math.ceil(math.sqrt(kappa + 1.0) * math.log(2.0 / eps))
+    d = A.n_cols
+
+    def solve(rhs):
+        ny = math.sqrt(float(rhs @ rhs))
+        if ny == 0.0:
+            return np.zeros(d)
+        x, _, _ = _cg(A, lam, rhs, max(rel_target * ny, abs_floor), max_iters)
+        return x
+
+    return solve
+
+
+def ridge_solve(A: DesignMatrix, eps: float, y, stats: MatrixStats) -> np.ndarray:
+    """Solve ``(A^T A + stats.lam I) x = y`` to the relative-energy contract.
 
     Returns ``x`` with ``||x - x*||_M <= eps * ||y||_{M^{-1}}`` (up to the
     documented float64 floor).  Raises :class:`ConvergenceFailure` carrying
     the final residual norm if the iteration budget runs out first.
     """
-    rel_target, max_iters = _resolve(params, stats)
-    y = _as_finite_1d(y, A.n_cols, what="right-hand side")
-    ny = float(np.linalg.norm(y))
-    if ny == 0.0:
-        return np.zeros(A.n_cols)
-    x, _, _ = _cg(A, params.lam, y, rel_target * ny, max_iters)
-    return x
+    solve = _solver(A, stats, eps)
+    return solve(_as_finite_1d(y, A.n_cols, what="right-hand side"))
 
 
-def _gram_solver(A: DesignMatrix, params: RidgeParams, stats: MatrixStats,
-                 query_norm: float):
-    """Apply ``B = (A^T A + lambda I)^{-1} A^T A`` with a pre-resolved ridge solve.
+def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float, query_norm: float):
+    """Apply ``B = (A^T A + lambda I)^{-1} A^T A`` as one :func:`_solver` call per vector.
 
-    Hoists tolerance resolution and input validation out of the per-call
-    path; the returned callable assumes its argument is a finite length-d
-    vector produced by the surrounding iteration.  With ``query_norm = 0``
-    the semantics are those of ``ridge_solve(A, params, gram_apply(A, v),
-    stats)``.  A positive ``query_norm`` (``||y||_2`` of the vector the
-    engine is transforming) adds the absolute residual floor
-    ``lambda * eps_machine * query_norm``, so each application deviates
-    from ``B v`` by at most ``(sigma1 / sqrt(lambda)) * eps * ||v||_2 +
-    eps_machine * query_norm``.  Once ``A^T A v`` falls below that floor,
-    CG runs no iteration and the result is an exact zero vector.
+    ``query_norm`` (``||y||_2`` of the vector the engine transforms) sets the
+    query-level floor ``lambda * eps_machine * query_norm``: an application
+    errs from ``B v`` by at most ``(sigma1 / sqrt(lambda)) * eps * ||v||_2 +
+    eps_machine * query_norm``, and is exactly zero once ``A^T A v`` is
+    below the floor.  ``query_norm = 0`` gives ``ridge_solve(A, eps, A^T A v, stats)``.
     """
-    rel_target, max_iters = _resolve(params, stats)
-    lam = params.lam
-    abs_target = lam * _EPS * query_norm
+    solve = _solver(A, stats, eps, abs_floor=stats.lam * _EPS * query_norm)
     G = A._gram
     mv, rmv = G._mv, G._rmv
-    d = A.n_cols
-
-    def apply(v):
-        rhs = rmv(mv(v))
-        ny = math.sqrt(float(rhs @ rhs))
-        if ny == 0.0:
-            return np.zeros(d)
-        x, _, _ = _cg(A, lam, rhs, max(rel_target * ny, abs_target), max_iters)
-        return x
-
-    return apply
+    return lambda v: solve(rmv(mv(v)))

@@ -225,11 +225,11 @@ def _sign_grid(alpha: float) -> np.ndarray:
 def compressed_sign_poly(alpha: float, eps: float) -> CompressedPoly:
     """Lower-degree sign approximation via Chebyshev compression of p_k.
 
-    Each ``(1 - x^2)^i`` term of p_k (with ``k = ceil(alpha^-2 ln(2/eps))``)
-    is replaced by its degree-d Chebyshev truncation, where
-    ``d = ceil(sqrt(2 k ln(A / (eps/2))))`` and ``A = k + 1`` bounds the sum
-    of term weights.  The result has degree ``1 + 2 min(d, k)``, which is
-    O(alpha^-1 ln(1/(alpha eps))), against 2k+1 for p_k itself.
+    Each ``(1 - x^2)^i`` term of p_k (``k = ceil(alpha^-2 ln(2/eps))``, the
+    :func:`sign_poly_degree` of eps/2) becomes its degree-d Chebyshev
+    truncation, where ``d = ceil(sqrt(2 k ln(A / (eps/2))))`` and
+    ``A = k + 1`` bounds the sum of term weights.  The result has degree
+    ``1 + 2 min(d, k)``, O(alpha^-1 ln(1/(alpha eps))), against 2k+1 for p_k.
 
     The finished polynomial is verified on a 10^4-point uniform grid:
     ``|sgn(x) - q(x)| <= eps`` for all grid points with |x| in [alpha, 1].
@@ -240,7 +240,7 @@ def compressed_sign_poly(alpha: float, eps: float) -> CompressedPoly:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
-    k = max(1, _ceil_tight(alpha ** -2 * math.log(2.0 / eps)))
+    k = sign_poly_degree(alpha, eps / 2.0).k
     a_const = k + 1
     d = max(1, _ceil_tight(math.sqrt(2.0 * k * math.log(a_const / (eps / 2.0)))))
 

@@ -8,6 +8,7 @@ once per matrix and pass them around, never inside the hot loops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,26 +19,35 @@ from .matrix import DesignMatrix, gram_apply
 
 __all__ = ["MatrixStats", "spectral_norm_estimate", "matrix_stats"]
 
+_STATS_TOL = 1e-3  # matrix_stats' Lanczos tolerance, and its inflation
+
+
+def _check_lam(lam):
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+
 
 @dataclass(frozen=True)
 class MatrixStats:
-    """Per-matrix quantities consumed by the solvers.
+    """Per-matrix quantities consumed by the solvers, and the threshold ``lam``.
 
     ``sigma1_estimate`` is deliberately inflated by the estimation tolerance
     so it upper-bounds the true spectral norm; a slight overestimate only
-    tightens derived tolerances.  ``kappa_lambda = sigma1_estimate**2 / lam``
-    always holds exactly as computed.
+    tightens derived tolerances.  ``lam`` must be positive and finite.
     """
 
     sigma1_estimate: float
-    kappa_lambda: float
     lam: float
 
     def __post_init__(self):
-        if self.sigma1_estimate < 0:
-            raise ValueError("sigma1_estimate must be nonnegative")
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not 0.0 <= self.sigma1_estimate < math.inf:
+            raise ValueError("sigma1_estimate must be finite and nonnegative")
+        _check_lam(self.lam)
+
+    @property
+    def kappa_lambda(self) -> float:
+        """``sigma1_estimate**2 / lam``, derived rather than stored."""
+        return self.sigma1_estimate ** 2 / self.lam
 
     def check_lambda(self, lam: float):
         if self.lam != lam:
@@ -123,20 +133,12 @@ def spectral_norm_estimate(A: DesignMatrix, tol: float = 1e-3, max_iters: int = 
                              f" (last Ritz value {theta})", diagnostic=theta)
 
 
-def matrix_stats(A: DesignMatrix, lam: float, tol: float = 1e-3, max_iters: int = 10_000,
-                 seed: int = 0) -> MatrixStats:
+def matrix_stats(A: DesignMatrix, lam: float) -> MatrixStats:
     """Compute :class:`MatrixStats` for ``A`` at threshold ``lam``.
 
-    The Lanczos estimate, a lower bound on sigma_1, is inflated by
-    ``(1 + tol)`` so that ``sigma1_estimate >= sigma_1`` whenever the run
-    reached sigma_1 to its tolerance (see :func:`spectral_norm_estimate`).
+    Runs :func:`spectral_norm_estimate` at ``tol = _STATS_TOL`` with its
+    default seed and step cap, and inflates the estimate by ``1 + tol`` so
+    that ``sigma1_estimate >= sigma_1`` whenever the run reached sigma_1.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    sigma1 = spectral_norm_estimate(A, tol=tol, max_iters=max_iters, seed=seed)
-    sigma1 *= 1.0 + tol
-    return MatrixStats(
-        sigma1_estimate=sigma1,
-        kappa_lambda=sigma1 ** 2 / lam,
-        lam=lam,
-    )
+    sigma1 = spectral_norm_estimate(A, tol=_STATS_TOL)
+    return MatrixStats(sigma1_estimate=sigma1 * (1.0 + _STATS_TOL), lam=lam)

@@ -57,6 +57,11 @@ class OperatorHandle:
             raise ValueError("err_bound must be nonnegative")
 
 
+def _check_q(q, name="q"):
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {q!r}")
+
+
 def _guarded(op: OperatorHandle, x, k):
     try:
         out = op.apply(x)
@@ -94,8 +99,7 @@ def apply_step(S: OperatorHandle, y, q: int,
     initialization (k = 0) and after each of the q updates, also for the
     steps skipped after a zero increment.
     """
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    _check_q(q)
     err = S.err_bound
     if err > 0:
         # Effective error of the composed map C(x) = 4 S(x - S x).

@@ -14,6 +14,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatch
 from .matrix import DesignMatrix
+from .spectral import _check_lam
 
 __all__ = ["SvdFactors", "svd_small", "exact_projection", "exact_pcr", "RANK_CUTOFF"]
 
@@ -72,9 +73,8 @@ def svd_small(A: DesignMatrix) -> SvdFactors:
     return SvdFactors(U=U, singular_values=sig, V=V)
 
 
-def _check_lambda_vec(F, lam, vec, length, what):
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+def _check_lambda_vec(lam, vec, length, what):
+    _check_lam(lam)
     vec = np.ascontiguousarray(vec, dtype=np.float64)
     if vec.shape != (length,):
         raise DimensionMismatch(length, vec.shape[0] if vec.ndim == 1 else vec.shape, what=what)
@@ -87,7 +87,7 @@ def exact_projection(F: SvdFactors, lam: float, y) -> np.ndarray:
     Returns ``V_k V_k^T y`` where k counts singular values with
     ``sigma_k^2 >= lam``; the zero vector if none qualify.
     """
-    y = _check_lambda_vec(F, lam, y, F.V.shape[0], "vector length")
+    y = _check_lambda_vec(lam, y, F.V.shape[0], "vector length")
     k = F.top_index(lam)
     if k == 0:
         return np.zeros_like(y)
@@ -97,7 +97,7 @@ def exact_projection(F: SvdFactors, lam: float, y) -> np.ndarray:
 
 def exact_pcr(F: SvdFactors, lam: float, b) -> np.ndarray:
     """Exact principal component regression solution ``V_k S_k^{-1} U_k^T b``."""
-    b = _check_lambda_vec(F, lam, b, F.U.shape[0], "vector length")
+    b = _check_lambda_vec(lam, b, F.U.shape[0], "vector length")
     k = F.top_index(lam)
     if k == 0:
         return np.zeros(F.V.shape[0])

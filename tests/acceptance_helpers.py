@@ -89,11 +89,11 @@ def ridge_contract_instance(seed):
 
 def ridge_contract_worker(seed):
     """One seeded ridge instance; returns (lhs, rhs) of the error contract."""
-    from ridgeproj import RidgeParams, ridge_solve
+    from ridgeproj import ridge_solve
 
     _, A, lam, eps, y = ridge_contract_instance(seed)
     stats = matrix_stats(A, lam)
-    x = ridge_solve(A, RidgeParams(lam=lam, eps=eps), y, stats)
+    x = ridge_solve(A, eps, y, stats)
 
     F = svd_small(A)
     coeff = F.V.T @ y

@@ -1,11 +1,13 @@
-"""The demos and README examples import only public names, and every
-docstring cross-reference in the library resolves.
+"""The demos and README examples import only public names, every
+docstring cross-reference in the library resolves, and the public surface
+is pinned.
 
 The demos and README are parsed, not run, so this stays fast; running them
 is left to the reader.
 """
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -105,3 +107,38 @@ def test_docstring_references_resolve():
     dangling = [f"{owner}: {ref}" for module, owner, class_path, ref in refs
                 if not resolves(module, class_path, ref)]
     assert not dangling, f"docstring references that resolve nowhere: {dangling}"
+
+
+PUBLIC = sorted([
+    "__version__",
+    "BudgetExceeded", "ConvergenceFailure", "DimensionMismatch", "RidgeProjError",
+    "DesignMatrix", "gram_apply", "gram_norm",
+    "SvdFactors", "exact_pcr", "exact_projection", "svd_small",
+    "MatrixStats", "matrix_stats", "spectral_norm_estimate",
+    "ridge_solve",
+    "CompressedPoly", "SignPolyDegree", "chebyshev_monomial_approx",
+    "compressed_sign_poly", "integral_step_oracle", "p_k_eval", "p_k_grid",
+    "sign_error_bound", "sign_poly_degree",
+    "OperatorHandle", "apply_step",
+    "ProjectionConfig", "pc_proj", "PcrConfig", "pc_regress",
+    "SyntheticProblem", "gen_synthetic",
+    "ConvergenceTrace", "convergence_trace", "run_convergence",
+    "load_matrix", "load_trace_csv", "load_vector",
+    "save_matrix", "save_trace_csv", "save_vector",
+])
+
+FIELDS = {
+    "ProjectionConfig": ["lam", "gamma", "eps", "q_override"],
+    "PcrConfig": ["lam", "gamma", "eps", "q_override"],
+    "MatrixStats": ["sigma1_estimate", "lam"],
+    "OperatorHandle": ["dimension", "apply", "err_bound"],
+}
+
+
+def test_public_surface():
+    """A change to ``__all__`` or to these constructors is an edit to this test."""
+    assert sorted(ridgeproj.__all__) == PUBLIC
+    assert len(set(ridgeproj.__all__)) == len(ridgeproj.__all__) == 42
+    for name, expect in FIELDS.items():
+        fields = [f.name for f in dataclasses.fields(getattr(ridgeproj, name)) if f.init]
+        assert fields == expect, name

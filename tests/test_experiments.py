@@ -12,7 +12,6 @@ from ridgeproj import (
     run_convergence,
     svd_small,
 )
-from ridgeproj.ridge import RidgeParams
 from ridgeproj.project import ProjectionConfig, pc_proj
 
 
@@ -53,8 +52,7 @@ class TestRunConvergence:
         cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(),
                                eps=trace_eps_inner(problem, 1e-3, 10))
         y_proj = pc_proj(problem.A, cfg, problem.A.rmatvec(problem.b), stats)
-        params = RidgeParams(lam=problem.lam, eps=trace_eps_inner(problem, 1e-3, 10))
-        s0 = ridge_solve(problem.A, params, y_proj, stats)
+        s0 = ridge_solve(problem.A, trace_eps_inner(problem, 1e-3, 10), y_proj, stats)
         ref = exact_pcr(oracle, problem.lam, problem.b)
         expect0 = gram_norm(problem.A, s0 - ref) ** 2 / gram_norm(problem.A, ref) ** 2
         assert trace.records[0][1] == pytest.approx(expect0, rel=1e-6)

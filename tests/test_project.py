@@ -7,9 +7,10 @@ import pytest
 import ridgeproj.project as project
 from ridgeproj import (
     DesignMatrix,
+    MatrixStats,
     OperatorHandle,
+    PcrConfig,
     ProjectionConfig,
-    RidgeParams,
     apply_step,
     exact_projection,
     gen_synthetic,
@@ -79,6 +80,37 @@ class TestConfig:
                        dict(lam=1.0, gamma=0.1, eps=0.1, q_override=0)):
             with pytest.raises(ValueError):
                 ProjectionConfig(**kwargs)
+
+
+def _stage_configs(**kwargs):
+    fields = dict(lam=0.5, gamma=0.1, eps=1e-2) | kwargs
+    return ProjectionConfig(**fields), PcrConfig(**fields)
+
+
+def _apply_step(q):
+    return apply_step(OperatorHandle(dimension=2, apply=lambda v: 0.5 * v), np.ones(2), q)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("build", [
+    lambda lam: MatrixStats(sigma1_estimate=1.0, lam=lam),
+    lambda lam: matrix_stats(DesignMatrix.from_dense(np.eye(2)), lam),
+    lambda lam: _stage_configs(lam=lam),
+    lambda lam: exact_projection(svd_small(DesignMatrix.from_dense(np.eye(2))), lam,
+                                 np.ones(2)),
+], ids=["MatrixStats", "matrix_stats", "stage-configs", "svd-oracle"])
+def test_non_finite_lambda_rejected(build, bad):
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        build(bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, np.float64(3.0), True, "3"])
+@pytest.mark.parametrize("build", [lambda q: _stage_configs(q_override=q), _apply_step],
+                         ids=["q_override", "apply_step"])
+def test_non_integer_q_rejected(build, bad):
+    with pytest.raises(ValueError, match="must be an integer of at least 1"):
+        build(bad)
+    build(np.int64(3))
 
 
 class TestPcProj:
@@ -212,10 +244,9 @@ def recorded_applications(monkeypatch):
 def relative_only_step(problem, stats, cfg, y):
     """``apply_step`` on a public ``ridge_solve`` against ``A^T A v``."""
     q, eps_inner, eps_op = cfg.resolve(stats)
-    params = RidgeParams(lam=cfg.lam, eps=eps_inner)
     handle = OperatorHandle(
         dimension=problem.A.n_cols,
-        apply=lambda v: ridge_solve(problem.A, params, gram_apply(problem.A, v), stats),
+        apply=lambda v: ridge_solve(problem.A, eps_inner, gram_apply(problem.A, v), stats),
         err_bound=eps_op,
     )
     return apply_step(handle, y, q)

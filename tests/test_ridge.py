@@ -6,7 +6,7 @@ import pytest
 from ridgeproj import (
     ConvergenceFailure,
     DesignMatrix,
-    RidgeParams,
+    MatrixStats,
     gram_apply,
     matrix_stats,
     ridge_solve,
@@ -18,7 +18,7 @@ from helpers import m_inv_norm, m_norm, random_csr, random_dense
 
 def _solve(A, lam, eps, y):
     stats = matrix_stats(A, lam)
-    return ridge_solve(A, RidgeParams(lam=lam, eps=eps), y, stats)
+    return ridge_solve(A, eps, y, stats)
 
 
 class TestRidgeSolve:
@@ -44,7 +44,7 @@ class TestRidgeSolve:
             eps = float(10 ** rng.uniform(-8, -0.5))
             y = rng.standard_normal(d)
             stats = matrix_stats(A, lam)
-            x = ridge_solve(A, RidgeParams(lam=lam, eps=eps), y, stats)
+            x = ridge_solve(A, eps, y, stats)
             F = svd_small(A)
             x_star = _exact_solve(F, lam, y)
             assert m_norm(F, lam, x - x_star) <= eps * m_inv_norm(F, lam, y), (
@@ -57,7 +57,7 @@ class TestRidgeSolve:
         lam, eps = 0.8, 1e-6
         y = rng.standard_normal(20)
         stats = matrix_stats(A, lam)
-        x = ridge_solve(A, RidgeParams(lam=lam, eps=eps), y, stats)
+        x = ridge_solve(A, eps, y, stats)
         resid = y - gram_apply(A, x) - lam * x
         threshold = eps * np.linalg.norm(y) * np.sqrt(lam / (stats.sigma1_estimate ** 2 + lam))
         assert np.linalg.norm(resid) <= threshold
@@ -75,16 +75,19 @@ class TestRidgeSolve:
         A = random_dense(rng, 25, 12)
         y = rng.standard_normal(12)
         stats = matrix_stats(A, 1.0)
-        params = RidgeParams(lam=1.0, eps=1e-8)
-        a = ridge_solve(A, params, y, stats)
-        b = ridge_solve(A, params, y, stats)
+        a = ridge_solve(A, 1e-8, y, stats)
+        b = ridge_solve(A, 1e-8, y, stats)
         assert np.array_equal(a, b)
 
     def test_params_validation(self):
-        for kwargs in (dict(lam=0.0, eps=0.1), dict(lam=1.0, eps=0.0),
-                       dict(lam=1.0, eps=1.0)):
-            with pytest.raises(ValueError):
-                RidgeParams(**kwargs)
+        # lambda is checked where it lives, in MatrixStats; eps by the solver.
+        with pytest.raises(ValueError, match="lambda"):
+            MatrixStats(sigma1_estimate=1.0, lam=0.0)
+        A = DesignMatrix.from_dense(np.eye(2))
+        stats = MatrixStats(sigma1_estimate=1.0, lam=1.0)
+        for eps in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="eps"):
+                ridge_solve(A, eps, np.ones(2), stats)
 
 
 def _exact_solve(F, lam, y):
@@ -93,28 +96,28 @@ def _exact_solve(F, lam, y):
     return F.V @ (coeff / (F.singular_values ** 2 + lam)) + perp / lam
 
 
-def _apply_gram(A, params, x, stats):
+def _apply_gram(A, eps, x, stats):
     """``B x`` for ``B = (A^T A + lambda I)^{-1} A^T A``: a ridge solve against ``A^T A x``."""
-    return ridge_solve(A, params, gram_apply(A, x), stats)
+    return ridge_solve(A, eps, gram_apply(A, x), stats)
 
 
 class TestRidgeApplyGram:
     def test_diagonal_mapping(self):
         A = DesignMatrix.from_dense(np.diag([2.0, 0.5]))
         stats = matrix_stats(A, 1.0)
-        out = _apply_gram(A, RidgeParams(lam=1.0, eps=1e-12), np.array([1.0, 1.0]), stats)
+        out = _apply_gram(A, 1e-12, np.array([1.0, 1.0]), stats)
         assert np.allclose(out, [0.8, 0.2])
 
     def test_null_space_maps_to_zero(self):
         A = DesignMatrix.from_dense(np.array([[1.0, 0.0]]))
         stats = matrix_stats(A, 1.0)
-        out = _apply_gram(A, RidgeParams(lam=1.0, eps=1e-10), np.array([0.0, 1.0]), stats)
+        out = _apply_gram(A, 1e-10, np.array([0.0, 1.0]), stats)
         assert np.abs(out).max() <= 1e-12
 
     def test_eigenvalue_at_lambda_halves(self):
         A = DesignMatrix.from_dense(np.diag([1.0]))
         stats = matrix_stats(A, 1.0)
-        out = _apply_gram(A, RidgeParams(lam=1.0, eps=1e-12), np.array([2.0]), stats)
+        out = _apply_gram(A, 1e-12, np.array([2.0]), stats)
         assert out[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_spectrum_mapping_diagonal(self):
@@ -124,7 +127,7 @@ class TestRidgeApplyGram:
         lam, eps = 1.2, 1e-9
         stats = matrix_stats(A, lam)
         x = rng.standard_normal(5)
-        out = _apply_gram(A, RidgeParams(lam=lam, eps=eps), x, stats)
+        out = _apply_gram(A, eps, x, stats)
         expect = sig2 / (sig2 + lam) * x
         budget = stats.sigma1_estimate / np.sqrt(lam) * eps * np.linalg.norm(x)
         assert np.linalg.norm(out - expect) <= budget
@@ -239,7 +242,7 @@ class TestProductSeam:
         lam = 0.05 * np.linalg.norm(arr, 2) ** 2
         stats = matrix_stats(A, lam)
         counted.update(mv=0, rmv=0)
-        ridge_solve(A, RidgeParams(lam=lam, eps=1e-8), rng.standard_normal(A.n_cols), stats)
+        ridge_solve(A, 1e-8, rng.standard_normal(A.n_cols), stats)
         (iters,) = counted["iters"]
         assert iters > 0
         assert counted["mv"] == counted["rmv"] == iters
@@ -250,7 +253,7 @@ class TestProductSeam:
         A, arr = _kernel_case(kind, rng)
         lam = 0.05 * np.linalg.norm(arr, 2) ** 2
         stats = matrix_stats(A, lam)
-        apply = ridge_module._gram_solver(A, RidgeParams(lam=lam, eps=1e-8), stats, 0.0)
+        apply = ridge_module._gram_solver(A, stats, 1e-8, 0.0)
         counted.update(mv=0, rmv=0)
         apply(rng.standard_normal(A.n_cols))
         (iters,) = counted["iters"]
