@@ -22,14 +22,13 @@ import numpy as np
 from . import __version__
 from .exceptions import ConvergenceFailure
 from .experiments import convergence_trace
-from .fileio import load_matrix, load_vector, save_matrix, save_trace_csv, save_vector
+from .fileio import (_FMT, _write_table, load_matrix, load_vector, save_matrix,
+                     save_trace_csv, save_vector)
 from .pcr import PcrConfig, pc_regress
 from .project import ProjectionConfig, pc_proj
 from .signpoly import compressed_sign_poly, p_k_grid, sign_error_bound
 from .spectral import matrix_stats
 from .synthetic import gen_synthetic
-
-_FMT = "%.17g"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,26 +132,17 @@ def _cmd_poly(args):
         xs = np.linspace(-1.0, 1.0, args.grid)
         bounds = np.array([sign_error_bound(abs(x), args.k) if x != 0.0 else np.inf
                            for x in xs])
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            if args.kind == "pk":
-                fh.write("x,p_k,bound\n")
-                pk = p_k_grid(xs, args.k)
-                for x, p, bd in zip(xs, pk, bounds):
-                    fh.write(f"{_FMT % x},{_FMT % p},{_FMT % bd}\n")
-            else:
-                fh.write("x,bound\n")
-                for x, bd in zip(xs, bounds):
-                    fh.write(f"{_FMT % x},{_FMT % bd}\n")
-        return 0
-    if args.alpha is None or args.eps is None:
-        raise ValueError("--alpha and --eps are required for chebyshev tables")
-    poly = compressed_sign_poly(args.alpha, args.eps)
-    xs = np.linspace(-1.0, 1.0, args.grid)
-    qs = poly(xs)
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("x,q\n")
-        for x, qv in zip(xs, qs):
-            fh.write(f"{_FMT % x},{_FMT % qv}\n")
+        if args.kind == "pk":
+            columns, header = [xs, p_k_grid(xs, args.k), bounds], "x,p_k,bound"
+        else:
+            columns, header = [xs, bounds], "x,bound"
+    else:
+        if args.alpha is None or args.eps is None:
+            raise ValueError("--alpha and --eps are required for chebyshev tables")
+        poly = compressed_sign_poly(args.alpha, args.eps)
+        xs = np.linspace(-1.0, 1.0, args.grid)
+        columns, header = [xs, poly(xs)], "x,q"
+    _write_table(args.out, np.column_stack(columns), _FMT, header=header)
     return 0
 
 

@@ -6,8 +6,11 @@ symmetry; array data is column-major per the exchange-format definition.
 CSV files are headerless, comma-separated, one matrix row per line with
 ``.`` as the decimal mark; vectors are one value per line.  All floats are
 written with 17 significant digits, so write/read round-trips are exact.
+Every writer is one ``numpy.savetxt`` call through :func:`_write_table`.
 
-Parse errors report the offending line number.
+:func:`load_matrix` reads a file once; one regular expression on its bytes
+finds the ``%%MatrixMarket`` banner after ASCII whitespace (the set
+``str.strip`` removes).  Parse errors report the offending line number.
 
 Matrix Market files are read in one bulk pass: the banner, leading comments
 and size line one line at a time, then the whole body split once, each token
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +48,12 @@ __all__ = [
 _FMT = "%.17g"
 
 
+def _write_table(path, rows, fmt, delimiter=",", header=""):
+    """Write ``rows`` by ``np.savetxt``: ASCII, LF line ends, ``header`` unprefixed."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        np.savetxt(fh, rows, fmt=fmt, delimiter=delimiter, header=header, comments="")
+
+
 def _fail(path, lineno, message):
     raise ValueError(f"{path}:{lineno}: {message}")
 
@@ -58,7 +68,8 @@ def _parse_floats(path, lineno, fields):
 # ---------------------------------------------------------------------------
 # Matrix Market
 
-_BANNER = re.compile(rb"\s*%%MatrixMarket")
+# Bytes ``\s`` lacks the \x1c-\x1f that ``str.strip`` also removes.
+_BANNER = re.compile(rb"[\s\x1c-\x1f]*%%MatrixMarket")
 
 # The bytes the bulk pass accepts: printable ASCII, and the four whitespace
 # bytes that split lines and fields alike for ``bytes`` and ``str``.  Any
@@ -208,31 +219,23 @@ def _bulk_matrix_market(path, raw):
 
 
 def _save_matrix_market(A: DesignMatrix, path):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        if A.storage == "dense":
-            fh.write("%%MatrixMarket matrix array real general\n")
-            fh.write(f"{A.n_rows} {A.n_cols}\n")
-            dense = A.toarray()
-            for j in range(A.n_cols):
-                for i in range(A.n_rows):
-                    fh.write(_FMT % dense[i, j] + "\n")
-        else:
-            indptr, indices, data = A.csr_parts()
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            fh.write(f"{A.n_rows} {A.n_cols} {len(data)}\n")
-            for i in range(A.n_rows):
-                for k in range(indptr[i], indptr[i + 1]):
-                    fh.write(f"{i + 1} {indices[k] + 1} " + _FMT % data[k] + "\n")
+    if A.storage == "dense":  # one value per line, column-major
+        _write_table(path, A.toarray().T.ravel(), _FMT,
+                     header=f"%%MatrixMarket matrix array real general\n{A.n_rows} {A.n_cols}")
+        return
+    indptr, indices, data = A.csr_parts()
+    rows = np.repeat(np.arange(1, A.n_rows + 1), np.diff(indptr))
+    _write_table(path, np.column_stack([rows, indices + 1, data]), ("%d", "%d", _FMT),
+                 delimiter=" ", header="%%MatrixMarket matrix coordinate real general\n"
+                 f"{A.n_rows} {A.n_cols} {len(data)}")
 
 
 # ---------------------------------------------------------------------------
 # CSV
 
 
-def _numbered_lines(path):
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    lines = [(no, ln.strip()) for no, ln in enumerate(raw, start=1)]
+def _numbered_lines(text):
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)]
     return [(no, ln) for no, ln in lines if ln]
 
 
@@ -249,13 +252,12 @@ def load_matrix(path) -> DesignMatrix:
             A = _bulk_matrix_market(path, raw)
         except (ValueError, OverflowError):
             A = None  # the per-line reader decides, and words the error
-        return A if A is not None else _parse_matrix_market(path, _numbered_lines(path))
+        return A if A is not None else _parse_matrix_market(
+            path, _numbered_lines(raw.decode("ascii")))
+    lines = _numbered_lines(raw.decode("ascii"))
     del raw
-    lines = _numbered_lines(path)
     if not lines:
         raise ValueError(f"{path}:1: empty file")
-    if lines[0][1].startswith("%%MatrixMarket"):  # after \x1c-\x1f, space to str only
-        return _parse_matrix_market(path, lines)
     rows = []
     width = None
     for no, ln in lines:
@@ -273,15 +275,12 @@ def save_matrix(A: DesignMatrix, path):
     if str(path).endswith(".mtx"):
         _save_matrix_market(A, path)
         return
-    dense = A.toarray()
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for row in dense:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+    _write_table(path, A.toarray(), _FMT)
 
 
 def load_vector(path) -> np.ndarray:
     """Read a vector from CSV: one value per line, or a single CSV line."""
-    lines = _numbered_lines(path)
+    lines = _numbered_lines(Path(path).read_text(encoding="ascii"))
     if not lines:
         raise ValueError(f"{path}:1: empty file")
     if len(lines) == 1 and "," in lines[0][1]:
@@ -300,22 +299,18 @@ def save_vector(x, path):
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a vector, got shape {x.shape}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for v in x:
-            fh.write(_FMT % v + "\n")
+    _write_table(path, x, _FMT)
 
 
 def save_trace_csv(trace: ConvergenceTrace, path):
     """Write a convergence trace with the ``iteration,rel_error`` header."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("iteration,rel_error\n")
-        for it, err in trace.records:
-            fh.write(f"{it}," + _FMT % err + "\n")
+    _write_table(path, np.array(trace.records, dtype=np.float64).reshape(-1, 2),
+                 ("%d", _FMT), header="iteration,rel_error")
 
 
-def load_trace_csv(path, algorithm: str = "projection", metadata=None) -> ConvergenceTrace:
+def load_trace_csv(path) -> ConvergenceTrace:
     """Read a convergence trace written by :func:`save_trace_csv`."""
-    lines = _numbered_lines(path)
+    lines = _numbered_lines(Path(path).read_text(encoding="ascii"))
     if not lines or lines[0][1] != "iteration,rel_error":
         raise ValueError(f"{path}:1: missing 'iteration,rel_error' header")
     records = []
@@ -328,5 +323,4 @@ def load_trace_csv(path, algorithm: str = "projection", metadata=None) -> Conver
         except ValueError:
             _fail(path, no, f"bad iteration index {fields[0]!r}")
         records.append((it, _parse_floats(path, no, fields[1:])[0]))
-    return ConvergenceTrace(records=records, algorithm=algorithm,
-                            metadata=dict(metadata or {}))
+    return ConvergenceTrace(records=records)

@@ -43,9 +43,9 @@ _C2 = 4.0
 class PcrConfig(_StageConfig):
     """Parameters of the regression series.
 
-    Defaults: ``q = ceil(2 ln(kappa_lambda / eps))`` (so the series tail
-    ``kappa/2^q`` is safely below eps) and inner tolerance
-    ``eps' = eps / (4 q^2 sqrt(kappa_lambda))``.  The projection of
+    Defaults, with ``kappa = max(kappa_lambda, 1)``: ``q = ceil(2 ln(kappa /
+    eps))`` (so the series tail ``kappa/2^q`` is safely below eps) and inner
+    tolerance ``eps' = eps / (4 q^2 sqrt(kappa))``.  The projection of
     ``A^T b`` is computed once, at tolerance eps'.
     """
 
@@ -59,11 +59,12 @@ class PcrConfig(_StageConfig):
         ``eps_inner ||v||_2 / lambda``.
         """
         stats.check_lambda(self.lam)
+        kappa = max(stats.kappa_lambda, 1.0)
         if self.q_override is not None:
             q = self.q_override
         else:
-            q = _ceil_tight(_C1 * math.log(max(stats.kappa_lambda, 1.0) / self.eps))
-        eps_inner = self.eps / (_C2 * q * q * math.sqrt(stats.kappa_lambda))
+            q = _ceil_tight(_C1 * math.log(kappa / self.eps))
+        eps_inner = self.eps / (_C2 * q * q * math.sqrt(kappa))
         return q, eps_inner, eps_inner / self.lam
 
 

@@ -32,7 +32,7 @@ from ._float64 import _EPS, _ceil_tight
 from .matrix import DesignMatrix, _as_finite_1d
 from .ridge import _gram_solver
 from .spectral import MatrixStats, _check_lam
-from .stepfn import OperatorHandle, _check_q, apply_step
+from .stepfn import OperatorHandle, _check_int, apply_step
 
 __all__ = ["ProjectionConfig", "pc_proj"]
 
@@ -60,7 +60,7 @@ class _StageConfig:
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if self.q_override is not None:
-            _check_q(self.q_override, "q_override")
+            _check_int(self.q_override, "q_override")
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,9 @@ class ProjectionConfig(_StageConfig):
     The outer iteration count defaults to
     ``q = ceil((2 gamma)^-2 ln(2/eps))``, and ``q_override`` pins it.  The
     inner ridge tolerance always follows from eps, gamma and q:
-    ``eps' = min(eps^2 gamma^2 / (8 sqrt(kappa_lambda)),
-    1 / (60 q sqrt(kappa_lambda)))``.
+    ``eps' = min(eps^2 gamma^2 / (8 sqrt(kappa)), 1 / (60 q sqrt(kappa)))``
+    with ``kappa = max(kappa_lambda, 1)``, so a lambda far above sigma_1^2
+    cannot push eps' to 1 or beyond.
     """
 
     def resolve(self, stats: MatrixStats):
@@ -92,7 +93,7 @@ class ProjectionConfig(_StageConfig):
             q = self.q_override
         else:
             q = _ceil_tight((2.0 * self.gamma) ** -2 * math.log(2.0 / self.eps))
-        sqrt_kappa = math.sqrt(stats.kappa_lambda)
+        sqrt_kappa = math.sqrt(max(stats.kappa_lambda, 1.0))
         eps_inner = self.eps ** 2 * self.gamma ** 2 / (_C2 * sqrt_kappa)
         # Keep eps' inside the validity range of the stable recurrence
         # (q <= 1/(7 eps_C), eps_C ~ 8 eps_op); only binds for eps near 1.

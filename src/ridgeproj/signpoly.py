@@ -27,6 +27,7 @@ from scipy import integrate
 
 from ._float64 import _ceil_tight
 from .exceptions import ConvergenceFailure
+from .stepfn import _check_int
 
 __all__ = [
     "SignPolyDegree",
@@ -89,11 +90,6 @@ def _check_domain(x: float):
         raise ValueError(f"x must lie in [-1, 1], got {x}")
 
 
-def _check_k(k: int):
-    if k != int(k) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k}")
-
-
 def p_k_eval(x: float, k: int) -> float:
     """Evaluate the sign-approximating polynomial p_k at ``x`` in [-1, 1].
 
@@ -112,7 +108,7 @@ def p_k_grid(xs, k: int) -> np.ndarray:
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.size and (np.abs(xs).max() > 1.0 or not np.all(np.isfinite(xs))):
         raise ValueError("all grid points must lie in [-1, 1]")
-    _check_k(k)
+    _check_int(k, "k", 0)
     t = xs.copy()
     s = xs.copy()
     c = 1.0 - xs * xs
@@ -137,8 +133,7 @@ def sign_error_bound(x: float, k: int) -> float:
 
     Only the positive side is defined; use oddness for x < 0.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check_int(k, "k")
     if not 0.0 < x <= 1.0:
         raise ValueError(f"x must lie in (0, 1], got {x}")
     return math.exp(-k * x * x) / (x * math.sqrt(k))
@@ -163,7 +158,7 @@ def integral_step_oracle(x: float, k: int, quad_tol: float = 1e-9) -> float:
     code with it.
     """
     _check_domain(x)
-    _check_k(k)
+    _check_int(k, "k", 0)
     if not 0.0 < quad_tol <= 1e-6:
         raise ValueError(f"quad_tol must lie in (0, 1e-6], got {quad_tol}")
 
@@ -210,10 +205,8 @@ def chebyshev_monomial_approx(s: int, d: int) -> CompressedPoly:
     The sup-norm error is at most ``2 exp(-d^2 / 2s)``; for ``d >= s`` the
     representation is exact.
     """
-    if not (isinstance(s, (int, np.integer)) and s >= 1):
-        raise ValueError(f"s must be a positive integer, got {s}")
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ValueError(f"d must be a positive integer, got {d}")
+    _check_int(s, "s")
+    _check_int(d, "d")
     return CompressedPoly(_chebyshev_power_coeffs(int(s), int(d)))
 
 

@@ -53,13 +53,14 @@ class OperatorHandle:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        if self.err_bound < 0:
-            raise ValueError("err_bound must be nonnegative")
+        if not 0.0 <= self.err_bound < np.inf:  # NaN would skip apply_step's budget guard
+            raise ValueError(f"err_bound must be nonnegative and finite, got {self.err_bound!r}")
 
 
-def _check_q(q, name="q"):
-    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {q!r}")
+def _check_int(value, name, minimum=1):
+    """Refuse all but an ``int`` or ``np.integer`` of at least ``minimum``; ``bool`` too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 def _guarded(op: OperatorHandle, x, k):
@@ -99,7 +100,7 @@ def apply_step(S: OperatorHandle, y, q: int,
     initialization (k = 0) and after each of the q updates, also for the
     steps skipped after a zero increment.
     """
-    _check_q(q)
+    _check_int(q, "q")
     err = S.err_bound
     if err > 0:
         # Effective error of the composed map C(x) = 4 S(x - S x).

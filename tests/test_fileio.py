@@ -155,7 +155,7 @@ class TestTraceCsv:
 # The bulk MatrixMarket pass against the per-line reader it falls back to.
 
 def _per_line(path):
-    return fileio._parse_matrix_market(path, fileio._numbered_lines(path))
+    return fileio._parse_matrix_market(path, fileio._numbered_lines(path.read_text("ascii")))
 
 
 def _bulk(path):

@@ -122,11 +122,15 @@ def test_power_of_two_rescaling_is_bit_identical(c, problem):
 @given(problem=problems(kept=0))
 @settings(max_examples=15, deadline=None)
 def test_lambda_above_spectrum_projects_to_zero(problem):
-    stats = matrix_stats(problem.A, LAM)
-    s = pc_proj(problem.A, proj_cfg(), problem.y, stats)
-    assert np.linalg.norm(s) <= EPS * np.linalg.norm(problem.y)
-    x = pc_regress(problem.A, pcr_cfg(), problem.b, stats)
-    assert gram_norm(problem.A, x) <= EPS * np.linalg.norm(problem.b)
+    # Scale 1e-8 puts kappa_lambda below 1e-16, where an inner tolerance
+    # divided by sqrt(kappa_lambda) itself would exceed 1.
+    for scale in (1.0, 1e-8):
+        A = build(scale * problem.values, problem.storage)
+        stats = matrix_stats(A, LAM)
+        s = pc_proj(A, proj_cfg(), problem.y, stats)
+        assert np.linalg.norm(s) <= EPS * np.linalg.norm(problem.y)
+        x = pc_regress(A, pcr_cfg(), problem.b, stats)
+        assert gram_norm(A, x) <= EPS * np.linalg.norm(problem.b)
 
 
 @given(problem=problems(dropped=0, zeros=0))

@@ -54,6 +54,10 @@ class TestPkEval:
         for bad in (1.5, -1.0001, math.inf, math.nan):
             with pytest.raises(ValueError):
                 p_k_eval(bad, 3)
+        for k in (3.0, -1, True, np.float64(2.0)):
+            with pytest.raises(ValueError, match="k must be an integer of at least 0"):
+                p_k_eval(0.5, k)
+        assert p_k_eval(0.5, np.int64(3)) == p_k_eval(0.5, 3)
 
     def test_matches_direct_summation(self):
         for x in (-0.9, -0.3, 0.45, 1.0):
@@ -144,8 +148,9 @@ class TestErrorBound:
         for x in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 sign_error_bound(x, 4)
-        with pytest.raises(ValueError):
-            sign_error_bound(0.5, 0)
+        for k in (0, True, 2.0):
+            with pytest.raises(ValueError, match="k must be an integer of at least 1"):
+                sign_error_bound(0.5, k)
 
 
 class TestIntegralOracle:
@@ -197,8 +202,8 @@ class TestChebyshevMonomial:
         assert np.all(poly.coefficients[::2] == 0.0)
 
     def test_domain(self):
-        for s, d in ((0, 3), (3, 0), (-1, 2)):
-            with pytest.raises(ValueError):
+        for s, d in ((0, 3), (3, 0), (-1, 2), (True, 2), (2, True), (2.0, 3)):
+            with pytest.raises(ValueError, match="must be an integer of at least 1"):
                 chebyshev_monomial_approx(s, d)
 
 

@@ -126,8 +126,9 @@ class TestApplyStep:
             apply_step(S, np.ones((2, 1)), 3)
         with pytest.raises(ValueError):
             OperatorHandle(dimension=0, apply=lambda v: v)
-        with pytest.raises(ValueError):
-            OperatorHandle(dimension=2, apply=lambda v: v, err_bound=-1.0)
+        for bad in (-1.0, np.nan, np.inf):  # NaN would skip apply_step's budget guard
+            with pytest.raises(ValueError, match="err_bound"):
+                OperatorHandle(dimension=2, apply=lambda v: v, err_bound=bad)
 
 
 def apply_step_every_step(S, y, q, callback=None):
