@@ -10,7 +10,8 @@ Every writer is one ``numpy.savetxt`` call through :func:`_write_table`.
 
 :func:`load_matrix` reads a file once; one regular expression on its bytes
 finds the ``%%MatrixMarket`` banner after ASCII whitespace (the set
-``str.strip`` removes).  Parse errors report the offending line number.
+``str.strip`` removes).  Parse errors report the offending line number; so
+does a non-ASCII byte, since every reader takes ASCII only.
 
 Matrix Market files are read in one bulk pass: the banner, leading comments
 and size line one line at a time, then the whole body split once, each token
@@ -234,7 +235,14 @@ def _save_matrix_market(A: DesignMatrix, path):
 # CSV
 
 
-def _numbered_lines(text):
+def _numbered_lines(path, raw):
+    """The nonblank stripped lines of the bytes ``raw``, numbered from 1."""
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # "x" stands in for the bad byte: after a line break it opens a new line.
+        head = raw[:exc.start].decode("ascii") + "x"
+        _fail(path, len(head.splitlines()), f"non-ASCII byte 0x{raw[exc.start]:02x}")
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)]
     return [(no, ln) for no, ln in lines if ln]
 
@@ -252,9 +260,8 @@ def load_matrix(path) -> DesignMatrix:
             A = _bulk_matrix_market(path, raw)
         except (ValueError, OverflowError):
             A = None  # the per-line reader decides, and words the error
-        return A if A is not None else _parse_matrix_market(
-            path, _numbered_lines(raw.decode("ascii")))
-    lines = _numbered_lines(raw.decode("ascii"))
+        return A if A is not None else _parse_matrix_market(path, _numbered_lines(path, raw))
+    lines = _numbered_lines(path, raw)
     del raw
     if not lines:
         raise ValueError(f"{path}:1: empty file")
@@ -280,7 +287,7 @@ def save_matrix(A: DesignMatrix, path):
 
 def load_vector(path) -> np.ndarray:
     """Read a vector from CSV: one value per line, or a single CSV line."""
-    lines = _numbered_lines(Path(path).read_text(encoding="ascii"))
+    lines = _numbered_lines(path, Path(path).read_bytes())
     if not lines:
         raise ValueError(f"{path}:1: empty file")
     if len(lines) == 1 and "," in lines[0][1]:
@@ -310,7 +317,7 @@ def save_trace_csv(trace: ConvergenceTrace, path):
 
 def load_trace_csv(path) -> ConvergenceTrace:
     """Read a convergence trace written by :func:`save_trace_csv`."""
-    lines = _numbered_lines(Path(path).read_text(encoding="ascii"))
+    lines = _numbered_lines(path, Path(path).read_bytes())
     if not lines or lines[0][1] != "iteration,rel_error":
         raise ValueError(f"{path}:1: missing 'iteration,rel_error' header")
     records = []

@@ -41,8 +41,7 @@ class SvdFactors:
 
     def top_index(self, lam: float) -> int:
         """Number of singular values whose square is at least ``lam``."""
-        if lam <= 0:
-            raise ValueError(f"lambda must be positive, got {lam}")
+        _check_lam(lam)
         return int(np.sum(self.singular_values ** 2 >= lam))
 
     def reconstruct(self) -> np.ndarray:

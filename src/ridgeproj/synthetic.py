@@ -78,8 +78,8 @@ def gen_synthetic(n: int, d: int, top_rank: int, gamma: float, seed: int,
         raise ValueError(f"top_rank must lie strictly between 0 and min(n, d)={min(n, d)}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if noise_scale < 0.0:
-        raise ValueError("noise_scale must be nonnegative")
+    if not 0.0 <= noise_scale < np.inf:
+        raise ValueError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
 
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(5)]
     rng_u, rng_v, rng_spec, rng_x, rng_noise = streams

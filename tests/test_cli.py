@@ -151,6 +151,22 @@ class TestExitCodes:
                     "--gamma", "0.1", "--eps", "1e-3",
                     "--out", str(tmp_path / "o.csv")]) == 1
 
+    def test_non_ascii_matrix_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"
+                         b"2 2 1\n1 1 2.5\xc2\xb5\n")
+        assert run(["project", "--matrix", str(path), "--vector", str(tmp_path / "y.csv"),
+                    "--lambda", "0.5", "--gamma", "0.1", "--eps", "1e-3",
+                    "--out", str(tmp_path / "o.csv")]) == 1
+        assert f"{path}:3: non-ASCII byte 0xc2" in capsys.readouterr().err
+
+    def test_nan_noise_exit_1(self, tmp_path, capsys):
+        prefix = tmp_path / "p"
+        assert run(["synth", "--n", "20", "--d", "12", "--rank", "4", "--gamma", "0.3",
+                    "--seed", "0", "--noise", "nan", "--out-prefix", str(prefix)]) == 1
+        assert "noise_scale" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_numerical_failure_exit_2(self, monkeypatch, tmp_path):
         def boom(args):
             raise ConvergenceFailure("forced", diagnostic=1.0)

@@ -127,6 +127,20 @@ class TestCsv:
         with pytest.raises(ValueError, match=":2:"):
             load_matrix(str(path))
 
+    @pytest.mark.parametrize("load, data, needle", [
+        (load_matrix, b"1,2\n\n3,4\xc3\xa9\n", r":3: non-ASCII byte 0xc3$"),
+        (load_matrix, b"1,2\r\xe9,3\n", r":2: non-ASCII byte 0xe9$"),
+        (load_vector, b"1\n\xff\n", r":2: non-ASCII byte 0xff$"),
+        (load_trace_csv, b"iteration,rel_error\n0,1\n1,0.5\xc2\xb5\n",
+         r":3: non-ASCII byte 0xc2$"),
+    ])
+    def test_non_ascii_byte_reports_path_and_line(self, tmp_path, load, data, needle):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=needle) as exc:
+            load(str(path))
+        assert str(exc.value).startswith(f"{path}:")
+
     def test_vector_rejects_matrix(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,4\n")
@@ -155,7 +169,7 @@ class TestTraceCsv:
 # The bulk MatrixMarket pass against the per-line reader it falls back to.
 
 def _per_line(path):
-    return fileio._parse_matrix_market(path, fileio._numbered_lines(path.read_text("ascii")))
+    return fileio._parse_matrix_market(path, fileio._numbered_lines(path, path.read_bytes()))
 
 
 def _bulk(path):
@@ -241,7 +255,7 @@ class TestBulkMatrixMarket:
         ("index-out-of-range", r":2402: index \(61, 1\) outside 60x50$"),
         ("nan-value", r"^matrix contains non-finite entries$"),
         ("entry-count", r":2: expected 3001 entries, found 3000$"),
-        ("non-ascii", r"'ascii' codec can't decode byte 0xc3"),
+        ("non-ascii", r":2402: non-ASCII byte 0xc3$"),
     ])
     def test_fallback_raises_per_line_error(self, tmp_path, case, needle):
         lines = self._large_coordinate()

@@ -64,7 +64,7 @@ def test_trace(tmp_path):
     (["--kind", "bound", "--k", "2", "--grid", "3"],
      "x,bound\n-1,0.095696496510410928\n0,inf\n1,0.095696496510410928\n"),
     (["--kind", "chebyshev", "--alpha", "0.5", "--eps", "0.2", "--grid", "3"],
-     "x,q\n-1,-0.99999999999999112\n0,0\n1,0.99999999999999112\n"),
+     "x,q\n-1,-0.99999999999999034\n0,0\n1,0.99999999999999034\n"),
 ])
 def test_poly_tables(tmp_path, args, expected):
     assert written(tmp_path, "poly.csv", lambda p: main(["poly", *args, "--out", p])) == expected

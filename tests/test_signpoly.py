@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as cheb
 
 from ridgeproj import (
     CompressedPoly,
@@ -36,6 +37,34 @@ def p_k_direct_grid(xs, k):
     factors = np.concatenate([[1.0], np.cumprod((2 * i[1:] - 1) / (2 * i[1:]))])
     powers = np.power.outer(1.0 - xs * xs, i)
     return xs * (powers @ factors)
+
+
+def cheb_power_referee(s, d):
+    """Exact Chebyshev coefficients of x^s through degree d, trailing zeros trimmed.
+
+    ``binom(s, (s-j)/2) / 2^(s-1)`` for j of the parity of s, halved at j = 0;
+    each is one correctly rounded quotient of Python integers.
+    """
+    coef = np.zeros(min(s, d) + 1)
+    for j in range(s % 2, min(s, d) + 1, 2):
+        coef[j] = math.comb(s, (s - j) // 2) / 2 ** (s if j == 0 else s - 1)
+    return np.trim_zeros(coef, "b")
+
+
+def per_term_sign_poly(alpha, eps, degree):
+    """``x * sum_i w_i trunc_m((1 - x^2)^i)`` interpolated at ``degree = 2m + 1``."""
+    k = sign_poly_degree(alpha, eps / 2.0).k
+    j = np.arange(1, k + 1)
+    weights = np.concatenate([[1.0], np.cumprod((2 * j - 1) / (2 * j))])
+    terms = [cheb_power_referee(i, (degree - 1) // 2) for i in range(k + 1)]
+
+    def evaluate(x):
+        y = 1.0 - x * x
+        return x * sum(w * cheb.chebval(y, t) for w, t in zip(weights, terms))
+
+    coef = cheb.chebinterpolate(evaluate, degree)
+    coef[::2] = 0.0
+    return coef
 
 
 class TestPkEval:
@@ -197,6 +226,15 @@ class TestChebyshevMonomial:
             err = np.abs(poly(xs) - xs ** s).max()
             assert err <= 2 * math.exp(-d * d / (2.0 * s)) + 1e-10
 
+    def test_matches_binomial_referee(self):
+        for s in range(1, 65):
+            for d in range(1, 65):
+                got = chebyshev_monomial_approx(s, d).coefficients
+                ref = cheb_power_referee(s, d)
+                assert got.shape == ref.shape, (s, d)
+                assert np.array_equal(got == 0.0, ref == 0.0), (s, d)
+                assert np.abs(got - ref).max() <= 1e-16, (s, d)
+
     def test_parity_structure(self):
         poly = chebyshev_monomial_approx(7, 5)
         assert np.all(poly.coefficients[::2] == 0.0)
@@ -213,6 +251,22 @@ class TestCompressedSignPoly:
         poly = compressed_sign_poly(alpha, eps)
         k = math.ceil(alpha ** -2 * math.log(2.0 / eps))
         assert poly.degree < 2 * k + 1
+        xs = np.linspace(-1, 1, 10001)
+        keep = np.abs(xs) >= alpha
+        assert np.abs(np.sign(xs[keep]) - poly(xs[keep])).max() <= eps
+
+    @pytest.mark.parametrize("alpha, eps, degree", [(0.5, 0.2, 21), (0.3, 0.2, 37),
+                                                    (0.25, 0.1, 53)])
+    def test_matches_per_term_construction(self, alpha, eps, degree):
+        poly = compressed_sign_poly(alpha, eps)
+        assert poly.degree == degree
+        ref = per_term_sign_poly(alpha, eps, poly.degree)
+        assert np.abs(poly.coefficients - ref).max() <= 1e-14
+
+    def test_small_margin_high_accuracy(self):
+        alpha, eps = 0.05, 1e-4
+        poly = compressed_sign_poly(alpha, eps)
+        assert poly.degree == 761
         xs = np.linspace(-1, 1, 10001)
         keep = np.abs(xs) >= alpha
         assert np.abs(np.sign(xs[keep]) - poly(xs[keep])).max() <= eps

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,9 @@ class TestExactProjection:
         _, F = seeded_factors
         with pytest.raises(ValueError, match="positive"):
             exact_projection(F, 0.0, np.zeros(30))
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                F.top_index(lam)
 
 
 class TestExactPcr:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,6 @@ class TestGenSynthetic:
             gen_synthetic(10, 8, 3, 1.5, seed=0)
         with pytest.raises(ValueError):
             gen_synthetic(10, 8, 3, 0.1, seed=0, noise_scale=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise_scale"):
+                gen_synthetic(10, 8, 3, 0.1, seed=0, noise_scale=bad)
