@@ -28,7 +28,7 @@ class ConvergenceTrace:
                 raise ValueError("trace must start at iteration 0")
             if it <= prev:
                 raise ValueError("trace iterations must be strictly increasing")
-            if err < 0:
+            if not err >= 0:  # NaN too
                 raise ValueError("relative errors must be nonnegative")
             prev = it
 

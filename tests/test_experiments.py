@@ -28,6 +28,8 @@ class TestTraceType:
             ConvergenceTrace(records=[(0, 0.5), (0, 0.2)])
         with pytest.raises(ValueError, match="nonnegative"):
             ConvergenceTrace(records=[(0, -0.5)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            ConvergenceTrace(records=[(0, 1.0), (1, float("nan"))])
         trace = ConvergenceTrace(records=[(0, 1.0), (1, 0.5)], algorithm="projection")
         assert trace.final_error() == 0.5
 

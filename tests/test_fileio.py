@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -164,6 +166,12 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="header"):
             load_trace_csv(str(path))
 
+    def test_nan_error_refused(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("iteration,rel_error\n0,nan\n")
+        with pytest.raises(ValueError, match="nonnegative"):
+            load_trace_csv(str(path))
+
 
 # ---------------------------------------------------------------------------
 # The bulk MatrixMarket pass against the per-line reader it falls back to.
@@ -240,12 +248,70 @@ class TestBulkMatrixMarket:
         _assert_identical(load_matrix(path), ref)
 
     @staticmethod
-    def _large_coordinate():
+    def _large_coordinate(field="real"):
         """Lines of a 60x50 file with 3000 entries; entry k sits on line k + 2."""
         rng = np.random.default_rng(11)
-        rows = [f"{rng.integers(1, 61)} {rng.integers(1, 51)} {rng.standard_normal()!r}"
-                for _ in range(3000)]
-        return ["%%MatrixMarket matrix coordinate real general", "60 50 3000", *rows]
+        value = {"real": lambda: repr(rng.standard_normal()),
+                 "integer": lambda: str(rng.integers(-99, 100))}[field]
+        rows = [f"{rng.integers(1, 61)} {rng.integers(1, 51)} {value()}" for _ in range(3000)]
+        return [f"%%MatrixMarket matrix coordinate {field} general", "60 50 3000", *rows]
+
+    def test_well_formed_file_reads_through_mmread_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "large.mtx"
+        path.write_text("\n".join(self._large_coordinate()) + "\n")
+        calls = []
+        mmread = scipy.io.mmread
+        monkeypatch.setattr(scipy.io, "mmread", lambda source: calls.append(source) or mmread(source))
+        _assert_identical(load_matrix(path), _per_line(path))
+        assert len(calls) == 1
+
+    # Tokens that scipy.io.mmread would read as a prefix, refuses, or reads
+    # to another value than int / float, among ones it reads whole.
+    @pytest.mark.parametrize("field, line", [
+        ("real", "1 1 1-2"), ("real", "1 1 1e"), ("real", "1 1 1..2"), ("real", "1 1 1e+"),
+        ("real", "1 1 0x1p0"), ("real", "1 1 1_0"), ("real", "1 1 +.5"), ("real", "+1 1 2.5"),
+        ("integer", "1 1 3.5"), ("real", "1 1 2.5 7"), ("real", "99999999999999999999 1 2.5"),
+        ("real", "1 1 1e999"), ("real", "-1 1 2.5"), ("real", "1 -0 2.5"), ("real", "1 1 1e5.3"),
+        ("real", "1 1 .e5"), ("real", "1 1 1e-.5"), ("real", "1 1.0 2.5"), ("real", "1 1 2.5 x"),
+        ("real", "1 1 1.e5"), ("real", "1 1 -.5E+3"), ("integer", "1 1 99999999999999999999"),
+    ])
+    def test_token_reads_as_per_line(self, tmp_path, field, line):
+        lines = self._large_coordinate(field)
+        lines[2401] = line
+        path = tmp_path / "token.mtx"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            ref = _per_line(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as loaded:
+                load_matrix(path)
+            assert type(loaded.value) is type(exc) and str(loaded.value) == str(exc)
+            return
+        _assert_identical(load_matrix(path), ref)
+
+    # Rules that mmread also enforces, by refusing the file, are checked here
+    # on the gate alone.
+    @pytest.mark.parametrize("body, count, ok", [
+        pytest.param("\n +1\t02 -.5E+3 \n\n1 1 1.\r\n\n", 2, True, id="well-formed"),
+        pytest.param("\n1 1 1 2 2 2\n\n", 2, False, id="two-entries-on-one-line"),
+        pytest.param("\n1 1\n2 2 2 2\n", 2, False, id="two-fields-then-four"),
+        pytest.param("\n1 1 1\n2 2 2\n", 1, False, id="more-entries-than-nnz"),
+        pytest.param("\n1 1 .\n", 1, False, id="point-without-digit"),
+        pytest.param("\n1 1 +\n", 1, False, id="bare-sign"),
+        pytest.param("\n x\n", 0, False, id="byte-no-token-holds"),
+    ])
+    def test_strict_body(self, body, count, ok):
+        assert fileio._strict_coordinate_body(body.encode("ascii"), count) is ok
+
+    def test_strict_body_token_grammar(self):
+        """Every token of up to five bytes from a small alphabet, as index and as value."""
+        value = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+        index = re.compile(r"[+-]?\d+")
+        for size in range(1, 6):
+            for token in map("".join, product("1+-.ex", repeat=size)):
+                for line, grammar in ((f"1 1 {token}", value), (f"1 {token} 1", index)):
+                    got = fileio._strict_coordinate_body(f"\n{line}\n".encode("ascii"), 1)
+                    assert got is bool(grammar.fullmatch(token)), line
 
     @pytest.mark.parametrize("case, needle", [
         ("two-fields", r":2402: coordinate entry must be 'row col value'$"),
