@@ -11,27 +11,29 @@ Every writer is one ``numpy.savetxt`` call through :func:`_write_table`.
 :func:`load_matrix` reads a file once; one regular expression on its bytes
 finds the ``%%MatrixMarket`` banner after ASCII whitespace (the set
 ``str.strip`` removes).  Parse errors report the offending line number; so
-does a non-ASCII byte, since every reader takes ASCII only.
+does a non-ASCII byte, since every reader takes ASCII only, and so does a
+``_`` in a number, which ``int`` and ``float`` read as a digit separator.
 
 Matrix Market files are read in one bulk pass: the banner, leading comments
 and size line one line at a time, then the body at once.  A coordinate body
-goes to the compiled reader of ``scipy.io.mmread`` (scipy 1.12 on) behind a
-token-grammar gate, run by numpy on a byte-class array: one row-col-value
-triple per line, indices that match ``[+-]?\d+`` and values that match
-``[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?``.  The gate is needed because
-that reader keeps the valid prefix of any other token and drops the rest
-(``1-2``, ``1e`` and ``1_0`` read as 1, ``0x1p0`` as 0, and a fourth field
-vanishes), where ``int`` / ``float`` either refuse the token or read
-another value.  On the tokens the gate passes, the reader and ``float``
-give the same double.  The reader refuses a leading ``+``, so every ``+``
-is deleted first; the gate allows one only where deleting it keeps the
-value.  An array body is split and converted by ``float`` as the per-line
-reader does, since the compiled reader refuses a line with more than one
-value.  A file that fails a check, or raises anywhere in the bulk pass, is
-parsed again by the per-line reader; that reader is the only place errors
-come from, so messages and line numbers do not depend on which pass ran.
-The gate keeps its per-byte temporaries to one byte each: the traced peak
-of a load is 8.0 MB, against 15.4 MB for the per-line reader, on a 1.55 MB,
+goes to the compiled reader of ``scipy.io.mmread`` (scipy 1.12 on) if it
+passes a gate that is one regular expression: a row-col-value triple per
+line, indices that match ``[+-]?\d+``, values that match
+``[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?``, space and tab between them and
+LF or CRLF line ends.  That reader keeps the valid prefix of any other
+token and drops the rest (``1-2``, ``1e`` and ``1_0`` read as 1, ``0x1p0``
+as 0, and a fourth field vanishes); on the tokens the gate passes, it and
+``float`` give the same double.  The gate admits no other byte, so for a
+coordinate file the printable-ASCII and CR checks cover the header only,
+and the body is matched in place.  The reader refuses a leading ``+``, so
+every ``+`` is deleted first; the gate allows one only where deleting it
+keeps the value.  An array body is split and converted by ``float`` as the
+per-line reader does, since the compiled reader refuses a line with more
+than one value.  A file that fails a check, or raises anywhere in the bulk
+pass, is parsed again by the per-line reader; that reader is the only place
+errors come from, so messages and line numbers do not depend on which pass
+ran.  The traced peak of a load is 8.3 MB, 6.7 MB of it the matcher's
+backtrack stack, against 15.4 MB for the per-line reader, on a 1.55 MB,
 50,000-entry file.
 """
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import io
 import re
-from itertools import islice, product
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +73,16 @@ def _fail(path, lineno, message):
     raise ValueError(f"{path}:{lineno}: {message}")
 
 
+def _number(kind, token):
+    """``kind(token)``, refusing the ``_`` digit separator that only Python reads."""
+    if "_" in token:
+        raise ValueError(f"digit separator in {token!r}")
+    return kind(token)
+
+
 def _parse_floats(path, lineno, fields):
     try:
-        return [float(f) for f in fields]
+        return [_number(float, f) for f in fields]
     except ValueError:
         _fail(path, lineno, f"could not parse number in {fields!r}")
 
@@ -112,7 +121,10 @@ def _mm_sizes(path, no, size_line, layout):
             _fail(path, no, "coordinate size line must be 'rows cols nnz'")
     elif len(sizes) != 2:
         _fail(path, no, "array size line must be 'rows cols'")
-    return [int(tok) for tok in sizes]
+    sizes = [int(tok) for tok in sizes]
+    if "_" in size_line or min(sizes) < 0:
+        _fail(path, no, f"sizes must be nonnegative integers, got {size_line!r}")
+    return sizes
 
 
 def _csr_from_coo(n, d, rows, cols, vals):
@@ -145,7 +157,7 @@ def _parse_matrix_market(path, lines):
             if len(fields) != 3:
                 _fail(path, no, "coordinate entry must be 'row col value'")
             try:
-                i, j = int(fields[0]), int(fields[1])
+                i, j = _number(int, fields[0]), _number(int, fields[1])
             except ValueError:
                 _fail(path, no, f"bad indices in {ln!r}")
             v = _parse_floats(path, no, fields[2:])[0]
@@ -165,71 +177,24 @@ def _parse_matrix_market(path, lines):
     return DesignMatrix.from_dense(dense)
 
 
-# Byte classes of a coordinate body.  Every trigram of classes is checked
-# against one table, which holds a trigram exactly when it can occur in
-# whitespace-separated tokens [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?, given
-# what may follow each class.  LF has the top class a passing body holds, so
-# that a span's largest class shows whether it holds a line end.
-_WS, _DIGIT, _SIGN, _DOT, _EXP, _LF, _OTHER = range(7)
-_CLASS = bytes(
-    _LF if ch == ord("\n") else _WS if ch in b" \t\r" else _DIGIT if ch in b"0123456789"
-    else _SIGN if ch in b"+-" else _DOT if ch == ord(".") else _EXP if ch in b"eE" else _OTHER
-    for ch in range(256)
-)
-_FOLLOWS = {_WS: (_WS, _LF, _DIGIT, _SIGN, _DOT), _DIGIT: (_WS, _LF, _DIGIT, _DOT, _EXP),
-            _SIGN: (_DIGIT, _DOT), _DOT: (_WS, _LF, _DIGIT, _EXP), _EXP: (_DIGIT, _SIGN)}
-_FOLLOWS[_LF] = _FOLLOWS[_WS]
-_GOOD_TRIGRAMS = bytes(
-    (a * 6 + b) * 6 + c for a, b, c in product(range(6), repeat=3)
-    if b in _FOLLOWS[a] and c in _FOLLOWS[b]
-    and (b != _DOT or _DIGIT in (a, c))  # a point has a digit beside it
-)
-# Maps points and exponents to their classes, and whitespace to _WS.
-_MARKS = _CLASS.replace(bytes((_LF,)), bytes((_WS,)))
+# The lines of a coordinate body after the size line: ``row col value``
+# triples, and blank lines.  Possessive quantifiers keep every token and
+# blank run from backtracking.
+_BLANKS = rb"(?:[ \t]*+\r?+\n)*+"
+_ENTRY = (rb"[ \t]*+[+-]?+\d++[ \t]++[+-]?+\d++[ \t]++"
+          rb"[+-]?+(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?+\d++)?+[ \t]*+\r?+\n")
 
 
 def _strict_coordinate_body(body, count):
     r"""Whether ``body`` holds ``count`` lines of ``row col value``, and blank lines.
 
-    ``body`` must open and close with LF.  Each row and column must match
-    ``[+-]?\d+`` and each value ``[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?``:
-    the tokens that ``scipy.io.mmread`` reads whole, to the value ``int`` /
-    ``float`` gives.  It reads a valid prefix of any other token and drops
-    the rest; a negative index it refuses as out of range.  Allocates
-    one-byte arrays per byte and int64 offsets per field only: an int64
-    array per byte would take eight times the file.
+    ``body`` must open and close with LF.  Indices must match ``[+-]?\d+``
+    (``scipy.io.mmread`` refuses a negative one as out of range) and values
+    ``[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?``.  A count of 2**32 or more
+    raises ``OverflowError``.
     """
-    classes = body.translate(_CLASS)
-    c = np.frombuffer(classes, dtype=np.uint8)
-    if c.max() > _LF:
-        return False  # a byte no token holds; the rest keep trigram codes below 216
-    trigrams = bytearray(c.size - 2)  # codes in a buffer that translate reads in place
-    code = np.frombuffer(trigrams, dtype=np.uint8)
-    np.multiply(c[:-2], 6, out=code)
-    code += c[1:-1]
-    code *= 6
-    code += c[2:]
-    if trigrams.translate(None, _GOOD_TRIGRAMS):
-        return False
-    del code, trigrams
-    # At most one point and one exponent per token, the point first.  With
-    # digits and signs deleted, two marks meet only inside a token.
-    marks = np.frombuffer(body.translate(_MARKS, b"0123456789+-"), dtype=np.uint8)
-    if np.any((marks[1:] != _WS) & (marks[:-1] >= marks[1:])):
-        return False
-    word = (c - 1) < _LF - 1  # digit, sign, point, exponent
-    starts = word[1:] > word[:-1]
-    del word
-    fields = np.flatnonzero(starts)
-    del starts
-    if fields.size != 3 * count:
-        return False
-    # From each line's first field to its value, no LF and nothing but
-    # digits and signs; from its value to the next line's first field, an LF.
-    bounds = fields.reshape(-1, 3)[:, ::2].ravel()
-    bounds += 1
-    top = np.maximum.reduceat(c, bounds)
-    return bool(np.all(top[0::2] <= _SIGN) and np.all(top[1::2] == _LF))
+    pattern = b"\n%s(?:%s%s){%d}" % (_BLANKS, _ENTRY, _BLANKS, count)
+    return re.fullmatch(pattern, body) is not None
 
 
 def _bulk_matrix_market(path, raw):
@@ -241,9 +206,8 @@ def _bulk_matrix_market(path, raw):
     the identical matrix.  The caller discards any error raised here and
     parses the file again with the per-line reader.
     """
-    if raw.translate(None, _BULK_BYTES) or (
-            b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
-        return None
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
     head, pos, no = [], 0, 0
     while len(head) < 2:  # banner, then size line, past blanks and comments
         end = raw.index(b"\n", pos) + 1
@@ -252,12 +216,18 @@ def _bulk_matrix_market(path, raw):
         pos = end
         if line and not (head and line.startswith("%")):
             head.append((no, line))
-    if raw.find(b"%", pos) >= 0:
-        return None  # a comment inside the body
     layout = _mm_layout(path, *head[0])
     sizes = _mm_sizes(path, *head[1], layout)
+    # The gate admits no byte that these checks refuse, so for a coordinate
+    # file they need only cover the header.
+    checked = raw if layout == "array" else raw[:pos]
+    if checked.translate(None, _BULK_BYTES) or (
+            b"\r" in checked and checked.count(b"\r") != checked.count(b"\r\n")):
+        return None
 
     if layout == "array":
+        if raw.find(b"%", pos) >= 0 or raw.find(b"_", pos) >= 0:
+            return None  # a comment, or a digit separator float would read
         n, d = sizes
         tokens = raw.split()
         first = len(raw[:pos].split())
@@ -267,7 +237,7 @@ def _bulk_matrix_market(path, raw):
         return DesignMatrix.from_dense(dense.reshape((d, n)).T)  # column-major
 
     n, d, nnz = sizes
-    body = raw[pos - 1:] + b"\n"  # from the size line's LF, closed by one more
+    body = memoryview(raw)[pos - 1:]  # from the size line's LF
     if not _strict_coordinate_body(body, nnz):
         return None
     # mmread refuses a leading '+', and a '+' that passed the grammar only
@@ -275,7 +245,7 @@ def _bulk_matrix_market(path, raw):
     # whatever the field, as the per-line reader takes every value through
     # float.
     header = b"%%%%MatrixMarket matrix coordinate real general\n%d %d %d" % (n, d, nnz)
-    coo = scipy.io.mmread(io.BytesIO(header + body.replace(b"+", b"")))
+    coo = scipy.io.mmread(io.BytesIO(b"".join((header, body)).replace(b"+", b"")))
     return _csr_from_coo(n, d, coo.row, coo.col, coo.data)
 
 
@@ -386,7 +356,7 @@ def load_trace_csv(path) -> ConvergenceTrace:
         if len(fields) != 2:
             _fail(path, no, "expected 'iteration,rel_error'")
         try:
-            it = int(fields[0])
+            it = _number(int, fields[0])
         except ValueError:
             _fail(path, no, f"bad iteration index {fields[0]!r}")
         records.append((it, _parse_floats(path, no, fields[1:])[0]))

@@ -94,6 +94,18 @@ class TestMatrixMarket:
         )
         assert np.array_equal(load_matrix(str(path)).toarray(), [[1.0, 3.0], [2.0, 4.0]])
 
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix coordinate real general\n-5 5 0\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
+        "%%MatrixMarket matrix array real general\n-2 -3\n1\n2\n3\n4\n5\n6\n",
+    ], ids=["rows", "entries", "array"])
+    def test_negative_size_refused(self, tmp_path, text):
+        path = tmp_path / "neg.mtx"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r":2: sizes must be nonnegative integers") as exc:
+            load_matrix(str(path))
+        assert str(exc.value).startswith(f"{path}:")
+
 
 class TestCsv:
     def test_matrix_roundtrip(self, tmp_path):
@@ -171,6 +183,29 @@ class TestTraceCsv:
         path.write_text("iteration,rel_error\n0,nan\n")
         with pytest.raises(ValueError, match="nonnegative"):
             load_trace_csv(str(path))
+
+
+# int and float read "1_0" as 10; no number in these formats holds a "_".
+@pytest.mark.parametrize("load, text, needle", [
+    (load_matrix, "1,2\n3,1_0\n", r":2: could not parse number in \['3', '1_0'\]$"),
+    (load_vector, "1\n1_0\n", r":2: could not parse number in \['1_0'\]$"),
+    (load_trace_csv, "iteration,rel_error\n0,1\n1_0,0.5\n",
+     r":3: bad iteration index '1_0'$"),
+    (load_matrix, "%%MatrixMarket matrix coordinate real general\n20 2 1\n1_0 1 1\n",
+     r":3: bad indices in '1_0 1 1'$"),
+    (load_matrix, "%%MatrixMarket matrix coordinate real general\n20 2 1\n1 1 1_0\n",
+     r":3: could not parse number in \['1_0'\]$"),
+    (load_matrix, "%%MatrixMarket matrix array real general\n2 1\n1_0\n2\n",
+     r":3: could not parse number in \['1_0'\]$"),
+    (load_matrix, "%%MatrixMarket matrix coordinate real general\n1_0 2 0\n",
+     r":2: sizes must be nonnegative integers, got '1_0 2 0'$"),
+], ids=["csv-matrix", "vector", "trace", "mtx-index", "mtx-value", "mtx-array", "mtx-size"])
+def test_digit_separator_refused(tmp_path, load, text, needle):
+    path = tmp_path / "data"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=needle) as exc:
+        load(str(path))
+    assert str(exc.value).startswith(f"{path}:")
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +331,13 @@ class TestBulkMatrixMarket:
         pytest.param("\n1 1 1 2 2 2\n\n", 2, False, id="two-entries-on-one-line"),
         pytest.param("\n1 1\n2 2 2 2\n", 2, False, id="two-fields-then-four"),
         pytest.param("\n1 1 1\n2 2 2\n", 1, False, id="more-entries-than-nnz"),
+        pytest.param("\n1 1 1\n", 2, False, id="fewer-entries-than-nnz"),
         pytest.param("\n1 1 .\n", 1, False, id="point-without-digit"),
         pytest.param("\n1 1 +\n", 1, False, id="bare-sign"),
         pytest.param("\n x\n", 0, False, id="byte-no-token-holds"),
+        pytest.param("\n1 1\r1\n", 1, False, id="lone-cr"),
+        pytest.param("\n1\r1 1\n", 1, False, id="lone-cr-after-row"),
+        pytest.param("\n1 1 1\n% c\n", 1, False, id="comment"),
     ])
     def test_strict_body(self, body, count, ok):
         assert fileio._strict_coordinate_body(body.encode("ascii"), count) is ok
@@ -312,6 +351,42 @@ class TestBulkMatrixMarket:
                 for line, grammar in ((f"1 1 {token}", value), (f"1 {token} 1", index)):
                     got = fileio._strict_coordinate_body(f"\n{line}\n".encode("ascii"), 1)
                     assert got is bool(grammar.fullmatch(token)), line
+
+    # Checks the gate's grammar makes on the body, and the byte checks on
+    # the header: each file reads as the per-line reader reads it.
+    @pytest.mark.parametrize("case", ["lone-cr", "blank-x0b", "blank-x0c", "blank-x1c",
+                                      "non-ascii-comment", "comment-x0b", "comment-cr",
+                                      "no-final-lf", "count-2**32"])
+    def test_grammar_checks_read_as_per_line(self, tmp_path, case):
+        needle = {"non-ascii-comment": r":2: non-ASCII byte 0xc3$",
+                  "comment-x0b": r":3: coordinate size line must be 'rows cols nnz'$",
+                  "comment-cr": r":3: coordinate size line must be 'rows cols nnz'$",
+                  "count-2**32": r":2: expected 4294967296 entries, found 3$"}.get(case)
+        lines = self._large_coordinate()
+        if case == "lone-cr":
+            lines[1] = "60 50 3001"
+            lines[2401] = "1 1 1\r2 2 2"
+        elif case.startswith("blank-"):
+            lines.insert(1500, f" {chr(int(case[-2:], 16))} ")
+        elif case == "non-ascii-comment":
+            lines.insert(1, "% café")
+        elif case.startswith("comment-"):  # a line break only the per-line reader sees
+            lines.insert(1, {"comment-x0b": "% a\x0bb", "comment-cr": "% a\rb"}[case])
+        elif case == "count-2**32":
+            lines[1:] = ["60 50 4294967296", *lines[2:5]]
+        text = "\n".join(lines) + ("" if case == "no-final-lf" else "\n")
+        path = tmp_path / "case.mtx"
+        path.write_bytes(text.encode("utf-8"))
+        if needle is None:
+            _assert_identical(load_matrix(path), _per_line(path))
+            assert case != "no-final-lf" or _bulk(path) is not None
+            return
+        with pytest.raises(ValueError, match=needle) as per_line:
+            _per_line(path)
+        with pytest.raises(ValueError) as loaded:
+            load_matrix(path)
+        assert type(loaded.value) is type(per_line.value)
+        assert str(loaded.value) == str(per_line.value)
 
     @pytest.mark.parametrize("case, needle", [
         ("two-fields", r":2402: coordinate entry must be 'row col value'$"),
