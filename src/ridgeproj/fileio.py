@@ -121,8 +121,11 @@ def _mm_sizes(path, no, size_line, layout):
             _fail(path, no, "coordinate size line must be 'rows cols nnz'")
     elif len(sizes) != 2:
         _fail(path, no, "array size line must be 'rows cols'")
-    sizes = [int(tok) for tok in sizes]
-    if "_" in size_line or min(sizes) < 0:
+    try:
+        sizes = [_number(int, tok) for tok in sizes]
+    except ValueError:  # not an integer, or one with a digit separator
+        sizes = None
+    if sizes is None or min(sizes) < 0:
         _fail(path, no, f"sizes must be nonnegative integers, got {size_line!r}")
     return sizes
 

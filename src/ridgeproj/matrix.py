@@ -2,16 +2,17 @@
 
 A :class:`DesignMatrix` holds the data matrix with rows as samples, either
 dense (row-major) or in compressed-sparse-row form.  Everything downstream
-touches the matrix only through products ``A x`` and ``A^T z``, so the
-covariance matrix ``A^T A`` is never formed.
+touches the matrix through products ``A x`` and ``A^T z``, with one
+exception: the d-by-d ridge matrix ``R^T R + lambda I`` is formed only to be
+Cholesky-factored, and only for projection on dense inputs with n >= 10 d
+(see :mod:`ridgeproj.ridge`).  No singular value or vector is computed.
 
 Gram products ``A^T (A x)`` -- every product inside a ridge solve or a
 Lanczos step -- run on the gram factor: for a dense matrix with
 more rows than columns that is the d-by-d triangular factor R of
 ``A = QR``, built once on construction, with ``R^T R = A^T A`` and d^2
 instead of n*d entries; otherwise it is the matrix itself.  QR is not PCA:
-it computes no singular value or vector, and ``A^T A`` is still never
-formed.
+it computes no singular value or vector.
 
 Dense arrays are stored starting on a 64-byte (cache-line) boundary:
 numpy promises only 16 bytes, and a cache-resident factor that starts

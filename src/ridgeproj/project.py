@@ -16,8 +16,9 @@ attenuated by a monotone soft step between 0 and 1 (partial projection),
 which is the documented behavior rather than a detectable failure.
 
 The paper's failure probability delta has no counterpart here: the inner
-solver is deterministic conjugate gradient, which meets its tolerance or
-raises.
+solvers are deterministic, conjugate gradient meeting its tolerance or
+raising, and a Cholesky solve on tall dense matrices (see
+:mod:`ridgeproj.ridge`).
 """
 
 from __future__ import annotations
@@ -83,10 +84,11 @@ class ProjectionConfig(_StageConfig):
         relative error of one operator application and ``eps_machine`` its
         query-level floor (see :func:`pc_proj`); a violating override is a
         configuration error, raised here rather than surfacing as silent
-        inaccuracy.  An ``eps`` below ``14 q eps_machine``, twice what the
-        floor alone can cost, is beyond the float64 resolution of q steps:
-        it is met only up to that level, like the ridge residual floor,
-        and the budget is checked against it instead.
+        inaccuracy.  ``14 q eps_machine`` is the float64 resolution level of
+        q steps, a convention rather than a proven bound on what the floor
+        costs (that bound is in :class:`~ridgeproj.stepfn.OperatorHandle`):
+        an ``eps`` below it is met only up to that level, like the ridge
+        residual floor, and the budget is checked against it instead.
         """
         stats.check_lambda(self.lam)
         if self.q_override is not None:
@@ -124,9 +126,14 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     Each of the ``2q + 1`` applications of ``B`` returns ``x`` with
     ``||x - B v||_2 <= eps_op ||v||_2 + eps_machine ||y||_2``: the ridge
     solves stop at the float64 resolution of the query instead of refining
-    recurrence increments far below it.  Together the two terms cost at
-    most ``7 q (eps_op + eps_machine) ||y||_2``, which
-    :meth:`ProjectionConfig.resolve` keeps within budget.
+    recurrence increments far below it.  The relative term costs at most
+    ``7 q eps_op ||y||_2``, which :meth:`ProjectionConfig.resolve` keeps
+    within budget.  The absolute term costs at most ``8 q (1 + min(q,
+    1/alpha^2)) eps_machine ||y||_2`` (proved at
+    :class:`~ridgeproj.stepfn.OperatorHandle`), where ``alpha = 2 gamma /
+    (1 - 2 gamma)`` when the gap window holds, so at most ``8 q (1 +
+    1/(4 gamma^2)) eps_machine ||y||_2``: about 2e-9 ``||y||_2`` at q =
+    2565 and gamma = 0.023.
 
     ``callback(k, s_k)`` (if given) receives the iterate after k outer
     iterations, k = 0..q, where iterate 0 is ``B y``.

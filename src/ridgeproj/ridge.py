@@ -1,11 +1,16 @@
 """Black-box ridge regression: solve ``(A^T A + lambda I) x = y``.
 
-One solver, used two ways: :func:`_solver` resolves the residual target
-and CG budget once per matrix, :class:`MatrixStats` (which hold lambda) and
-tolerance; :func:`ridge_solve` calls it on one right-hand side, and
-:func:`_gram_solver` on ``A^T A v`` for every projection step.
+Two solvers, picked by the shape of A.  :func:`_solver` resolves the
+residual target and CG budget once per matrix, :class:`MatrixStats` (which
+hold lambda) and tolerance; :func:`ridge_solve` calls it on one right-hand
+side.  :func:`_gram_solver` applies ``B = M^{-1} A^T A`` for every
+projection step: on a dense A with at least ``10 d`` rows it factors the
+ridge matrix once per call and makes two triangular solves per
+application; on every other A, and if that factorization fails, it runs
+:func:`_solver` on ``A^T A v``.  The 10 is a memory rule: the d-by-d
+factor then adds at most a tenth to the bytes A already holds.
 
-Plain conjugate gradient on the regularized gram operator, which is never
+Conjugate gradient runs on the regularized gram operator, which is never
 materialized: each CG step makes one gram product on the gram factor of A
 (its d-by-d QR factor R when A is tall and dense, else A itself; see
 :mod:`ridgeproj.matrix`) and seven BLAS level-1 calls from
@@ -15,6 +20,15 @@ from run to run on one machine and BLAS build; another BLAS build may
 round the fused updates differently in the last bits.  CG is
 deterministic: within ``10 * ceil(sqrt(kappa_lambda + 1) * ln(2/eps))``
 iterations it either meets its stopping rule or raises.
+
+The factored solver forms ``M = R^T R + lambda I`` (``dsyrk``) only to
+hand it to LAPACK's Cholesky factorization ``M = T^T T`` (``dpotrf``); it
+computes no singular value or vector.  Each application still makes its
+gram product ``R^T (R v)`` through the factor's ``_mv``/``_rmv``, then
+returns ``T^{-1} T^{-T}`` of it (two ``dtrsv`` calls).  A Cholesky solve is
+backward stable: its error is of order ``d * eps_machine * (kappa_lambda +
+1) * ||v||_2``, so like the CG residual floor below it limits accuracy only
+for tolerances near ``eps_machine * kappa_lambda``.
 
 Error contract.  The returned ``x`` satisfies
 
@@ -36,6 +50,8 @@ shrinking right-hand side it is applied to.  :func:`_gram_solver` therefore
 accepts the query norm ``||y||_2`` and never targets a residual below
 ``lambda * eps_machine * ||y||_2``; since ``||x - B v||_2 <= ||r||_2 /
 lambda``, that costs at most ``eps_machine * ||y||_2`` per application.
+Both solvers return +0.0 zeros for a right-hand side ``A^T A v`` whose norm
+is at most 0.9 times that floor, where CG would stop before its first step.
 """
 
 from __future__ import annotations
@@ -43,7 +59,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.blas import daxpy, ddot, dscal
+from scipy.linalg.blas import daxpy, ddot, dscal, dsyrk, dtrsv
+from scipy.linalg.lapack import dpotrf
 
 from ._float64 import _EPS
 from .exceptions import ConvergenceFailure
@@ -55,6 +72,10 @@ __all__ = ["ridge_solve", "RESIDUAL_FLOOR_MULT"]
 # Multiplier on eps_machine * (kappa_lambda + 1) below which residual
 # targets are clamped; about 64x the attainable CG residual.
 RESIDUAL_FLOOR_MULT = 64.0
+
+# Dense matrices with at least this many rows per column get the factored
+# projection solver; its d-by-d factor is then at most a tenth of A's bytes.
+_FACTOR_ROWS_PER_COL = 10
 
 
 def _cg(A: DesignMatrix, lam, y, resid_target, max_iters):
@@ -142,16 +163,43 @@ def ridge_solve(A: DesignMatrix, eps: float, y, stats: MatrixStats) -> np.ndarra
     return solve(_as_finite_1d(y, A.n_cols, what="right-hand side"))
 
 
+def _ridge_factor(R, lam):
+    """Upper triangular T with ``T^T T = R^T R + lam I``, or None if ``dpotrf`` fails."""
+    M = dsyrk(1.0, R.T)  # upper triangle of R^T R, Fortran order
+    M.flat[::R.shape[1] + 1] += lam
+    T, info = dpotrf(M, overwrite_a=1)
+    return T if info == 0 else None
+
+
 def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float, query_norm: float):
-    """Apply ``B = (A^T A + lambda I)^{-1} A^T A`` as one :func:`_solver` call per vector.
+    """Apply ``B = (A^T A + lambda I)^{-1} A^T A``, one gram product and one solve per vector.
 
     ``query_norm`` (``||y||_2`` of the vector the engine transforms) sets the
     query-level floor ``lambda * eps_machine * query_norm``: an application
     errs from ``B v`` by at most ``(sigma1 / sqrt(lambda)) * eps * ||v||_2 +
     eps_machine * query_norm``, and is exactly zero once ``A^T A v`` is
-    below the floor.  ``query_norm = 0`` gives ``ridge_solve(A, eps, A^T A v, stats)``.
+    below the floor.  The solve is two triangular solves with the Cholesky
+    factor of the ridge matrix, built here, when A is dense with
+    ``n_rows >= 10 * n_cols`` and the factorization succeeds; otherwise it
+    is one :func:`_solver` call, and ``query_norm = 0`` then gives
+    ``ridge_solve(A, eps, A^T A v, stats)``.
     """
-    solve = _solver(A, stats, eps, abs_floor=stats.lam * _EPS * query_norm)
+    floor = stats.lam * _EPS * query_norm
+    solve = _solver(A, stats, eps, abs_floor=floor)
     G = A._gram
     mv, rmv = G._mv, G._rmv
-    return lambda v: solve(rmv(mv(v)))
+    T = None
+    if A.storage == "dense" and 0 < _FACTOR_ROWS_PER_COL * A.n_cols <= A.n_rows:
+        T = _ridge_factor(G._dense, stats.lam)
+    if T is None:
+        return lambda v: solve(rmv(mv(v)))
+    stop2 = (0.9 * floor) ** 2  # CG's first stopping test, on ||A^T A v||^2
+    d = A.n_cols
+
+    def apply(v):
+        rhs = rmv(mv(v))
+        if ddot(rhs, rhs) <= stop2:
+            return np.zeros(d)
+        return dtrsv(T, dtrsv(T, rhs, trans=1, overwrite_x=1), overwrite_x=1)
+
+    return apply

@@ -20,6 +20,7 @@ from ridgeproj import (
 )
 
 N, D, TOP_RANK = 120, 80, 20
+TALL_N, TALL_D, TALL_TOP_RANK = 400, 40, 8
 PROJ_EPS = 1e-4
 PCR_EPS = 1e-3
 
@@ -106,3 +107,50 @@ def ridge_contract_worker(seed):
     rhs = float(eps * np.sqrt(np.sum(coeff ** 2 / (F.singular_values ** 2 + lam))
                               + (perp @ perp) / lam))
     return lhs, rhs
+
+
+def factored_ridge_worker(seed):
+    """One seeded dense instance with ``n >= 10 d``: ``(factored, worst ratio)``.
+
+    ``factored`` says that the projection's ridge handle Cholesky-factors the
+    ridge matrix; the ratio is the largest, over four vectors v, of its error
+    against the SVD oracle over the handle's contract
+    ``eps_op ||v|| + eps_machine ||y||``, ``eps_op = (sigma1 / sqrt(lam)) eps``.
+    """
+    from ridgeproj import DesignMatrix
+    from ridgeproj.ridge import _gram_solver, _ridge_factor
+
+    rng = np.random.default_rng([seed, 1212])
+    d = int(rng.integers(2, 41))
+    n = int(rng.integers(10 * d, 20 * d + 1))
+    arr = rng.standard_normal((n, d))
+    arr *= float(rng.uniform(0.5, 2.0)) / np.linalg.norm(arr, 2)
+    A = DesignMatrix.from_dense(arr)
+    lam = float(rng.uniform(0.05, 5.0))
+    eps = float(10 ** rng.uniform(-8, -0.5))
+    y = rng.standard_normal(d)
+    stats = matrix_stats(A, lam)
+    y_norm = float(np.linalg.norm(y))
+    apply = _gram_solver(A, stats, eps, y_norm)
+    eps_op = stats.sigma1_estimate / np.sqrt(lam) * eps
+
+    F = svd_small(A)
+    v = rng.standard_normal(d)
+    worst = 0.0
+    for x in (y, v, 1e3 * v, 1e-14 * v):  # the last one is below the query floor
+        exact = F.V @ (F.singular_values ** 2 / (F.singular_values ** 2 + lam) * (F.V.T @ x))
+        err = float(np.linalg.norm(apply(x) - exact))
+        worst = max(worst, err / (eps_op * np.linalg.norm(x) + np.finfo(float).eps * y_norm))
+    return _ridge_factor(A._gram._dense, lam) is not None, worst
+
+
+def tall_projection_worker(args):
+    """``pc_proj``'s error over ``PROJ_EPS ||y||`` on one tall synthetic problem."""
+    seed, gamma = args
+    problem = gen_synthetic(TALL_N, TALL_D, TALL_TOP_RANK, gamma, seed=seed)
+    stats = matrix_stats(problem.A, problem.lam)
+    y = np.random.default_rng([seed, 778]).standard_normal(TALL_D)
+    cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=PROJ_EPS)
+    s = pc_proj(problem.A, cfg, y, stats)
+    err = float(np.linalg.norm(s - exact_projection(svd_small(problem.A), problem.lam, y)))
+    return err / (PROJ_EPS * float(np.linalg.norm(y)))

@@ -256,3 +256,18 @@ def test_criterion_11_iteration_counts(synthetic_results):
     _report(11, "iteration counts within configured q", ok,
             "all 50 runs met eps at q = ceil((2g)^-2 ln(2/eps)); "
             + details[0] + "; asymptotic runtime claims excluded by design")
+
+
+def test_criterion_12_factored_ridge_box():
+    # Dense matrices with n >= 10 d apply the projection's ridge operator by
+    # a Cholesky factor of the ridge matrix instead of conjugate gradient.
+    # Serial: about 2 s on a 2-core host, where the two-process pool took 11 s.
+    results = [helpers.factored_ridge_worker(seed) for seed in range(100)]
+    factored = all(f for f, _ in results)
+    worst = max(r for _, r in results)
+    tall = [helpers.tall_projection_worker((seed, GAMMAS[seed % 3])) for seed in range(30)]
+    _report(12, "factored ridge box", factored and worst <= 1.0 and max(tall) <= 1.0,
+            f"100 instances with n >= 10d, all factored: {factored}; worst application"
+            f" error at {worst:.2e} of eps_op*||v|| + eps_machine*||y||; 30 pc_proj runs"
+            f" on {helpers.TALL_N}x{helpers.TALL_D} problems, worst error at"
+            f" {max(tall):.2e} of the 1e-4*||y|| budget")

@@ -106,6 +106,18 @@ class TestMatrixMarket:
             load_matrix(str(path))
         assert str(exc.value).startswith(f"{path}:")
 
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix coordinate real general\nx 2 0\n",
+        "%%MatrixMarket matrix coordinate real general\n1.5 2 0\n",
+        "%%MatrixMarket matrix array real general\n2 y\n1\n2\n",
+    ], ids=["letter", "float", "array"])
+    def test_non_integer_size_refused(self, tmp_path, text):
+        path = tmp_path / "size.mtx"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r":2: sizes must be nonnegative integers, got '") as exc:
+            load_matrix(str(path))
+        assert str(exc.value).startswith(f"{path}:")
+
 
 class TestCsv:
     def test_matrix_roundtrip(self, tmp_path):

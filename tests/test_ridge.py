@@ -13,7 +13,7 @@ from ridgeproj import (
     svd_small,
 )
 from ridgeproj import ridge as ridge_module
-from helpers import m_inv_norm, m_norm, random_csr, random_dense
+from helpers import m_inv_norm, m_inverse_apply, m_norm, random_csr, random_dense
 
 
 def _solve(A, lam, eps, y):
@@ -164,7 +164,8 @@ def _numpy_cg(A, lam, y, resid_target, max_iters):
 
 
 def _kernel_case(kind, rng):
-    shape = {"tall": (120, 80), "square": (60, 60), "wide": (40, 70), "csr": (200, 90)}[kind]
+    shape = {"tall": (120, 80), "very_tall": (400, 40), "square": (60, 60), "wide": (40, 70),
+             "csr": (200, 90)}[kind]
     if kind == "csr":
         return random_csr(rng, *shape, density=0.1)
     arr = rng.standard_normal(shape)
@@ -235,7 +236,7 @@ class TestProductSeam:
         monkeypatch.setattr(ridge_module, "_cg", cg_spy)
         return counts
 
-    @pytest.mark.parametrize("kind", ["tall", "square", "csr"])
+    @pytest.mark.parametrize("kind", ["tall", "very_tall", "square", "csr"])
     def test_ridge_solve(self, kind, counted):
         rng = np.random.default_rng(406)
         A, arr = _kernel_case(kind, rng)
@@ -259,3 +260,86 @@ class TestProductSeam:
         (iters,) = counted["iters"]
         assert iters > 0
         assert counted["mv"] == counted["rmv"] == iters + 1
+
+    def test_factored_gram_solver_application(self, counted):
+        rng = np.random.default_rng(408)
+        A, arr = _kernel_case("very_tall", rng)
+        lam = 0.05 * np.linalg.norm(arr, 2) ** 2
+        apply = ridge_module._gram_solver(A, matrix_stats(A, lam), 1e-8, 0.0)
+        counted.update(mv=0, rmv=0)
+        apply(rng.standard_normal(A.n_cols))
+        assert counted["mv"] == counted["rmv"] == 1
+        assert counted["iters"] == []
+
+
+class TestFactoredGramSolver:
+    """Dense matrices with ``n_rows >= 10 * n_cols`` apply B by a Cholesky factor."""
+
+    @staticmethod
+    def case(rng, n, d):
+        arr = rng.standard_normal((n, d))
+        A = DesignMatrix.from_dense(arr)
+        return A, matrix_stats(A, 0.05 * np.linalg.norm(arr, 2) ** 2)
+
+    @staticmethod
+    def within_contract(A, stats, eps, query_norm, v, x):
+        exact = m_inverse_apply(svd_small(A), stats.lam, gram_apply(A, v))
+        bound = (stats.sigma1_estimate / math.sqrt(stats.lam) * eps * np.linalg.norm(v)
+                 + np.finfo(float).eps * query_norm)
+        return np.linalg.norm(x - exact) <= bound
+
+    @pytest.mark.parametrize("n, factored", [(79, False), (80, True)])
+    def test_ten_rows_per_column_boundary(self, monkeypatch, n, factored):
+        calls = []
+        cg = ridge_module._cg
+        monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1) or cg(*a))
+        rng = np.random.default_rng(409)
+        A, stats = self.case(rng, n, 8)
+        v = rng.standard_normal(8)
+        x = ridge_module._gram_solver(A, stats, 1e-8, 0.0)(v)
+        assert bool(calls) != factored
+        assert self.within_contract(A, stats, 1e-8, 0.0, v, x)
+
+    def test_failed_factorization_falls_back_to_cg(self, monkeypatch):
+        calls = []
+        cg = ridge_module._cg
+        monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1) or cg(*a))
+        monkeypatch.setattr(ridge_module, "dpotrf", lambda a, **kw: (a, 1))
+        rng = np.random.default_rng(410)
+        A, stats = self.case(rng, 400, 40)
+        y = rng.standard_normal(40)
+        query_norm = float(np.linalg.norm(y))
+        apply = ridge_module._gram_solver(A, stats, 1e-6, query_norm)
+        for v in (y, 1e-3 * rng.standard_normal(40)):
+            calls.clear()
+            x = apply(v)
+            assert calls == [1]
+            assert self.within_contract(A, stats, 1e-6, query_norm, v, x)
+
+    def test_no_columns_no_factor(self, capfd):
+        # BLAS would print a parameter error for a 0-by-0 dsyrk.
+        A = DesignMatrix.from_dense(np.ones((5, 0)))
+        apply = ridge_module._gram_solver(A, MatrixStats(sigma1_estimate=1.0, lam=1.0), 0.1, 1.0)
+        assert apply(np.zeros(0)).shape == (0,)
+        assert capfd.readouterr().err == ""
+
+    def test_repeat_calls_bit_identical(self):
+        rng = np.random.default_rng(411)
+        A, stats = self.case(rng, 400, 40)
+        v = rng.standard_normal(40)
+        outs = [ridge_module._gram_solver(A, stats, 1e-8, 1.0)(v) for _ in range(2)]
+        apply = ridge_module._gram_solver(A, stats, 1e-8, 1.0)
+        outs += [apply(v), apply(v)]
+        assert all(out.tobytes() == outs[0].tobytes() for out in outs)
+
+    def test_zero_below_query_floor(self):
+        # CG's first stopping test: +0.0 zeros once ||A^T A v|| <= 0.9 * floor.
+        rng = np.random.default_rng(412)
+        A, stats = self.case(rng, 400, 40)
+        v = rng.standard_normal(40)
+        gram = np.linalg.norm(gram_apply(A, v))
+        floor_norm = gram / (stats.lam * np.finfo(float).eps)  # query norm with floor = ||A^T A v||
+        assert np.any(ridge_module._gram_solver(A, stats, 1e-8, 1.05 * floor_norm)(v))
+        out = ridge_module._gram_solver(A, stats, 1e-8, 1.2 * floor_norm)(v)
+        assert out.tobytes() == np.zeros(40).tobytes()
+        assert ridge_module._gram_solver(A, stats, 1e-8, 0.0)(np.zeros(40)).tobytes() == out.tobytes()

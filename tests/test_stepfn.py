@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ridgeproj.project as project
+import ridgeproj.ridge as ridge
 from ridgeproj import (
     BudgetExceeded,
     DesignMatrix,
@@ -94,6 +95,23 @@ class TestApplyStep:
             noisy = apply_step(noisy_handle(S, eps, rng), y, q)
             assert np.linalg.norm(noisy - exact) <= 7 * q * eps * np.linalg.norm(y) * 1.5
 
+    @pytest.mark.parametrize("alpha, q", [(0.2, 200), (0.05, 2000)])
+    @pytest.mark.parametrize("edge", [1, -1])
+    def test_absolute_noise_bound_edge_aligned(self, alpha, q, edge):
+        # A per-application error of fixed size eta ||y||, aimed along the
+        # eigenvector with |2 mu - 1| = alpha, exceeds 7 q eta ||y|| four- to
+        # eighty-fold and stays within the proven 8 q (1 + min(q, 1/alpha^2))
+        # eta ||y|| (see OperatorHandle).
+        eta = 1e-9
+        S = np.diag([0.5 * (1.0 + edge * alpha), 0.5 * (1.0 - edge * alpha), 0.95, 0.05])
+        y = np.ones(4)
+        ny = np.linalg.norm(y)
+        kick = eta * ny * np.eye(4)[0]
+        noisy = OperatorHandle(dimension=4, apply=lambda v: S @ v + kick)
+        err = np.linalg.norm(apply_step(noisy, y, q) - apply_step(exact_handle(S), y, q))
+        assert err > 4.0 * 7 * q * eta * ny
+        assert err <= 8 * q * (1 + min(q, 1 / alpha ** 2)) * eta * ny
+
     def test_budget_guard(self):
         S = OperatorHandle(dimension=2, apply=lambda v: v, err_bound=1e-3)
         limit = 1.0 / (7.0 * 4.0 * 1e-3 * (2.0 + 1e-3))
@@ -176,12 +194,14 @@ class TestZeroIncrement:
         assert 0 < first_zero < 2 * q + 1 and not any(ref_inputs[first_zero:])
         assert got_inputs == ref_inputs[:first_zero]
 
-    def test_pc_proj_outputs_bit_identical_to_every_step(self, monkeypatch):
+    @staticmethod
+    def every_step_vs_early_stop(monkeypatch, n_rows):
+        """pc_proj with apply_step and with the every-step referee on one n_rows-by-6 matrix."""
         # Squared singular values far from lam: the increments reach the
         # ridge handle's query floor long before q = 133 steps.
         rng = np.random.default_rng(31)
         sigma = np.sqrt(np.r_[4.0, 3.0, 2.0, 0.05, 0.02, 0.01])
-        A = DesignMatrix.from_dense((haar_orthonormal(rng, 12, 6) * sigma)
+        A = DesignMatrix.from_dense((haar_orthonormal(rng, n_rows, 6) * sigma)
                                     @ haar_orthonormal(rng, 6, 6).T)
         stats = matrix_stats(A, 0.5)
         cfg = ProjectionConfig(lam=0.5, gamma=0.1, eps=1e-2)
@@ -204,3 +224,15 @@ class TestZeroIncrement:
         q = cfg.resolve(stats)[0]
         assert len(got_records) == q + 1
         assert got_calls < ref_calls == 2 * q + 1
+
+    def test_pc_proj_outputs_bit_identical_to_every_step(self, monkeypatch):
+        self.every_step_vs_early_stop(monkeypatch, 12)
+
+    def test_pc_proj_factored_solver_ends_early(self, monkeypatch):
+        # At n = 10 d the ridge handle solves with a Cholesky factor, not CG,
+        # and its zero return below the query floor still ends the loop.
+        cg_calls = []
+        cg = ridge._cg
+        monkeypatch.setattr(ridge, "_cg", lambda *a: cg_calls.append(1) or cg(*a))
+        self.every_step_vs_early_stop(monkeypatch, 60)
+        assert cg_calls == []
