@@ -8,6 +8,8 @@ import numpy as np
 
 # Unit roundoff of IEEE double precision, as a plain Python float.
 _EPS = float(np.finfo(np.float64).eps)
+# Smallest normal double: the floor of a tolerance that would underflow.
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _ceil_tight(value: float) -> int:

@@ -111,6 +111,8 @@ class DesignMatrix:
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         data = np.ascontiguousarray(data, dtype=np.float64)
         n_rows, n_cols = int(n_rows), int(n_cols)
+        if min(n_rows, n_cols) < 0:
+            raise ValueError(f"CSR shape must be nonnegative, got {n_rows}x{n_cols}")
         if indptr.ndim != 1 or indptr.shape[0] != n_rows + 1:
             raise ValueError("indptr must have length n_rows + 1")
         if np.any(np.diff(indptr) < 0):

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._float64 import _ceil_tight
+from ._float64 import _TINY, _ceil_tight
 from .exceptions import ConvergenceFailure
 from .matrix import DesignMatrix, _as_finite_1d
 from .project import ProjectionConfig, _StageConfig, pc_proj
@@ -45,8 +45,9 @@ class PcrConfig(_StageConfig):
 
     Defaults, with ``kappa = max(kappa_lambda, 1)``: ``q = ceil(2 ln(kappa /
     eps))`` (so the series tail ``kappa/2^q`` is safely below eps) and inner
-    tolerance ``eps' = eps / (4 q^2 sqrt(kappa))``.  The projection of
-    ``A^T b`` is computed once, at tolerance eps'.
+    tolerance ``eps' = eps / (4 q^2 sqrt(kappa))``, at least the smallest
+    normal double.  The projection of ``A^T b`` is computed once, at
+    tolerance eps'.
     """
 
     def resolve(self, stats: MatrixStats):
@@ -64,7 +65,7 @@ class PcrConfig(_StageConfig):
             q = self.q_override
         else:
             q = _ceil_tight(_C1 * math.log(kappa / self.eps))
-        eps_inner = self.eps / (_C2 * q * q * math.sqrt(kappa))
+        eps_inner = max(self.eps / (_C2 * q * q * math.sqrt(kappa)), _TINY)
         return q, eps_inner, eps_inner / self.lam
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._float64 import _EPS, _ceil_tight
+from ._float64 import _EPS, _TINY, _ceil_tight
 from .matrix import DesignMatrix, _as_finite_1d
 from .ridge import _gram_solver
 from .spectral import MatrixStats, _check_lam
@@ -73,7 +73,8 @@ class ProjectionConfig(_StageConfig):
     inner ridge tolerance always follows from eps, gamma and q:
     ``eps' = min(eps^2 gamma^2 / (8 sqrt(kappa)), 1 / (60 q sqrt(kappa)))``
     with ``kappa = max(kappa_lambda, 1)``, so a lambda far above sigma_1^2
-    cannot push eps' to 1 or beyond.
+    cannot push eps' to 1 or beyond; eps' is at least the smallest normal
+    double, so a tiny eps cannot push it to 0.
     """
 
     def resolve(self, stats: MatrixStats):
@@ -100,7 +101,9 @@ class ProjectionConfig(_StageConfig):
         # Keep eps' inside the validity range of the stable recurrence
         # (q <= 1/(7 eps_C), eps_C ~ 8 eps_op); only binds for eps near 1.
         cap = 1.0 / (60.0 * q * sqrt_kappa)
-        eps_inner = min(eps_inner, cap)
+        # An eps near 1e-150 or below takes eps' out of the normal range; such
+        # an eps is met only up to the float64 resolution level anyway.
+        eps_inner = max(min(eps_inner, cap), _TINY)
         eps_op = sqrt_kappa * eps_inner
         noise = 7.0 * q * (eps_op + _EPS)
         budget = max(self.eps, 14.0 * q * _EPS)

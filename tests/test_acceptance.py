@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines as they complete.  The heavy synthetic criteria share one pooled
-computation (independent problems are safe to run in parallel), so wall
-time stays within the stated budgets on two cores.
+lines as they complete.  The heavy criteria run their independent
+problems on one module-wide pool of two spawned workers, so wall time
+stays within the stated budgets on two cores.
 """
 
 import math
@@ -36,25 +36,31 @@ import acceptance_helpers as helpers
 GAMMAS = (0.05, 0.1, 0.2)
 SEED_GAMMAS = [(seed, GAMMAS[seed % 3]) for seed in range(50)]
 
-_pool_cache = {}
-
 
 def _report(num, name, ok, detail):
     print(f"\nACCEPTANCE {num:02d} ({name}): {'PASS' if ok else 'FAIL'} -- {detail}")
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
-def _pool_map(fn, items):
-    ctx = mp.get_context("fork")
-    with ctx.Pool(processes=2) as pool:
-        return pool.map(fn, items)
+@pytest.fixture(scope="module")
+def pool():
+    """Two spawned workers with one BLAS thread each, shared by the module.
+
+    A forked worker keeps the BLAS threads its parent started, so two of
+    them oversubscribe two cores; a spawned one reads these variables
+    before numpy loads.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            patch.setenv(name, "1")
+        workers = mp.get_context("spawn").Pool(processes=2)
+    with workers:
+        yield workers
 
 
 @pytest.fixture(scope="module")
-def synthetic_results():
-    if "synthetic" not in _pool_cache:
-        _pool_cache["synthetic"] = _pool_map(helpers.solve_synthetic, SEED_GAMMAS)
-    return _pool_cache["synthetic"]
+def synthetic_results(pool):
+    return pool.map(helpers.solve_synthetic, SEED_GAMMAS)
 
 
 def test_criterion_01_projection_oracle_equivalence(synthetic_results):
@@ -124,8 +130,8 @@ def test_criterion_04_sign_sandwich():
             " (budget 1e-12), k in {1..1024}, 1000-point grid")
 
 
-def test_criterion_05_integral_identity():
-    results = _pool_map(helpers.integral_identity_worker, list(range(1, 65)))
+def test_criterion_05_integral_identity(pool):
+    results = pool.map(helpers.integral_identity_worker, list(range(1, 65)))
     worst_k, worst, quad_tol = max(results, key=lambda r: r[1])
     ok = worst <= 1e-10 + quad_tol
     _report(5, "integral identity", ok,
@@ -171,8 +177,8 @@ def test_criterion_07_chebyshev_compression():
             f" {uncompressed_degree}, sign error {sign_err:.3f} <= {eps}")
 
 
-def test_criterion_08_ridge_contract():
-    results = _pool_map(helpers.ridge_contract_worker, list(range(100)))
+def test_criterion_08_ridge_contract(pool):
+    results = pool.map(helpers.ridge_contract_worker, list(range(100)))
     worst = max((lhs / rhs if rhs > 0 else 0.0) for lhs, rhs in results)
     _report(8, "ridge error contract", worst <= 1.0,
             f"100 instances (d <= 100), worst ||x-x*||_M at {worst:.3f} of"
@@ -258,14 +264,13 @@ def test_criterion_11_iteration_counts(synthetic_results):
             + details[0] + "; asymptotic runtime claims excluded by design")
 
 
-def test_criterion_12_factored_ridge_box():
+def test_criterion_12_factored_ridge_box(pool):
     # Dense matrices with n >= 10 d apply the projection's ridge operator by
     # a Cholesky factor of the ridge matrix instead of conjugate gradient.
-    # Serial: about 2 s on a 2-core host, where the two-process pool took 11 s.
-    results = [helpers.factored_ridge_worker(seed) for seed in range(100)]
+    results = pool.map(helpers.factored_ridge_worker, range(100))
     factored = all(f for f, _ in results)
     worst = max(r for _, r in results)
-    tall = [helpers.tall_projection_worker((seed, GAMMAS[seed % 3])) for seed in range(30)]
+    tall = pool.map(helpers.tall_projection_worker, SEED_GAMMAS[:30])
     _report(12, "factored ridge box", factored and worst <= 1.0 and max(tall) <= 1.0,
             f"100 instances with n >= 10d, all factored: {factored}; worst application"
             f" error at {worst:.2e} of eps_op*||v|| + eps_machine*||y||; 30 pc_proj runs"

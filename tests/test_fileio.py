@@ -223,13 +223,28 @@ def test_digit_separator_refused(tmp_path, load, text, needle):
 # ---------------------------------------------------------------------------
 # The bulk MatrixMarket pass against the per-line reader it falls back to.
 
-def _per_line(path):
-    return fileio._parse_matrix_market(path, fileio._numbered_lines(path, path.read_bytes()))
+def _per_line(path, raw=None):
+    """The per-line reader's matrix of ``raw``, by default the bytes at ``path``."""
+    raw = path.read_bytes() if raw is None else raw
+    return fileio._parse_matrix_market(path, fileio._numbered_lines(path, raw))
 
 
-def _bulk(path):
-    with open(path, "rb") as fh:
-        return fileio._bulk_matrix_market(path, fh.read())
+def _bulk(path, raw=None):
+    """The bulk pass's matrix of ``raw``, or None where ``load_matrix`` falls back."""
+    try:
+        return fileio._bulk_matrix_market(path, path.read_bytes() if raw is None else raw)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _peak(load, path):
+    """The traced peak of one ``load(path)``, in bytes."""
+    tracemalloc.start()
+    try:
+        load(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _assert_identical(A, B):
@@ -303,17 +318,17 @@ class TestBulkMatrixMarket:
         rows = [f"{rng.integers(1, 61)} {rng.integers(1, 51)} {value()}" for _ in range(3000)]
         return [f"%%MatrixMarket matrix coordinate {field} general", "60 50 3000", *rows]
 
-    def test_well_formed_file_reads_through_mmread_once(self, tmp_path, monkeypatch):
+    def test_well_formed_file_skips_per_line_reader(self, tmp_path, monkeypatch):
         path = tmp_path / "large.mtx"
         path.write_text("\n".join(self._large_coordinate()) + "\n")
+        ref = _per_line(path)
         calls = []
-        mmread = scipy.io.mmread
-        monkeypatch.setattr(scipy.io, "mmread", lambda source: calls.append(source) or mmread(source))
-        _assert_identical(load_matrix(path), _per_line(path))
-        assert len(calls) == 1
+        monkeypatch.setattr(fileio, "_parse_matrix_market", lambda *args: calls.append(args))
+        _assert_identical(load_matrix(path), ref)
+        assert calls == []
 
-    # Tokens that scipy.io.mmread would read as a prefix, refuses, or reads
-    # to another value than int / float, among ones it reads whole.
+    # Tokens that a lenient reader would read as a prefix, or to another
+    # value than int / float, among ones that read whole.
     @pytest.mark.parametrize("field, line", [
         ("real", "1 1 1-2"), ("real", "1 1 1e"), ("real", "1 1 1..2"), ("real", "1 1 1e+"),
         ("real", "1 1 0x1p0"), ("real", "1 1 1_0"), ("real", "1 1 +.5"), ("real", "+1 1 2.5"),
@@ -336,8 +351,8 @@ class TestBulkMatrixMarket:
             return
         _assert_identical(load_matrix(path), ref)
 
-    # Rules that mmread also enforces, by refusing the file, are checked here
-    # on the gate alone.
+    # Each body, after a size line of a 9x9 file, falls back or reads as the
+    # per-line reader reads it; ``ok`` says which.
     @pytest.mark.parametrize("body, count, ok", [
         pytest.param("\n +1\t02 -.5E+3 \n\n1 1 1.\r\n\n", 2, True, id="well-formed"),
         pytest.param("\n1 1 1 2 2 2\n\n", 2, False, id="two-entries-on-one-line"),
@@ -350,22 +365,49 @@ class TestBulkMatrixMarket:
         pytest.param("\n1 1\r1\n", 1, False, id="lone-cr"),
         pytest.param("\n1\r1 1\n", 1, False, id="lone-cr-after-row"),
         pytest.param("\n1 1 1\n% c\n", 1, False, id="comment"),
+        pytest.param("\n \n", 0, True, id="no-entries"),
+        pytest.param("\n\n", 1, False, id="entries-missing"),  # loadtxt warns on no data
     ])
-    def test_strict_body(self, body, count, ok):
-        assert fileio._strict_coordinate_body(body.encode("ascii"), count) is ok
+    def test_strict_body(self, tmp_path, body, count, ok):
+        path = tmp_path / "body.mtx"
+        path.write_bytes(f"%%MatrixMarket matrix coordinate real general\n9 9 {count}{body}"
+                         .encode("ascii"))
+        got = _bulk(path)
+        assert (got is not None) is ok
+        try:
+            ref = _per_line(path)
+        except ValueError:
+            assert not ok
+            return
+        _assert_identical(got if ok else load_matrix(path), ref)
 
-    def test_strict_body_token_grammar(self):
-        """Every token of up to five bytes from a small alphabet, as index and as value."""
+    def test_strict_body_token_grammar(self, tmp_path):
+        """Every token of up to five bytes from a small alphabet, as value and as column.
+
+        The bulk pass reads a token as the per-line reader does or falls
+        back, and reads every token of the strict grammar.
+        """
         value = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
         index = re.compile(r"[+-]?\d+")
+        path = tmp_path / "token.mtx"  # named in errors, never written
         for size in range(1, 6):
             for token in map("".join, product("1+-.ex", repeat=size)):
                 for line, grammar in ((f"1 1 {token}", value), (f"1 {token} 1", index)):
-                    got = fileio._strict_coordinate_body(f"\n{line}\n".encode("ascii"), 1)
-                    assert got is bool(grammar.fullmatch(token)), line
+                    raw = b"%%MatrixMarket matrix coordinate real general\n9 99999 1\n"
+                    raw += f"{line}\n".encode("ascii")
+                    got = _bulk(path, raw)
+                    try:
+                        ref = _per_line(path, raw)
+                    except ValueError:
+                        assert got is None, line
+                        continue
+                    if got is not None:
+                        _assert_identical(got, ref)
+                    else:  # the per-line reader reads it, so it is outside the grammar
+                        assert not grammar.fullmatch(token), line
 
-    # Checks the gate's grammar makes on the body, and the byte checks on
-    # the header: each file reads as the per-line reader reads it.
+    # Checks of the bytes, line ends and entry count: each file reads as
+    # the per-line reader reads it.
     @pytest.mark.parametrize("case", ["lone-cr", "blank-x0b", "blank-x0c", "blank-x1c",
                                       "non-ascii-comment", "comment-x0b", "comment-cr",
                                       "no-final-lf", "count-2**32"])
@@ -421,10 +463,7 @@ class TestBulkMatrixMarket:
             lines[2401] = bad[case]
         path = tmp_path / "bad.mtx"
         path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-        try:
-            assert _bulk(path) is None
-        except (ValueError, OverflowError):
-            pass
+        assert _bulk(path) is None
         with pytest.raises(ValueError) as per_line:
             _per_line(path)
         with pytest.raises(ValueError, match=needle) as loaded:
@@ -446,14 +485,15 @@ class TestBulkMatrixMarket:
         path = tmp_path / "big.mtx"
         save_matrix(A, str(path))
         assert 18_000 < A.nnz < 22_000
-
-        def peak(load):
-            tracemalloc.start()
-            try:
-                load(path)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         assert _bulk(path) is not None
-        assert peak(load_matrix) < peak(_per_line)
+        assert _peak(load_matrix, path) < _peak(_per_line, path)
+
+    def test_load_peak_memory_within_four_times_file(self, tmp_path):
+        # 50,000 entries of a 5000x1000 matrix, the size of a pcr-sparse file.
+        rng = np.random.default_rng(13)
+        entries = np.column_stack([rng.integers(1, 5001, 50_000), rng.integers(1, 1001, 50_000),
+                                   rng.standard_normal(50_000)])
+        path = tmp_path / "big.mtx"
+        np.savetxt(path, entries, fmt=("%d", "%d", "%.17g"), comments="",
+                   header="%%MatrixMarket matrix coordinate real general\n5000 1000 50000")
+        assert _peak(load_matrix, path) <= 4 * path.stat().st_size

@@ -93,6 +93,9 @@ class TestStorage:
         assert np.array_equal(ok.toarray(), [[0, 1, 2], [0, 0, 0], [3, 4, 0]])
         with pytest.raises(ValueError, match="indptr"):
             DesignMatrix.from_csr(2, 2, [0, 1], [0], [1.0])
+        for n, d, indptr in ((-1, 3, []), (2, -1, [0, 0, 0])):
+            with pytest.raises(ValueError, match=f"CSR shape must be nonnegative, got {n}x{d}$"):
+                DesignMatrix.from_csr(n, d, indptr, [], [])
 
     def test_csr_row_check_matches_per_row_loop(self):
         rng = np.random.default_rng(4)

@@ -111,6 +111,17 @@ class TestPcRegress:
         ref = exact_pcr(oracle, problem.lam, problem.b)
         assert gram_norm(problem.A, s - ref) <= 1e-3 * np.linalg.norm(problem.b)
 
+    def test_tiny_eps_met_to_float64_resolution(self, small_problem):
+        # The projection stage's eps^2 underflows at eps = 1e-200; the result
+        # meets the 14 q eps_machine level of q series steps.
+        problem, stats, oracle = small_problem
+        cfg = PcrConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-200)
+        q = cfg.resolve(stats)[0]
+        b = np.random.default_rng(79).standard_normal(60)
+        s = pc_regress(problem.A, cfg, b, stats)
+        err = gram_norm(problem.A, s - exact_pcr(oracle, problem.lam, b))
+        assert err <= 14 * q * np.finfo(np.float64).eps * np.linalg.norm(b)
+
     def test_callback_reports_series(self, small_problem):
         problem, stats, _ = small_problem
         cfg = PcrConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-2)

@@ -145,6 +145,18 @@ class TestPcProj:
             ref = exact_projection(oracle, problem.lam, y)
             assert np.linalg.norm(s - ref) <= 1e-4 * np.linalg.norm(y)
 
+    def test_tiny_eps_met_to_float64_resolution(self, small_problem):
+        # eps^2 underflows at eps = 1e-200, so eps' rests on the smallest
+        # normal double; the result meets the 14 q eps_machine level.
+        problem, stats, oracle = small_problem
+        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-200)
+        q, eps_inner, _ = cfg.resolve(stats)
+        assert eps_inner == np.finfo(np.float64).tiny
+        y = np.random.default_rng(78).standard_normal(40)
+        s = pc_proj(problem.A, cfg, y, stats)
+        err = np.linalg.norm(s - exact_projection(oracle, problem.lam, y))
+        assert err <= 14 * q * EPS_MACH * np.linalg.norm(y)
+
     def test_idempotence_to_tolerance(self, small_problem):
         problem, stats, _ = small_problem
         eps = 1e-5
