@@ -137,7 +137,8 @@ def _solver(A: DesignMatrix, stats: MatrixStats, eps: float, abs_floor: float = 
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     lam, kappa = stats.lam, stats.kappa_lambda
-    scale = math.sqrt(lam / (stats.sigma1_estimate ** 2 + lam))
+    sigma1 = stats.sigma1_estimate
+    scale = math.sqrt(lam / (sigma1 * sigma1 + lam))  # a product, as in kappa_lambda
     rel_target = max(eps * scale, RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0))
     max_iters = 10 * math.ceil(math.sqrt(kappa + 1.0) * math.log(2.0 / eps))
     d = A.n_cols
@@ -193,7 +194,8 @@ def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float, query_norm: fl
         T = _ridge_factor(G._dense, stats.lam)
     if T is None:
         return lambda v: solve(rmv(mv(v)))
-    stop2 = (0.9 * floor) ** 2  # CG's first stopping test, on ||A^T A v||^2
+    stop = 0.9 * floor
+    stop2 = stop * stop  # CG's first stopping test, on ||A^T A v||^2
     d = A.n_cols
 
     def apply(v):

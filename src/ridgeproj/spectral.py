@@ -46,8 +46,13 @@ class MatrixStats:
 
     @property
     def kappa_lambda(self) -> float:
-        """``sigma1_estimate**2 / lam``, derived rather than stored."""
-        return self.sigma1_estimate ** 2 / self.lam
+        """``sigma1_estimate**2 / lam``, derived rather than stored.
+
+        Squared by a product, not ``** 2``: the C library's ``pow`` can miss
+        the correctly rounded square by an ulp, and then A -> cA, lam ->
+        c^2 lam with c a power of two would change kappa_lambda's last bit.
+        """
+        return self.sigma1_estimate * self.sigma1_estimate / self.lam
 
     def check_lambda(self, lam: float):
         if self.lam != lam:

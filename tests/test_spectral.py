@@ -9,6 +9,7 @@ import ridgeproj.spectral as spectral
 from ridgeproj import (
     ConvergenceFailure,
     DesignMatrix,
+    MatrixStats,
     gen_synthetic,
     matrix_stats,
     spectral_norm_estimate,
@@ -66,6 +67,15 @@ class TestMatrixStats:
         A = random_dense(np.random.default_rng(2), 25, 15)
         stats = matrix_stats(A, lam=0.7)
         assert stats.kappa_lambda == stats.sigma1_estimate ** 2 / 0.7
+
+    def test_kappa_rescaling_pinned_example(self):
+        # A drawn example of test_power_of_two_rescaling_is_bit_identical[8.0]:
+        # pow(x, 2.0) can miss the correctly rounded square by an ulp, here
+        # giving 2.946519846832294 for x and 2.9465198468322944 for 8 x over
+        # 64.  A product rounds both alike.
+        x = 1.716542993004339
+        assert (MatrixStats(sigma1_estimate=8.0 * x, lam=64.0).kappa_lambda
+                == MatrixStats(sigma1_estimate=x, lam=1.0).kappa_lambda == x * x)
 
     def test_sigma1_inflated_above_truth(self):
         A = random_dense(np.random.default_rng(6), 40, 25)
