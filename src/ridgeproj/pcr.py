@@ -14,12 +14,23 @@ ridge solve per term.  On the top subspace, where M^{-1} has spectrum at
 most 1/(2 lambda), the truncation tail is below ``kappa_lambda / 2^q``,
 while the small singular directions are deliberately *not* fully
 inverted; that is the source of the method's stability.
+
+The projection of ``A^T b`` that the series starts from runs on the
+certified rational engine (``ProjectionConfig(method="rational")``, see
+:func:`~ridgeproj.stepfn.apply_rational_step`): tens of ridge
+applications where the step polynomial makes hundreds, and a projection
+returned only once a bound computed after the run, from recomputed
+residuals, is within its tolerance.  Where the engine cannot certify that
+tolerance on the ridge handle (its stated error, the ridge residual floor,
+grows like kappa_lambda^2: at gamma = 0.1 the engine takes eps = 1e-2 up
+to kappa_lambda near 400 and eps = 1e-4 up to near 50), the stage runs on
+the step polynomial instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +38,7 @@ import numpy as np
 from ._float64 import _TINY, _ceil_tight
 from .exceptions import ConvergenceFailure
 from .matrix import DesignMatrix, _as_finite_1d
-from .project import ProjectionConfig, _StageConfig, pc_proj
+from .project import ProjectionConfig, _StageConfig, _rational_certifies, pc_proj
 from .ridge import ridge_solve
 from .spectral import MatrixStats
 
@@ -47,7 +58,8 @@ class PcrConfig(_StageConfig):
     eps))`` (so the series tail ``kappa/2^q`` is safely below eps) and inner
     tolerance ``eps' = eps / (4 q^2 sqrt(kappa))``, at least the smallest
     normal double.  The projection of ``A^T b`` is computed once, at
-    tolerance eps'.
+    tolerance eps', by the rational engine where it can certify eps', and by
+    the step polynomial otherwise.
     """
 
     def resolve(self, stats: MatrixStats):
@@ -76,7 +88,10 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
     Returns ``s`` with ``||s - x_pcr||_{A^T A} <= eps ||b||_2`` under the
     spectral-gap window of the projection step, where ``x_pcr`` is the
     exact PCR solution for threshold lambda.  After projecting
-    ``y = A^T b``, the series runs ``q + 1`` ridge solves ``R``:
+    ``y = A^T b`` with ``pc_proj`` to eps' (on ``method="rational"``,
+    certified after the run, where that engine can certify eps' on A's
+    ridge handle, otherwise on ``"pk"``), the series runs ``q + 1`` ridge
+    solves ``R``:
 
         s_0 = R(P y),   s_k = s_0 + lambda R(s_{k-1}),   k = 1..q,
 
@@ -89,7 +104,9 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
     """
     b = _as_finite_1d(b, A.n_rows, what="right-hand side")
     q, eps_inner, _ = cfg.resolve(stats)
-    proj_cfg = ProjectionConfig(lam=cfg.lam, gamma=cfg.gamma, eps=eps_inner)
+    proj_cfg = ProjectionConfig(lam=cfg.lam, gamma=cfg.gamma, eps=eps_inner, method="rational")
+    if not _rational_certifies(proj_cfg, stats):
+        proj_cfg = replace(proj_cfg, method="pk")
     y = A.rmatvec(b)
     try:
         y_proj = pc_proj(A, proj_cfg, y, stats)

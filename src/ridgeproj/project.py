@@ -15,6 +15,24 @@ fall inside the window, there is no error blow-up: those directions are
 attenuated by a monotone soft step between 0 and 1 (partial projection),
 which is the documented behavior rather than a detectable failure.
 
+Two step engines share the ridge handle.  The default, ``method="pk"``,
+is the paper's: the step polynomial ``p_q`` in ``X = 2B - I``, ``2q + 1``
+ridge applications with q growing like ``gamma^-2``.  ``method="rational"``
+applies Zolotarev's best rational approximation of sgn(X) instead, with n
+poles for an error ``delta_n <= eps/2``; one multi-shift conjugate-gradient
+run over the same handle solves all n shifted systems, so its ridge
+applications grow like ``alpha^-1 ln(1/eps)`` (``alpha = 2 gamma / (1 - 2
+gamma)``) rather than ``alpha^-2``.  After the run it recomputes the true
+shifted residuals through the handle and returns the vector only if a
+bound built from them, the handle's stated error and ``delta_n`` is at
+most ``eps ||y||_2``; otherwise it raises.  An eps that the handle's stated
+error alone keeps out of reach (large kappa_lambda, or eps near float64
+resolution) is refused with ``ValueError`` before the run.  In-window
+directions then get
+a soft step between ``delta_n / 2`` and ``1 - delta_n / 2`` (see
+:func:`~ridgeproj.stepfn.apply_rational_step`), not one in [0, 1] that
+follows ``p_q``.
+
 The paper's failure probability delta has no counterpart here: the inner
 solvers are deterministic, conjugate gradient meeting its tolerance or
 raising, and a Cholesky solve on tall dense matrices (see
@@ -31,9 +49,9 @@ import numpy as np
 
 from ._float64 import _EPS, _TINY, _ceil_tight
 from .matrix import DesignMatrix, _as_finite_1d
-from .ridge import _gram_solver
+from .ridge import RESIDUAL_FLOOR_MULT, _gram_solver
 from .spectral import MatrixStats, _check_lam
-from .stepfn import OperatorHandle, _check_int, apply_step
+from .stepfn import OperatorHandle, _check_int, _rational_plan, apply_rational_step, apply_step
 
 __all__ = ["ProjectionConfig", "pc_proj"]
 
@@ -68,14 +86,29 @@ class _StageConfig:
 class ProjectionConfig(_StageConfig):
     """Parameters of the projection iteration.
 
+    ``method`` picks the step engine: ``"pk"`` (the default) runs the
+    paper's step polynomial through :func:`~ridgeproj.stepfn.apply_step`,
+    ``"rational"`` the certified Zolotarev engine
+    :func:`~ridgeproj.stepfn.apply_rational_step`, which sets its own
+    number of ridge applications and so takes no ``q_override``.
+
     The outer iteration count defaults to
     ``q = ceil((2 gamma)^-2 ln(2/eps))``, and ``q_override`` pins it.  The
     inner ridge tolerance always follows from eps, gamma and q:
     ``eps' = min(eps^2 gamma^2 / (8 sqrt(kappa)), 1 / (60 q sqrt(kappa)))``
     with ``kappa = max(kappa_lambda, 1)``, so a lambda far above sigma_1^2
     cannot push eps' to 1 or beyond; eps' is at least the smallest normal
-    double, so a tiny eps cannot push it to 0.
+    double, so a tiny eps cannot push it to 0.  Both engines use this eps'.
     """
+
+    method: str = "pk"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.method not in ("pk", "rational"):
+            raise ValueError(f"method must be 'pk' or 'rational', got {self.method!r}")
+        if self.method == "rational" and self.q_override is not None:
+            raise ValueError("q_override applies to method 'pk' only")
 
     def resolve(self, stats: MatrixStats):
         """Concrete (q, eps_inner, eps_op) for the given matrix stats.
@@ -140,9 +173,58 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
 
     ``callback(k, s_k)`` (if given) receives the iterate after k outer
     iterations, k = 0..q, where iterate 0 is ``B y``.
+
+    With ``cfg.method == "rational"`` the same handle drives
+    :func:`~ridgeproj.stepfn.apply_rational_step` on the window half-width
+    ``alpha = 2 gamma / (1 - 2 gamma)`` of ``X = 2B - I`` (1/2 for gamma of
+    1/6 and above; a gamma below 5e-7, alpha below 1e-6, raises
+    ``ValueError``).  Its handle states the relative error
+    ``max(eps_op, 64 eps_machine (kappa_lambda + 1) kappa_lambda)``, which
+    includes the ridge solver's residual floor, and the returned vector
+    carries a certificate computed after the run: ``||s - P y||_2 <= eps
+    ||y||_2`` under the gap window, with eps raised only to the engine's
+    float64 floor, which its ``eps_machine`` terms set.  An eps that this
+    relative error alone keeps out of reach raises ``ValueError`` before
+    any application (see :func:`~ridgeproj.stepfn._rational_plan`); a run
+    that cannot certify raises
+    :class:`~ridgeproj.exceptions.ConvergenceFailure`.  In-window
+    directions get a soft step between ``delta/2`` and ``1 - delta/2``,
+    delta the Zolotarev error, at most eps/2.  This engine takes no
+    callback.
     """
+    if cfg.method == "rational" and callback is not None:
+        raise ValueError("callback applies to method 'pk' only")
     y = _as_finite_1d(y, A.n_cols, what="input vector")
     q, eps_inner, eps_op = cfg.resolve(stats)
     apply = _gram_solver(A, stats, eps_inner, query_norm=float(np.linalg.norm(y)))
-    handle = OperatorHandle(dimension=A.n_cols, apply=apply, err_bound=eps_op)
-    return apply_step(handle, y, q, callback=callback)
+    if cfg.method == "pk":
+        handle = OperatorHandle(dimension=A.n_cols, apply=apply, err_bound=eps_op)
+        return apply_step(handle, y, q, callback=callback)
+    alpha, err = _rational_window(cfg.gamma, stats, eps_op)
+    handle = OperatorHandle(dimension=A.n_cols, apply=apply, err_bound=err)
+    return apply_rational_step(handle, y, alpha, cfg.eps)[0]
+
+
+def _rational_window(gamma: float, stats: MatrixStats, eps_op: float):
+    """``(alpha, err)``: the rational engine's window half-width and handle error (see pc_proj)."""
+    kappa = stats.kappa_lambda
+    err = max(eps_op, RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0) * kappa)
+    alpha = 2.0 * gamma / (1.0 - 2.0 * gamma) if 6.0 * gamma < 1.0 else 0.5
+    return alpha, err
+
+
+def _rational_certifies(cfg: ProjectionConfig, stats: MatrixStats) -> bool:
+    """Whether ``pc_proj`` on ``method="rational"`` would take ``cfg`` rather than refuse it.
+
+    It refuses when alpha is below 1e-6 or when the handle's stated error
+    cannot be certified to eps (see :func:`~ridgeproj.stepfn._rational_plan`).
+    The error's ridge residual floor grows like kappa_lambda^2: at gamma =
+    0.1 the refusal starts near kappa_lambda = 1e4 for eps = 1e-4 and near
+    1e3 for eps = 1e-6.
+    """
+    alpha, err = _rational_window(cfg.gamma, stats, cfg.resolve(stats)[2])
+    try:
+        _rational_plan(alpha, cfg.eps, err)
+    except ValueError:
+        return False
+    return True

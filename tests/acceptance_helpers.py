@@ -61,6 +61,34 @@ def solve_synthetic(args):
     }
 
 
+def rational_projection_worker(args):
+    """Criterion 1's problem on the rational engine: ``(error, certified bound)`` over ``||y||``."""
+    import ridgeproj.project as project
+
+    seed, gamma = args
+    problem = gen_synthetic(N, D, TOP_RANK, gamma, seed=seed)
+    stats = matrix_stats(problem.A, problem.lam)
+    y = np.random.default_rng([seed, 777]).standard_normal(D)
+    cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=PROJ_EPS,
+                           method="rational")
+    bounds = []
+    engine = project.apply_rational_step
+
+    def recording(*args):
+        s, bound = engine(*args)
+        bounds.append(bound)
+        return s, bound
+
+    project.apply_rational_step = recording
+    try:
+        s = pc_proj(problem.A, cfg, y, stats)
+    finally:
+        project.apply_rational_step = engine
+    y_norm = float(np.linalg.norm(y))
+    err = float(np.linalg.norm(s - exact_projection(svd_small(problem.A), problem.lam, y)))
+    return err / y_norm, bounds[0] / y_norm
+
+
 def integral_identity_worker(k):
     """Max |p_k - quadrature oracle| over the criterion grid for one k."""
     quad_tol = 1e-9

@@ -55,3 +55,19 @@ def rotated_symmetric(rng, eigenvalues):
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     q *= np.sign(np.diag(r))
     return (q * eigenvalues) @ q.T, q
+
+
+def spectrum_dense(rng, n, squared):
+    """Dense n x d matrix with the given squared singular values (d of them) and Haar factors."""
+    squared = np.asarray(squared, dtype=np.float64)
+    d = squared.shape[0]
+    U, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return DesignMatrix.from_dense((U * np.sqrt(squared)) @ V.T)
+
+
+def kappa_1e3_matrix():
+    """40 x 30, lambda = 1: squared singular values from 1e3 down to 2, then below 0.5 (gamma 0.125)."""
+    rng = np.random.default_rng(1000)
+    squared = np.concatenate([np.geomspace(1e3, 2.0, 6), rng.uniform(0.0, 0.5, 24)])
+    return spectrum_dense(rng, 40, squared)

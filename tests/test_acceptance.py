@@ -276,3 +276,43 @@ def test_criterion_12_factored_ridge_box(pool):
             f" error at {worst:.2e} of eps_op*||v|| + eps_machine*||y||; 30 pc_proj runs"
             f" on {helpers.TALL_N}x{helpers.TALL_D} problems, worst error at"
             f" {max(tall):.2e} of the 1e-4*||y|| budget")
+
+
+def test_criterion_13_rational_engine(pool):
+    # The certified Zolotarev engine (ProjectionConfig(method="rational")):
+    # on criterion 1's problems its bound, computed after the run from
+    # recomputed residuals, is at least the true error and at most eps; under
+    # handle noise up to the handle's stated bound it stays so.
+    from helpers import rotated_symmetric
+    from ridgeproj.stepfn import apply_rational_step
+
+    results = pool.map(helpers.rational_projection_worker, SEED_GAMMAS)
+    certified = all(err <= bound <= helpers.PROJ_EPS for err, bound in results)
+    worst = max(err for err, _ in results) / helpers.PROJ_EPS
+    loosest = max(bound for _, bound in results) / helpers.PROJ_EPS
+
+    d, alpha, eps = 24, 0.2, 1e-3
+    noisy_ok = True
+    trial = 0
+    for eps_noise in (1e-8, 1e-6):
+        for _ in range(50):
+            rng = np.random.default_rng([13000, trial])
+            trial += 1
+            x = rng.uniform(alpha, 1.0, size=d) * rng.choice([-1.0, 1.0], size=d)
+            S, Q = rotated_symmetric(rng, 0.5 * (1.0 + x))
+            y = rng.standard_normal(d)
+
+            def noisy(v):
+                noise = rng.standard_normal(d)
+                noise *= eps_noise * np.linalg.norm(v) / np.linalg.norm(noise)
+                return S @ v + noise
+
+            handle = OperatorHandle(dimension=d, apply=noisy, err_bound=eps_noise)
+            s, bound = apply_rational_step(handle, y, alpha, eps)
+            err = np.linalg.norm(s - Q @ ((x > 0) * (Q.T @ y)))
+            noisy_ok &= err <= bound <= eps * np.linalg.norm(y)
+    _report(13, "rational engine", certified and noisy_ok,
+            f"50 problems: worst error at {worst:.2e} and loosest certified bound at"
+            f" {loosest:.2e} of the 1e-4*||y|| budget, every bound >= its error:"
+            f" {certified}; 100 noisy-handle trials (err_bound in {{1e-8, 1e-6}},"
+            f" eps {eps}) with error <= bound <= eps*||y||: {noisy_ok}")

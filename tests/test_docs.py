@@ -128,7 +128,7 @@ PUBLIC = sorted([
 ])
 
 FIELDS = {
-    "ProjectionConfig": ["lam", "gamma", "eps", "q_override"],
+    "ProjectionConfig": ["lam", "gamma", "eps", "q_override", "method"],
     "PcrConfig": ["lam", "gamma", "eps", "q_override"],
     "MatrixStats": ["sigma1_estimate", "lam"],
     "OperatorHandle": ["dimension", "apply", "err_bound"],

@@ -15,7 +15,7 @@ from ridgeproj import (
     svd_small,
 )
 from ridgeproj import pcr as pcr_module
-from helpers import m_inverse_apply, m_norm
+from helpers import kappa_1e3_matrix, m_inverse_apply, m_norm
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,30 @@ class TestPcRegress:
         s = pc_regress(problem.A, cfg, b, stats)
         err = gram_norm(problem.A, s - exact_pcr(oracle, problem.lam, b))
         assert err <= 14 * q * np.finfo(np.float64).eps * np.linalg.norm(b)
+
+    def test_projection_stage_engine(self, small_problem, monkeypatch):
+        # The stage runs on the rational engine where it can certify eps' on
+        # the ridge handle.  At kappa_lambda = 1e3 and eps = 1e-4, eps' = 7e-10
+        # is below what the handle's stated error (the ridge residual floor,
+        # 1.4e-8) lets it certify, so the stage runs on p_k, and the result
+        # still meets the contract.
+        methods = []
+        original = pcr_module.pc_proj
+
+        def spy(A, proj_cfg, y, st):
+            methods.append(proj_cfg.method)
+            return original(A, proj_cfg, y, st)
+
+        monkeypatch.setattr(pcr_module, "pc_proj", spy)
+        problem, stats, _ = small_problem
+        pc_regress(problem.A, PcrConfig(lam=problem.lam, gamma=problem.algorithm_gap(),
+                                        eps=1e-4), problem.b, stats)
+        A = kappa_1e3_matrix()
+        stats = matrix_stats(A, 1.0)
+        b = np.random.default_rng(1002).standard_normal(40)
+        s = pc_regress(A, PcrConfig(lam=1.0, gamma=0.125, eps=1e-4), b, stats)
+        assert methods == ["rational", "pk"]
+        assert gram_norm(A, s - exact_pcr(svd_small(A), 1.0, b)) <= 1e-4 * np.linalg.norm(b)
 
     def test_callback_reports_series(self, small_problem):
         problem, stats, _ = small_problem

@@ -22,6 +22,8 @@ from ridgeproj import (
     svd_small,
 )
 
+from helpers import kappa_1e3_matrix
+
 EPS_MACH = float(np.finfo(np.float64).eps)
 
 
@@ -80,6 +82,20 @@ class TestConfig:
                        dict(lam=1.0, gamma=0.1, eps=0.1, q_override=0)):
             with pytest.raises(ValueError):
                 ProjectionConfig(**kwargs)
+
+    def test_method_validation(self):
+        with pytest.raises(ValueError, match="method must be 'pk' or 'rational'"):
+            ProjectionConfig(lam=1.0, gamma=0.1, eps=0.1, method="zolotarev")
+        with pytest.raises(ValueError, match="q_override applies to method 'pk' only"):
+            ProjectionConfig(lam=1.0, gamma=0.1, eps=0.1, q_override=5, method="rational")
+        assert ProjectionConfig(lam=1.0, gamma=0.1, eps=0.1).method == "pk"
+
+    def test_rational_takes_no_callback(self):
+        A = DesignMatrix.from_dense(np.diag([2.0, 0.5]))
+        stats = matrix_stats(A, 1.0)
+        cfg = ProjectionConfig(lam=1.0, gamma=0.2, eps=1e-3, method="rational")
+        with pytest.raises(ValueError, match="callback applies to method 'pk' only"):
+            pc_proj(A, cfg, np.ones(2), stats, callback=lambda k, s: None)
 
 
 def _stage_configs(**kwargs):
@@ -156,6 +172,66 @@ class TestPcProj:
         s = pc_proj(problem.A, cfg, y, stats)
         err = np.linalg.norm(s - exact_projection(oracle, problem.lam, y))
         assert err <= 14 * q * EPS_MACH * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8])
+    def test_rational_meets_its_certificate(self, small_problem, monkeypatch, eps):
+        # The certified bound is at least the true error and at most eps ||y||.
+        problem, stats, oracle = small_problem
+        bounds = []
+        engine = project.apply_rational_step
+
+        def recording(S, y, alpha, eps_):
+            s, bound = engine(S, y, alpha, eps_)
+            bounds.append(bound / np.linalg.norm(y))
+            return s, bound
+
+        monkeypatch.setattr(project, "apply_rational_step", recording)
+        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=eps,
+                               method="rational")
+        y = np.random.default_rng(78).standard_normal(40)
+        s = pc_proj(problem.A, cfg, y, stats)
+        err = np.linalg.norm(s - exact_projection(oracle, problem.lam, y)) / np.linalg.norm(y)
+        assert err <= bounds[0] <= eps
+
+    def test_rational_refuses_below_its_handle_noise(self, small_problem):
+        # The handle states the ridge residual floor, 64 eps_machine (kappa +
+        # 1) kappa relative error; at eps = 1e-200 what that adds to the
+        # certificate is far above the engine's float64 level, so pc_proj
+        # raises instead of returning a vector it cannot certify.
+        problem, stats, _ = small_problem
+        assert project._rational_certifies(
+            ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-4,
+                             method="rational"), stats)
+        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-200,
+                               method="rational")
+        assert not project._rational_certifies(cfg, stats)
+        with pytest.raises(ValueError, match="cannot be certified"):
+            pc_proj(problem.A, cfg, np.ones(40), stats)
+
+    def test_rational_at_kappa_1e3(self, monkeypatch):
+        # kappa_lambda = 1e3 makes the stated handle error 64 eps_machine
+        # (kappa + 1) kappa = 1.4e-8.  eps = 1e-4 is certified; at eps = 1e-7
+        # four times what that error adds to the certificate exceeds eps, and
+        # the engine refuses rather than return a bound above eps ||y||.
+        A = kappa_1e3_matrix()
+        stats = matrix_stats(A, 1.0)
+        assert 990.0 < stats.kappa_lambda < 1010.0
+        y = np.random.default_rng(1001).standard_normal(30)
+        bounds = []
+        engine = project.apply_rational_step
+
+        def recording(S, v, alpha, eps_):
+            s, bound = engine(S, v, alpha, eps_)
+            bounds.append(bound)
+            return s, bound
+
+        monkeypatch.setattr(project, "apply_rational_step", recording)
+        cfg = ProjectionConfig(lam=1.0, gamma=0.125, eps=1e-4, method="rational")
+        s = pc_proj(A, cfg, y, stats)
+        err = np.linalg.norm(s - exact_projection(svd_small(A), 1.0, y))
+        assert err <= bounds[0] <= 1e-4 * np.linalg.norm(y)
+        with pytest.raises(ValueError, match="cannot be certified"):
+            pc_proj(A, dataclasses.replace(cfg, eps=1e-7), y, stats)
 
     def test_idempotence_to_tolerance(self, small_problem):
         problem, stats, _ = small_problem

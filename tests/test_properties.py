@@ -23,6 +23,7 @@ from ridgeproj import (
     pc_proj,
     pc_regress,
 )
+from ridgeproj.stepfn import _rational_plan
 
 EPS_MACH = float(np.finfo(np.float64).eps)
 LAM = 1.0
@@ -95,6 +96,10 @@ def problems(draw, kept=None, dropped=None, zeros=None, inside=0):
 
 def proj_cfg(lam=LAM):
     return ProjectionConfig(lam=lam, gamma=GAMMA, eps=EPS)
+
+
+def rational_cfg(lam=LAM):
+    return ProjectionConfig(lam=lam, gamma=GAMMA, eps=EPS, method="rational")
 
 
 def pcr_cfg(lam=LAM):
@@ -179,3 +184,56 @@ def test_projection_is_idempotent(problem):
     s = pc_proj(problem.A, proj_cfg(), problem.y, stats)
     again = pc_proj(problem.A, proj_cfg(), s, stats)
     assert np.linalg.norm(again - s) <= (2.0 + EPS) * EPS * np.linalg.norm(problem.y)
+
+
+# The rational engine (ProjectionConfig(method="rational")) on the same spectra.
+
+
+@pytest.mark.parametrize("c", [0.25, 4.0])
+@given(problem=problems())
+@settings(max_examples=10, deadline=None)
+def test_rational_power_of_two_rescaling_is_bit_identical(c, problem):
+    cA = build(c * problem.values, problem.storage)
+    stats = matrix_stats(problem.A, LAM)
+    c_stats = matrix_stats(cA, c * c * LAM)
+    assert (pc_proj(cA, rational_cfg(c * c * LAM), problem.y, c_stats).tobytes()
+            == pc_proj(problem.A, rational_cfg(), problem.y, stats).tobytes())
+
+
+@given(problem=problems(kept=0))
+@settings(max_examples=15, deadline=None)
+def test_rational_lambda_above_spectrum_projects_to_zero(problem):
+    for scale in (1.0, 1e-8):
+        A = build(scale * problem.values, problem.storage)
+        s = pc_proj(A, rational_cfg(), problem.y, matrix_stats(A, LAM))
+        assert np.linalg.norm(s) <= EPS * np.linalg.norm(problem.y)
+
+
+@given(problem=problems(dropped=0, zeros=0))
+@settings(max_examples=15, deadline=None)
+def test_rational_lambda_below_spectrum_is_identity(problem):
+    s = pc_proj(problem.A, rational_cfg(), problem.y, matrix_stats(problem.A, LAM))
+    assert np.linalg.norm(s - problem.y) <= EPS * np.linalg.norm(problem.y)
+
+
+@given(problem=problems())
+@settings(max_examples=15, deadline=None)
+def test_rational_rank_deficient_and_general_spectra(problem):
+    s = pc_proj(problem.A, rational_cfg(), problem.y, matrix_stats(problem.A, LAM))
+    assert (np.linalg.norm(s - problem.exact_projection(problem.y))
+            <= EPS * np.linalg.norm(problem.y))
+
+
+@given(problem=problems(inside=1) | problems(inside=2))
+@settings(max_examples=15, deadline=None)
+def test_rational_in_window_eigenvalues_follow_the_soft_step(problem):
+    # Every direction maps to 1/2 (1 + r(2b - 1)), r the engine's Zolotarev
+    # approximation, up to the certificate's solve and handle terms, which
+    # do not depend on the window; the factors lie in [-delta/2, 1 + delta/2].
+    s = pc_proj(problem.A, rational_cfg(), problem.y, matrix_stats(problem.A, LAM))
+    r = _rational_plan(2.0 * GAMMA / (1.0 - 2.0 * GAMMA), EPS, 0.0)[0]
+    b = problem.sq / (problem.sq + LAM)
+    step = 0.5 * (1.0 + r(2.0 * b - 1.0))
+    assert np.all((-r.error / 2 <= step) & (step <= 1.0 + r.error / 2))
+    expect = problem.V @ (step * (problem.V.T @ problem.y))
+    assert np.linalg.norm(s - expect) <= EPS * np.linalg.norm(problem.y)

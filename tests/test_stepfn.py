@@ -7,6 +7,7 @@ import ridgeproj.project as project
 import ridgeproj.ridge as ridge
 from ridgeproj import (
     BudgetExceeded,
+    ConvergenceFailure,
     DesignMatrix,
     OperatorHandle,
     ProjectionConfig,
@@ -15,8 +16,11 @@ from ridgeproj import (
     p_k_eval,
     pc_proj,
 )
+from ridgeproj.stepfn import _rational_plan, _zolotarev, apply_rational_step
 from ridgeproj.synthetic import haar_orthonormal
 from helpers import rotated_symmetric
+
+EPS_MACH = float(np.finfo(np.float64).eps)
 
 
 def exact_handle(S):
@@ -236,3 +240,151 @@ class TestZeroIncrement:
         monkeypatch.setattr(ridge, "_cg", lambda *a: cg_calls.append(1) or cg(*a))
         self.every_step_vs_early_stop(monkeypatch, 60)
         assert cg_calls == []
+
+
+def windowed_eigs(rng, d, alpha):
+    """Eigenvalues of S in [0, 1] with ``|2 mu - 1| >= alpha``, both window edges included."""
+    x = rng.uniform(alpha, 1.0, size=d) * rng.choice([-1.0, 1.0], size=d)
+    x[:2] = (alpha, -alpha)
+    return 0.5 * (1.0 + x)
+
+
+def sign_reference(eigs, Q, y):
+    """Exact (1/2)(y + sgn(2S - I) y), the target of the rational engine."""
+    return Q @ (np.where(eigs > 0.5, 1.0, 0.0) * (Q.T @ y))
+
+
+class TestZolotarev:
+    @pytest.mark.parametrize("alpha", [0.3, 0.2, 0.0476])
+    @pytest.mark.parametrize("eps, slack", [(1e-2, 0.0), (1e-4, 8.0 * EPS_MACH)])
+    def test_equioscillation_points_give_the_grid_maximum(self, alpha, eps, slack):
+        # delta_n, read off the 2n + 2 closed-form points, is the maximum
+        # error over a fine geometric grid (whose ends, alpha and 1, are two
+        # of the points), and n is the least count that meets eps / 2.  The
+        # values near 1 round to a few eps_machine, which at eps = 1e-4
+        # (delta_n of 6e-6 to 2e-5) is up to 1e-10 of delta_n: that case gets
+        # the slack.
+        r, tol, _ = _rational_plan(alpha, eps, 0.0)
+        assert tol == eps and r.error <= eps / 2
+        assert r.poles.size == 1 or _zolotarev(alpha, r.poles.size - 1).error > eps / 2
+        xs = np.geomspace(alpha, 1.0, 20_001)
+        for grid in (np.abs(r(xs) - 1.0).max(), np.abs(r(-xs) + 1.0).max()):
+            assert abs(float(grid) - r.error) <= 1e-12 * r.error + slack
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.0476])
+    def test_window_is_a_monotone_soft_step(self, alpha):
+        # Inside |x| < alpha, r rises from r(0) = 0 to r(alpha) = 1 - delta_n.
+        r = _rational_plan(alpha, 1e-4, 0.0)[0]
+        xs = np.linspace(0.0, alpha, 10_001)
+        vals = r(xs)
+        assert vals[0] == 0.0 and np.all(np.diff(vals) > 0.0)
+        assert vals[-1] == pytest.approx(1.0 - r.error, abs=1e-15)
+
+    def test_poles_and_weights_positive_and_ascending(self):
+        r = _zolotarev(0.1, 6)
+        assert np.all(r.poles > 0) and np.all(r.weights > 0) and np.all(np.diff(r.poles) > 0)
+
+    def test_float64_floor_keeps_n_finite(self):
+        # eps = 1e-200 is clamped to 64 eps_machine for n and the CG target,
+        # and the certified level rises to four times the a-priori
+        # eps_machine terms of the handle, never by its relative error.
+        r, tol, level = _rational_plan(0.1, 1e-200, 0.0)
+        assert tol == 64.0 * EPS_MACH
+        assert r.error <= tol / 2 and r.poles.size < 20
+        assert level == max(tol, 4.0 * r.noise(0.0)) and level < 1e-12
+        # At alpha = 1e-4 the float64 error stops falling near 6e-13: tol
+        # rises to twice the least error reached, which still bounds the grid.
+        r, tol, _ = _rational_plan(1e-4, 1e-200, 0.0)
+        assert 64.0 * EPS_MACH < tol == 2.0 * r.error < 1e-11
+        xs = np.geomspace(1e-4, 1.0, 20_001)
+        assert np.abs(r(xs) - 1.0).max() <= r.error * (1.0 + 1e-9) + 8.0 * EPS_MACH
+
+
+    @pytest.mark.parametrize("alpha, eps, err", [(0.1, 1e-200, 1e-13), (0.2, 1e-4, 1e-5),
+                                                 (1e-3, 1e-2, 1e-6)])
+    def test_handle_error_beyond_the_level_is_refused(self, alpha, eps, err):
+        # The handle's relative error may not raise the certified level: four
+        # times its a-priori noise above the level is a ValueError, also for
+        # an eps below the float64 floor.
+        with pytest.raises(ValueError, match="cannot be certified"):
+            _rational_plan(alpha, eps, err)
+        r, _, level = _rational_plan(alpha, eps, 0.0)
+        assert 4.0 * r.noise(err) > level
+
+    def test_handle_error_within_the_level_is_taken(self):
+        r, tol, level = _rational_plan(0.2, 1e-4, 1e-7)
+        assert tol == level == 1e-4 and 4.0 * r.noise(1e-7) <= level
+
+
+class TestApplyRationalStep:
+    def test_meets_and_bounds_the_sign_step(self):
+        rng = np.random.default_rng(404)
+        for d, alpha, eps in ((10, 0.3, 1e-2), (40, 0.1, 1e-4), (60, 0.05, 1e-6)):
+            eigs = windowed_eigs(rng, d, alpha)
+            S, Q = rotated_symmetric(rng, eigs)
+            y = rng.standard_normal(d)
+            s, bound = apply_rational_step(exact_handle(S), y, alpha, eps)
+            err = np.linalg.norm(s - sign_reference(eigs, Q, y))
+            assert err <= bound <= eps * np.linalg.norm(y)
+
+    def test_follows_r_of_x_whatever_the_spectrum(self):
+        # Inside the window the output follows (1/2)(1 + r(x)); only the
+        # delta_n / 2 term of the bound depends on the window.
+        rng = np.random.default_rng(405)
+        alpha, eps = 0.2, 1e-3
+        eigs = rng.uniform(0.0, 1.0, size=30)
+        S, Q = rotated_symmetric(rng, eigs)
+        y = rng.standard_normal(30)
+        s, bound = apply_rational_step(exact_handle(S), y, alpha, eps)
+        r = _rational_plan(alpha, eps, 0.0)[0]
+        expect = Q @ (0.5 * (1.0 + r(2.0 * eigs - 1.0)) * (Q.T @ y))
+        assert np.linalg.norm(s - expect) <= bound - 0.5 * r.error * np.linalg.norm(y)
+
+    def test_float64_floor_on_an_exact_handle(self):
+        # At eps = 1e-200 the run stops at the float64 level of the plan and
+        # certifies it.
+        rng = np.random.default_rng(408)
+        eigs = windowed_eigs(rng, 30, 0.1)
+        S, Q = rotated_symmetric(rng, eigs)
+        y = rng.standard_normal(30)
+        s, bound = apply_rational_step(exact_handle(S), y, 0.1, 1e-200)
+        level = _rational_plan(0.1, 1e-200, 0.0)[2]
+        err = np.linalg.norm(s - sign_reference(eigs, Q, y))
+        assert err <= bound <= level * np.linalg.norm(y) < 1e-12 * np.linalg.norm(y)
+
+    def test_handle_error_refused_before_any_application(self):
+        calls = []
+        S = OperatorHandle(dimension=3, apply=lambda v: calls.append(1) or 0.5 * v,
+                           err_bound=1e-6)
+        with pytest.raises(ValueError, match="cannot be certified"):
+            apply_rational_step(S, np.ones(3), 0.2, 1e-6)
+        assert calls == []
+
+    def test_zero_input_and_repeat_runs(self):
+        rng = np.random.default_rng(406)
+        S, _ = rotated_symmetric(rng, windowed_eigs(rng, 12, 0.2))
+        s, bound = apply_rational_step(exact_handle(S), np.zeros(12), 0.2, 1e-3)
+        assert not s.any() and bound == 0.0
+        y = rng.standard_normal(12)
+        first = apply_rational_step(exact_handle(S), y, 0.2, 1e-3)
+        again = apply_rational_step(exact_handle(S), y, 0.2, 1e-3)
+        assert first[0].tobytes() == again[0].tobytes() and first[1] == again[1]
+
+    def test_never_returns_an_uncertified_vector(self):
+        # A handle that errs a thousand times beyond its stated bound makes
+        # the recomputed residuals disagree with the recursive ones; the
+        # engine raises instead of returning the vector.
+        rng = np.random.default_rng(407)
+        S, _ = rotated_symmetric(rng, windowed_eigs(rng, 20, 0.1))
+        lying = noisy_handle(S, 1e-5, rng)
+        lying = dataclasses.replace(lying, err_bound=1e-8)
+        with pytest.raises(ConvergenceFailure, match="certified bound"):
+            apply_rational_step(lying, rng.standard_normal(20), 0.1, 1e-4)
+
+    def test_validation(self):
+        S = exact_handle(np.eye(2))
+        for alpha in (0.0, 1.0, np.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                apply_rational_step(S, np.ones(2), alpha, 1e-3)
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_rational_step(S, np.array([1.0, np.inf]), 0.2, 1e-3)
