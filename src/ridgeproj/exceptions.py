@@ -19,7 +19,12 @@ class DimensionMismatch(RidgeProjError, ValueError):
 
 
 class BudgetExceeded(RidgeProjError, ValueError):
-    """An iteration count exceeds the error budget that makes it valid."""
+    """A step engine refuses, before any operator application, an accuracy out of its reach.
+
+    Either an iteration count exceeds the error budget that makes it valid,
+    or an accuracy cannot be certified on the operator handle's stated
+    error.
+    """
 
 
 class ConvergenceFailure(RidgeProjError, RuntimeError):

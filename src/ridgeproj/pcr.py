@@ -21,10 +21,12 @@ certified rational engine (``ProjectionConfig(method="rational")``, see
 applications where the step polynomial makes hundreds, and a projection
 returned only once a bound computed after the run, from recomputed
 residuals, is within its tolerance.  Where the engine cannot certify that
-tolerance on the ridge handle (its stated error, the ridge residual floor,
-grows like kappa_lambda^2: at gamma = 0.1 the engine takes eps = 1e-2 up
-to kappa_lambda near 400 and eps = 1e-4 up to near 50), the stage runs on
-the step polynomial instead.
+tolerance on the ridge handle's stated error (its residual floor grows like
+kappa_lambda^2: at gamma = 0.1 the engine takes eps = 1e-2 up to
+kappa_lambda near 400 and eps = 1e-4 up to near 50), it raises
+:class:`~ridgeproj.exceptions.BudgetExceeded` before any ridge
+application, and the stage reruns on the step polynomial, whose budget
+check may raise it too at large kappa_lambda.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._float64 import _TINY, _ceil_tight
-from .exceptions import ConvergenceFailure
+from .exceptions import BudgetExceeded, ConvergenceFailure
 from .matrix import DesignMatrix, _as_finite_1d
-from .project import ProjectionConfig, _StageConfig, _rational_certifies, pc_proj
+from .project import ProjectionConfig, _StageConfig, pc_proj
 from .ridge import ridge_solve
 from .spectral import MatrixStats
 
@@ -89,15 +91,15 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
     spectral-gap window of the projection step, where ``x_pcr`` is the
     exact PCR solution for threshold lambda.  After projecting
     ``y = A^T b`` with ``pc_proj`` to eps' (on ``method="rational"``,
-    certified after the run, where that engine can certify eps' on A's
-    ridge handle, otherwise on ``"pk"``), the series runs ``q + 1`` ridge
-    solves ``R``:
+    certified after the run, or on ``"pk"`` where that engine raises
+    ``BudgetExceeded``), the series runs ``q + 1`` ridge solves ``R``:
 
         s_0 = R(P y),   s_k = s_0 + lambda R(s_{k-1}),   k = 1..q,
 
     so ``s_q = sum_{i=1}^{q+1} lambda^{i-1} (M^{-1})^i P y``.  Inner
     failures carry a stage label: "projection", or "series step j" for
-    the j-th series solve, j = 1..q+1.
+    the j-th series solve, j = 1..q+1.  At large kappa_lambda ``"pk"``
+    raises ``BudgetExceeded`` too, before any ridge application.
 
     ``callback(k, s_k)`` (if given) receives a copy of each series iterate,
     k = 0..q.
@@ -105,11 +107,12 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
     b = _as_finite_1d(b, A.n_rows, what="right-hand side")
     q, eps_inner, _ = cfg.resolve(stats)
     proj_cfg = ProjectionConfig(lam=cfg.lam, gamma=cfg.gamma, eps=eps_inner, method="rational")
-    if not _rational_certifies(proj_cfg, stats):
-        proj_cfg = replace(proj_cfg, method="pk")
     y = A.rmatvec(b)
     try:
-        y_proj = pc_proj(A, proj_cfg, y, stats)
+        try:
+            y_proj = pc_proj(A, proj_cfg, y, stats)
+        except BudgetExceeded:
+            y_proj = pc_proj(A, replace(proj_cfg, method="pk"), y, stats)
     except ConvergenceFailure as exc:
         raise ConvergenceFailure(f"projection stage failed: {exc}",
                                  diagnostic=exc.diagnostic) from exc

@@ -25,13 +25,16 @@ applications grow like ``alpha^-1 ln(1/eps)`` (``alpha = 2 gamma / (1 - 2
 gamma)``) rather than ``alpha^-2``.  After the run it recomputes the true
 shifted residuals through the handle and returns the vector only if a
 bound built from them, the handle's stated error and ``delta_n`` is at
-most ``eps ||y||_2``; otherwise it raises.  An eps that the handle's stated
-error alone keeps out of reach (large kappa_lambda, or eps near float64
-resolution) is refused with ``ValueError`` before the run.  In-window
-directions then get
+most ``eps ||y||_2``; otherwise it raises.  In-window directions then get
 a soft step between ``delta_n / 2`` and ``1 - delta_n / 2`` (see
 :func:`~ridgeproj.stepfn.apply_rational_step`), not one in [0, 1] that
 follows ``p_q``.
+
+Both engines check the ridge handle's stated error, which includes the
+residual floor (see :func:`~ridgeproj.ridge._gram_solver`), before any
+application and raise :class:`~ridgeproj.exceptions.BudgetExceeded` for an
+eps it keeps out of reach: ``p_k`` from kappa_lambda near 1e5 at gamma =
+0.1 and eps = 1e-2, the rational engine at far smaller kappa_lambda.
 
 The paper's failure probability delta has no counterpart here: the inner
 solvers are deterministic, conjugate gradient meeting its tolerance or
@@ -49,9 +52,9 @@ import numpy as np
 
 from ._float64 import _EPS, _TINY, _ceil_tight
 from .matrix import DesignMatrix, _as_finite_1d
-from .ridge import RESIDUAL_FLOOR_MULT, _gram_solver
+from .ridge import _gram_solver
 from .spectral import MatrixStats, _check_lam
-from .stepfn import OperatorHandle, _check_int, _rational_plan, apply_rational_step, apply_step
+from .stepfn import _check_int, apply_rational_step, apply_step
 
 __all__ = ["ProjectionConfig", "pc_proj"]
 
@@ -114,8 +117,8 @@ class ProjectionConfig(_StageConfig):
         """Concrete (q, eps_inner, eps_op) for the given matrix stats.
 
         Validates the accumulated-noise budget ``7 q (eps_op + eps_machine)
-        <= eps`` where ``eps_op = sqrt(kappa) * eps_inner`` bounds the
-        relative error of one operator application and ``eps_machine`` its
+        <= eps`` where ``eps_op = sqrt(kappa) * eps_inner`` is the relative
+        error eps_inner allows one operator application and ``eps_machine`` its
         query-level floor (see :func:`pc_proj`); a violating override is a
         configuration error, raised here rather than surfacing as silent
         inaccuracy.  ``14 q eps_machine`` is the float64 resolution level of
@@ -159,34 +162,28 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     :class:`~ridgeproj.exceptions.ConvergenceFailure` annotated with the
     iteration index.
 
-    Each of the ``2q + 1`` applications of ``B`` returns ``x`` with
-    ``||x - B v||_2 <= eps_op ||v||_2 + eps_machine ||y||_2``: the ridge
-    solves stop at the float64 resolution of the query instead of refining
-    recurrence increments far below it.  The relative term costs at most
-    ``7 q eps_op ||y||_2``, which :meth:`ProjectionConfig.resolve` keeps
-    within budget.  The absolute term costs at most ``8 q (1 + min(q,
-    1/alpha^2)) eps_machine ||y||_2`` (proved at
-    :class:`~ridgeproj.stepfn.OperatorHandle`), where ``alpha = 2 gamma /
-    (1 - 2 gamma)`` when the gap window holds, so at most ``8 q (1 +
-    1/(4 gamma^2)) eps_machine ||y||_2``: about 2e-9 ``||y||_2`` at q =
-    2565 and gamma = 0.023.
+    Besides its stated relative error, each application of the ridge handle
+    (:func:`~ridgeproj.ridge._gram_solver`) errs by up to ``eps_machine
+    ||y||_2``: the ridge solves stop at the float64 resolution of the query
+    instead of refining recurrence increments far below it.  On ``p_k`` that
+    costs at most ``8 q (1 + min(q, 1/alpha^2)) eps_machine ||y||_2``
+    (proved at :class:`~ridgeproj.stepfn.OperatorHandle`), where ``alpha = 2
+    gamma / (1 - 2 gamma)`` when the gap window holds, so at most ``8 q (1 +
+    1/(4 gamma^2)) eps_machine ||y||_2``: about 2e-9 ``||y||_2`` at q = 2565
+    and gamma = 0.023.  A stated error that takes q past the budget of
+    :func:`~ridgeproj.stepfn.apply_step` raises ``BudgetExceeded``.
 
     ``callback(k, s_k)`` (if given) receives the iterate after k outer
     iterations, k = 0..q, where iterate 0 is ``B y``.
 
     With ``cfg.method == "rational"`` the same handle drives
     :func:`~ridgeproj.stepfn.apply_rational_step` on the window half-width
-    ``alpha = 2 gamma / (1 - 2 gamma)`` of ``X = 2B - I`` (1/2 for gamma of
-    1/6 and above; a gamma below 5e-7, alpha below 1e-6, raises
-    ``ValueError``).  Its handle states the relative error
-    ``max(eps_op, 64 eps_machine (kappa_lambda + 1) kappa_lambda)``, which
-    includes the ridge solver's residual floor, and the returned vector
+    ``alpha`` (1/2 for gamma of 1/6 and above), and the returned vector
     carries a certificate computed after the run: ``||s - P y||_2 <= eps
     ||y||_2`` under the gap window, with eps raised only to the engine's
-    float64 floor, which its ``eps_machine`` terms set.  An eps that this
-    relative error alone keeps out of reach raises ``ValueError`` before
-    any application (see :func:`~ridgeproj.stepfn._rational_plan`); a run
-    that cannot certify raises
+    float64 floor.  An eps that the stated error keeps out of reach, or a
+    gamma below 5e-7 (alpha below 1e-6), raises ``BudgetExceeded`` before
+    any application; a run that cannot certify raises
     :class:`~ridgeproj.exceptions.ConvergenceFailure`.  In-window
     directions get a soft step between ``delta/2`` and ``1 - delta/2``,
     delta the Zolotarev error, at most eps/2.  This engine takes no
@@ -195,36 +192,9 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     if cfg.method == "rational" and callback is not None:
         raise ValueError("callback applies to method 'pk' only")
     y = _as_finite_1d(y, A.n_cols, what="input vector")
-    q, eps_inner, eps_op = cfg.resolve(stats)
-    apply = _gram_solver(A, stats, eps_inner, query_norm=float(np.linalg.norm(y)))
+    q, eps_inner, _ = cfg.resolve(stats)
+    handle = _gram_solver(A, stats, eps_inner, query_norm=float(np.linalg.norm(y)))
     if cfg.method == "pk":
-        handle = OperatorHandle(dimension=A.n_cols, apply=apply, err_bound=eps_op)
         return apply_step(handle, y, q, callback=callback)
-    alpha, err = _rational_window(cfg.gamma, stats, eps_op)
-    handle = OperatorHandle(dimension=A.n_cols, apply=apply, err_bound=err)
+    alpha = 2.0 * cfg.gamma / (1.0 - 2.0 * cfg.gamma) if 6.0 * cfg.gamma < 1.0 else 0.5
     return apply_rational_step(handle, y, alpha, cfg.eps)[0]
-
-
-def _rational_window(gamma: float, stats: MatrixStats, eps_op: float):
-    """``(alpha, err)``: the rational engine's window half-width and handle error (see pc_proj)."""
-    kappa = stats.kappa_lambda
-    err = max(eps_op, RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0) * kappa)
-    alpha = 2.0 * gamma / (1.0 - 2.0 * gamma) if 6.0 * gamma < 1.0 else 0.5
-    return alpha, err
-
-
-def _rational_certifies(cfg: ProjectionConfig, stats: MatrixStats) -> bool:
-    """Whether ``pc_proj`` on ``method="rational"`` would take ``cfg`` rather than refuse it.
-
-    It refuses when alpha is below 1e-6 or when the handle's stated error
-    cannot be certified to eps (see :func:`~ridgeproj.stepfn._rational_plan`).
-    The error's ridge residual floor grows like kappa_lambda^2: at gamma =
-    0.1 the refusal starts near kappa_lambda = 1e4 for eps = 1e-4 and near
-    1e3 for eps = 1e-6.
-    """
-    alpha, err = _rational_window(cfg.gamma, stats, cfg.resolve(stats)[2])
-    try:
-        _rational_plan(alpha, cfg.eps, err)
-    except ValueError:
-        return False
-    return True

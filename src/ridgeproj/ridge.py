@@ -3,12 +3,13 @@
 Two solvers, picked by the shape of A.  :func:`_solver` resolves the
 residual target and CG budget once per matrix, :class:`MatrixStats` (which
 hold lambda) and tolerance; :func:`ridge_solve` calls it on one right-hand
-side.  :func:`_gram_solver` applies ``B = M^{-1} A^T A`` for every
-projection step: on a dense A with at least ``10 d`` rows it factors the
-ridge matrix once per call and makes two triangular solves per
-application; on every other A, and if that factorization fails, it runs
-:func:`_solver` on ``A^T A v``.  The 10 is a memory rule: the d-by-d
-factor then adds at most a tenth to the bytes A already holds.
+side.  :func:`_gram_solver` returns the handle that applies ``B = M^{-1}
+A^T A``, and states its error, for every projection step: on a dense A
+with at least ``10 d`` rows it factors the ridge matrix once per call and
+makes two triangular solves per application; on every other A, and if
+that factorization fails, it runs :func:`_solver` on ``A^T A v``.  The
+10 is a memory rule: the d-by-d factor then adds at most a tenth to the
+bytes A already holds.
 
 Conjugate gradient runs on the regularized gram operator, which is never
 materialized: each CG step makes one gram product on the gram factor of A
@@ -66,8 +67,9 @@ from ._float64 import _EPS
 from .exceptions import ConvergenceFailure
 from .matrix import DesignMatrix, _as_finite_1d
 from .spectral import MatrixStats
+from .stepfn import OperatorHandle
 
-__all__ = ["ridge_solve", "RESIDUAL_FLOOR_MULT"]
+__all__ = ["ridge_solve"]
 
 # Multiplier on eps_machine * (kappa_lambda + 1) below which residual
 # targets are clamped; about 64x the attainable CG residual.
@@ -172,31 +174,41 @@ def _ridge_factor(R, lam):
     return T if info == 0 else None
 
 
-def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float, query_norm: float):
-    """Apply ``B = (A^T A + lambda I)^{-1} A^T A``, one gram product and one solve per vector.
+def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float,
+                 query_norm: float) -> OperatorHandle:
+    """The handle of ``B = (A^T A + lambda I)^{-1} A^T A``, one gram product and solve per vector.
 
-    ``query_norm`` (``||y||_2`` of the vector the engine transforms) sets the
-    query-level floor ``lambda * eps_machine * query_norm``: an application
-    errs from ``B v`` by at most ``(sigma1 / sqrt(lambda)) * eps * ||v||_2 +
-    eps_machine * query_norm``, and is exactly zero once ``A^T A v`` is
-    below the floor.  The solve is two triangular solves with the Cholesky
-    factor of the ridge matrix, built here, when A is dense with
-    ``n_rows >= 10 * n_cols`` and the factorization succeeds; otherwise it
-    is one :func:`_solver` call, and ``query_norm = 0`` then gives
+    Its ``err_bound``, with ``kappa = max(kappa_lambda, 1)``, is
+
+        max(sqrt(kappa) eps, 64 eps_machine (kappa_lambda + 1) kappa_lambda):
+
+    the solve of ``A^T A v``, of norm at most ``sigma1^2 ||v||_2``, stops at
+    the residual target of :func:`_solver` or at its float64 floor, and
+    ``||x - B v||_2 <= ||r||_2 / lambda``.  ``query_norm`` (``||y||_2`` of
+    the vector the engine transforms) sets the query-level floor ``lambda
+    eps_machine query_norm``, so an application errs from ``B v`` by at most
+    ``err_bound ||v||_2 + eps_machine query_norm``, and is exactly zero once
+    ``A^T A v`` is below the floor.  The solve is two triangular solves with
+    the Cholesky factor of the ridge matrix, built here, when A is dense
+    with ``n_rows >= 10 * n_cols`` and the factorization succeeds; otherwise
+    it is one :func:`_solver` call, and ``query_norm = 0`` then gives
     ``ridge_solve(A, eps, A^T A v, stats)``.
     """
+    kappa = stats.kappa_lambda
+    err = max(math.sqrt(max(kappa, 1.0)) * eps,
+              RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0) * kappa)
     floor = stats.lam * _EPS * query_norm
     solve = _solver(A, stats, eps, abs_floor=floor)
     G = A._gram
     mv, rmv = G._mv, G._rmv
+    d = A.n_cols
     T = None
-    if A.storage == "dense" and 0 < _FACTOR_ROWS_PER_COL * A.n_cols <= A.n_rows:
+    if A.storage == "dense" and 0 < _FACTOR_ROWS_PER_COL * d <= A.n_rows:
         T = _ridge_factor(G._dense, stats.lam)
     if T is None:
-        return lambda v: solve(rmv(mv(v)))
+        return OperatorHandle(dimension=d, apply=lambda v: solve(rmv(mv(v))), err_bound=err)
     stop = 0.9 * floor
     stop2 = stop * stop  # CG's first stopping test, on ||A^T A v||^2
-    d = A.n_cols
 
     def apply(v):
         rhs = rmv(mv(v))
@@ -204,4 +216,4 @@ def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float, query_norm: fl
             return np.zeros(d)
         return dtrsv(T, dtrsv(T, rhs, trans=1, overwrite_x=1), overwrite_x=1)
 
-    return apply
+    return OperatorHandle(dimension=d, apply=apply, err_bound=err)

@@ -48,8 +48,8 @@ class OperatorHandle:
     eigenvalues of S in [0, 1].
 
     A handle built for one input y may also err by a fixed absolute amount
-    on the scale of ``||y||_2``: the projection handle of
-    :func:`~ridgeproj.project.pc_proj` guarantees
+    on the scale of ``||y||_2``: the ridge handle of
+    :func:`~ridgeproj.ridge._gram_solver` guarantees
     ``||apply(x) - S x||_2 <= err_bound * ||x||_2 + eps_machine * ||y||_2``.
     Over the q steps of :func:`apply_step`, an absolute error of at most
     ``eta * ||y||_2`` per application adds at most
@@ -259,11 +259,12 @@ def _rational_plan(alpha: float, eps: float, err: float):
     the float64 floor of the engine, the counterpart of the ``14 q
     eps_machine`` level of :func:`apply_step`.  A relative error ``err``
     with ``4 r.noise(err)`` above the level leaves too little of it for the
-    solves, so no run could certify it: that raises ``ValueError`` before
-    any application, as does an alpha outside ``[1e-6, 1)``.
+    solves, so no run could certify it: that raises
+    :class:`~ridgeproj.exceptions.BudgetExceeded` before any application,
+    as does an alpha outside ``[1e-6, 1)``.
     """
     if not _MIN_ALPHA <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [{_MIN_ALPHA}, 1), got {alpha}")
+        raise BudgetExceeded(f"alpha must lie in [{_MIN_ALPHA}, 1), got {alpha}")
     tol = max(eps, _RATIONAL_FLOOR)
     r = _zolotarev(alpha, 1)
     for n in itertools.count(2):
@@ -277,7 +278,7 @@ def _rational_plan(alpha: float, eps: float, err: float):
     level = max(tol, 4.0 * r.noise(0.0))
     noise = 4.0 * r.noise(err)
     if noise > level:
-        raise ValueError(
+        raise BudgetExceeded(
             f"handle error {err:.3e} cannot be certified to {level:.3e}: four times its"
             f" a-priori noise is {noise:.3e} at alpha = {alpha:.3e}")
     return r, tol, level
@@ -321,8 +322,9 @@ def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
     ``eps_machine`` terms (see :func:`_rational_plan`).  Otherwise the run
     goes on to a quarter of its residual target and certifies again; after
     four rounds it raises :class:`ConvergenceFailure`.  A handle whose
-    ``err_bound`` alone would take the bound past ``level`` is refused with
-    ``ValueError`` before any application.
+    ``err_bound`` alone would take the bound past ``level``, and an alpha
+    outside ``[1e-6, 1)``, are refused with
+    :class:`~ridgeproj.exceptions.BudgetExceeded` before any application.
 
     Inside the window (``|x| < alpha``) ``r`` rises monotonically from
     ``r(0) = 0`` to ``r(alpha) = 1 - delta_n`` (odd in x), so in-window

@@ -18,6 +18,7 @@ from ridgeproj import (
     pc_regress,
     svd_small,
 )
+from helpers import m_inv_norm, m_inverse_apply, m_norm
 
 N, D, TOP_RANK = 120, 80, 20
 TALL_N, TALL_D, TALL_TOP_RANK = 400, 40, 8
@@ -125,16 +126,7 @@ def ridge_contract_worker(seed):
     x = ridge_solve(A, eps, y, stats)
 
     F = svd_small(A)
-    coeff = F.V.T @ y
-    perp = y - F.V @ coeff
-    x_star = F.V @ (coeff / (F.singular_values ** 2 + lam)) + perp / lam
-    diff = x - x_star
-    dc = F.V.T @ diff
-    dp = diff - F.V @ dc
-    lhs = float(np.sqrt(np.sum((F.singular_values ** 2 + lam) * dc ** 2) + lam * (dp @ dp)))
-    rhs = float(eps * np.sqrt(np.sum(coeff ** 2 / (F.singular_values ** 2 + lam))
-                              + (perp @ perp) / lam))
-    return lhs, rhs
+    return m_norm(F, lam, x - m_inverse_apply(F, lam, y)), eps * m_inv_norm(F, lam, y)
 
 
 def factored_ridge_worker(seed):
@@ -142,8 +134,10 @@ def factored_ridge_worker(seed):
 
     ``factored`` says that the projection's ridge handle Cholesky-factors the
     ridge matrix; the ratio is the largest, over four vectors v, of its error
-    against the SVD oracle over the handle's contract
-    ``eps_op ||v|| + eps_machine ||y||``, ``eps_op = (sigma1 / sqrt(lam)) eps``.
+    against the SVD oracle over the contract ``eps_op ||v|| + eps_machine
+    ||y||``, ``eps_op = (sigma1 / sqrt(lam)) eps``: the factored solve's own,
+    tighter than the handle's ``err_bound``, which also states the CG
+    residual floor.
     """
     from ridgeproj import DesignMatrix
     from ridgeproj.ridge import _gram_solver, _ridge_factor
@@ -159,7 +153,7 @@ def factored_ridge_worker(seed):
     y = rng.standard_normal(d)
     stats = matrix_stats(A, lam)
     y_norm = float(np.linalg.norm(y))
-    apply = _gram_solver(A, stats, eps, y_norm)
+    apply = _gram_solver(A, stats, eps, y_norm).apply
     eps_op = stats.sigma1_estimate / np.sqrt(lam) * eps
 
     F = svd_small(A)

@@ -66,8 +66,11 @@ def spectrum_dense(rng, n, squared):
     return DesignMatrix.from_dense((U * np.sqrt(squared)) @ V.T)
 
 
-def kappa_1e3_matrix():
-    """40 x 30, lambda = 1: squared singular values from 1e3 down to 2, then below 0.5 (gamma 0.125)."""
+def kappa_1e3_matrix(top=1e3):
+    """40 x 30, lambda = 1: squared singular values from ``top`` down to 2, then below 0.5.
+
+    The gap window at lambda = 1 holds for gamma up to 0.125, and kappa_lambda is ``top``.
+    """
     rng = np.random.default_rng(1000)
-    squared = np.concatenate([np.geomspace(1e3, 2.0, 6), rng.uniform(0.0, 0.5, 24)])
+    squared = np.concatenate([np.geomspace(top, 2.0, 6), rng.uniform(0.0, 0.5, 24)])
     return spectrum_dense(rng, 40, squared)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ridgeproj import (
+    BudgetExceeded,
     ConvergenceFailure,
     DesignMatrix,
     PcrConfig,
@@ -126,14 +127,23 @@ class TestPcRegress:
         # The stage runs on the rational engine where it can certify eps' on
         # the ridge handle.  At kappa_lambda = 1e3 and eps = 1e-4, eps' = 7e-10
         # is below what the handle's stated error (the ridge residual floor,
-        # 1.4e-8) lets it certify, so the stage runs on p_k, and the result
-        # still meets the contract.
-        methods = []
+        # 1.4e-8) lets it certify: the engine raises BudgetExceeded before any
+        # product with A, the stage reruns on p_k, and the result still meets
+        # the contract.
+        methods, refused_mv = [], []
         original = pcr_module.pc_proj
+        mv_calls = []
+        mv = DesignMatrix._mv
+        monkeypatch.setattr(DesignMatrix, "_mv", lambda self, x: mv_calls.append(1) or mv(self, x))
 
         def spy(A, proj_cfg, y, st):
             methods.append(proj_cfg.method)
-            return original(A, proj_cfg, y, st)
+            before = len(mv_calls)
+            try:
+                return original(A, proj_cfg, y, st)
+            except BudgetExceeded:
+                refused_mv.append(len(mv_calls) - before)
+                raise
 
         monkeypatch.setattr(pcr_module, "pc_proj", spy)
         problem, stats, _ = small_problem
@@ -143,8 +153,25 @@ class TestPcRegress:
         stats = matrix_stats(A, 1.0)
         b = np.random.default_rng(1002).standard_normal(40)
         s = pc_regress(A, PcrConfig(lam=1.0, gamma=0.125, eps=1e-4), b, stats)
-        assert methods == ["rational", "pk"]
+        assert methods == ["rational", "rational", "pk"]
+        assert refused_mv == [0] and mv_calls
         assert gram_norm(A, s - exact_pcr(svd_small(A), 1.0, b)) <= 1e-4 * np.linalg.norm(b)
+
+    def test_projection_budget_sees_the_residual_floor(self):
+        # At kappa_lambda = 1e6 the ridge handle states its residual floor,
+        # 1.4e-2 relative, which no projection stage can take: the rational
+        # engine refuses it, and so does p_k's budget guard, instead of a
+        # result many times over its contract.
+        A = kappa_1e3_matrix(top=1e6)
+        b = np.random.default_rng(1004).standard_normal(40)
+        with pytest.raises(BudgetExceeded, match="error budget exhausted"):
+            pc_regress(A, PcrConfig(lam=1.0, gamma=0.1, eps=1e-2), b, matrix_stats(A, 1.0))
+
+    def test_meets_contract_at_kappa_1e4(self):
+        A = kappa_1e3_matrix(top=1e4)
+        b = np.random.default_rng(1004).standard_normal(40)
+        s = pc_regress(A, PcrConfig(lam=1.0, gamma=0.1, eps=1e-2), b, matrix_stats(A, 1.0))
+        assert gram_norm(A, s - exact_pcr(svd_small(A), 1.0, b)) <= 1e-2 * np.linalg.norm(b)
 
     def test_callback_reports_series(self, small_problem):
         problem, stats, _ = small_problem

@@ -6,6 +6,7 @@ import pytest
 
 import ridgeproj.project as project
 from ridgeproj import (
+    BudgetExceeded,
     DesignMatrix,
     MatrixStats,
     OperatorHandle,
@@ -199,14 +200,11 @@ class TestPcProj:
         # certificate is far above the engine's float64 level, so pc_proj
         # raises instead of returning a vector it cannot certify.
         problem, stats, _ = small_problem
-        assert project._rational_certifies(
-            ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-4,
-                             method="rational"), stats)
-        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-200,
+        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-4,
                                method="rational")
-        assert not project._rational_certifies(cfg, stats)
-        with pytest.raises(ValueError, match="cannot be certified"):
-            pc_proj(problem.A, cfg, np.ones(40), stats)
+        pc_proj(problem.A, cfg, np.ones(40), stats)
+        with pytest.raises(BudgetExceeded, match="cannot be certified"):
+            pc_proj(problem.A, dataclasses.replace(cfg, eps=1e-200), np.ones(40), stats)
 
     def test_rational_at_kappa_1e3(self, monkeypatch):
         # kappa_lambda = 1e3 makes the stated handle error 64 eps_machine
@@ -230,8 +228,27 @@ class TestPcProj:
         s = pc_proj(A, cfg, y, stats)
         err = np.linalg.norm(s - exact_projection(svd_small(A), 1.0, y))
         assert err <= bounds[0] <= 1e-4 * np.linalg.norm(y)
-        with pytest.raises(ValueError, match="cannot be certified"):
+        with pytest.raises(BudgetExceeded, match="cannot be certified"):
             pc_proj(A, dataclasses.replace(cfg, eps=1e-7), y, stats)
+
+    def test_pk_budget_sees_the_residual_floor(self):
+        # At kappa_lambda = 1e6 the ridge handle states its residual floor,
+        # 64 eps_machine (kappa + 1) kappa = 1.4e-2 relative: q = 133 is far
+        # beyond the budget 1/(7 eps_C) of p_k, which raises before any
+        # application.
+        A = kappa_1e3_matrix(top=1e6)
+        cfg = ProjectionConfig(lam=1.0, gamma=0.1, eps=1e-2)
+        y = np.random.default_rng(1003).standard_normal(30)
+        with pytest.raises(BudgetExceeded, match="error budget exhausted"):
+            pc_proj(A, cfg, y, matrix_stats(A, 1.0))
+
+    def test_meets_contract_at_kappa_1e4(self):
+        A = kappa_1e3_matrix(top=1e4)
+        cfg = ProjectionConfig(lam=1.0, gamma=0.1, eps=1e-2)
+        y = np.random.default_rng(1003).standard_normal(30)
+        s = pc_proj(A, cfg, y, matrix_stats(A, 1.0))
+        err = np.linalg.norm(s - exact_projection(svd_small(A), 1.0, y))
+        assert err <= 1e-2 * np.linalg.norm(y)
 
     def test_idempotence_to_tolerance(self, small_problem):
         problem, stats, _ = small_problem

@@ -13,7 +13,7 @@ from ridgeproj import (
     svd_small,
 )
 from ridgeproj import ridge as ridge_module
-from helpers import m_inv_norm, m_inverse_apply, m_norm, random_csr, random_dense
+from helpers import m_inv_norm, m_inverse_apply, m_norm, random_csr, random_dense, spectrum_dense
 
 
 def _solve(A, lam, eps, y):
@@ -254,7 +254,7 @@ class TestProductSeam:
         A, arr = _kernel_case(kind, rng)
         lam = 0.05 * np.linalg.norm(arr, 2) ** 2
         stats = matrix_stats(A, lam)
-        apply = ridge_module._gram_solver(A, stats, 1e-8, 0.0)
+        apply = ridge_module._gram_solver(A, stats, 1e-8, 0.0).apply
         counted.update(mv=0, rmv=0)
         apply(rng.standard_normal(A.n_cols))
         (iters,) = counted["iters"]
@@ -265,7 +265,7 @@ class TestProductSeam:
         rng = np.random.default_rng(408)
         A, arr = _kernel_case("very_tall", rng)
         lam = 0.05 * np.linalg.norm(arr, 2) ** 2
-        apply = ridge_module._gram_solver(A, matrix_stats(A, lam), 1e-8, 0.0)
+        apply = ridge_module._gram_solver(A, matrix_stats(A, lam), 1e-8, 0.0).apply
         counted.update(mv=0, rmv=0)
         apply(rng.standard_normal(A.n_cols))
         assert counted["mv"] == counted["rmv"] == 1
@@ -296,7 +296,7 @@ class TestFactoredGramSolver:
         rng = np.random.default_rng(409)
         A, stats = self.case(rng, n, 8)
         v = rng.standard_normal(8)
-        x = ridge_module._gram_solver(A, stats, 1e-8, 0.0)(v)
+        x = ridge_module._gram_solver(A, stats, 1e-8, 0.0).apply(v)
         assert bool(calls) != factored
         assert self.within_contract(A, stats, 1e-8, 0.0, v, x)
 
@@ -309,7 +309,7 @@ class TestFactoredGramSolver:
         A, stats = self.case(rng, 400, 40)
         y = rng.standard_normal(40)
         query_norm = float(np.linalg.norm(y))
-        apply = ridge_module._gram_solver(A, stats, 1e-6, query_norm)
+        apply = ridge_module._gram_solver(A, stats, 1e-6, query_norm).apply
         for v in (y, 1e-3 * rng.standard_normal(40)):
             calls.clear()
             x = apply(v)
@@ -317,18 +317,19 @@ class TestFactoredGramSolver:
             assert self.within_contract(A, stats, 1e-6, query_norm, v, x)
 
     def test_no_columns_no_factor(self, capfd):
-        # BLAS would print a parameter error for a 0-by-0 dsyrk.
+        # BLAS would print a parameter error for a 0-by-0 dsyrk; no factor is
+        # tried, and the handle refuses dimension 0 as pc_proj always did.
         A = DesignMatrix.from_dense(np.ones((5, 0)))
-        apply = ridge_module._gram_solver(A, MatrixStats(sigma1_estimate=1.0, lam=1.0), 0.1, 1.0)
-        assert apply(np.zeros(0)).shape == (0,)
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            ridge_module._gram_solver(A, MatrixStats(sigma1_estimate=1.0, lam=1.0), 0.1, 1.0)
         assert capfd.readouterr().err == ""
 
     def test_repeat_calls_bit_identical(self):
         rng = np.random.default_rng(411)
         A, stats = self.case(rng, 400, 40)
         v = rng.standard_normal(40)
-        outs = [ridge_module._gram_solver(A, stats, 1e-8, 1.0)(v) for _ in range(2)]
-        apply = ridge_module._gram_solver(A, stats, 1e-8, 1.0)
+        outs = [ridge_module._gram_solver(A, stats, 1e-8, 1.0).apply(v) for _ in range(2)]
+        apply = ridge_module._gram_solver(A, stats, 1e-8, 1.0).apply
         outs += [apply(v), apply(v)]
         assert all(out.tobytes() == outs[0].tobytes() for out in outs)
 
@@ -339,7 +340,24 @@ class TestFactoredGramSolver:
         v = rng.standard_normal(40)
         gram = np.linalg.norm(gram_apply(A, v))
         floor_norm = gram / (stats.lam * np.finfo(float).eps)  # query norm with floor = ||A^T A v||
-        assert np.any(ridge_module._gram_solver(A, stats, 1e-8, 1.05 * floor_norm)(v))
-        out = ridge_module._gram_solver(A, stats, 1e-8, 1.2 * floor_norm)(v)
+        assert np.any(ridge_module._gram_solver(A, stats, 1e-8, 1.05 * floor_norm).apply(v))
+        out = ridge_module._gram_solver(A, stats, 1e-8, 1.2 * floor_norm).apply(v)
         assert out.tobytes() == np.zeros(40).tobytes()
-        assert ridge_module._gram_solver(A, stats, 1e-8, 0.0)(np.zeros(40)).tobytes() == out.tobytes()
+        zero = ridge_module._gram_solver(A, stats, 1e-8, 0.0).apply(np.zeros(40))
+        assert zero.tobytes() == out.tobytes()
+
+    def test_err_bound_states_the_residual_floor(self):
+        # At kappa_lambda = 11 and eps = 3e-15 the CG target is clamped to
+        # the float64 floor, so the handle states 64 eps_machine (kappa + 1)
+        # kappa = 1.88e-12, not sqrt(kappa) eps = 9.9e-15, and meets it.
+        rng = np.random.default_rng(413)
+        A = spectrum_dense(rng, 60, np.geomspace(11.0, 0.1, 20))
+        stats = matrix_stats(A, 1.0)
+        kappa = stats.kappa_lambda
+        handle = ridge_module._gram_solver(A, stats, 3e-15, 0.0)
+        assert 10.9 < kappa < 11.1
+        assert handle.err_bound == 64.0 * np.finfo(float).eps * (kappa + 1.0) * kappa
+        assert 1.85e-12 < handle.err_bound < 1.9e-12
+        v = rng.standard_normal(20)
+        exact = m_inverse_apply(svd_small(A), 1.0, gram_apply(A, v))
+        assert np.linalg.norm(handle.apply(v) - exact) <= handle.err_bound * np.linalg.norm(v)

@@ -304,9 +304,9 @@ class TestZolotarev:
                                                  (1e-3, 1e-2, 1e-6)])
     def test_handle_error_beyond_the_level_is_refused(self, alpha, eps, err):
         # The handle's relative error may not raise the certified level: four
-        # times its a-priori noise above the level is a ValueError, also for
-        # an eps below the float64 floor.
-        with pytest.raises(ValueError, match="cannot be certified"):
+        # times its a-priori noise above the level is refused with
+        # BudgetExceeded, also for an eps below the float64 floor.
+        with pytest.raises(BudgetExceeded, match="cannot be certified"):
             _rational_plan(alpha, eps, err)
         r, _, level = _rational_plan(alpha, eps, 0.0)
         assert 4.0 * r.noise(err) > level
@@ -356,7 +356,7 @@ class TestApplyRationalStep:
         calls = []
         S = OperatorHandle(dimension=3, apply=lambda v: calls.append(1) or 0.5 * v,
                            err_bound=1e-6)
-        with pytest.raises(ValueError, match="cannot be certified"):
+        with pytest.raises(BudgetExceeded, match="cannot be certified"):
             apply_rational_step(S, np.ones(3), 0.2, 1e-6)
         assert calls == []
 
@@ -383,8 +383,8 @@ class TestApplyRationalStep:
 
     def test_validation(self):
         S = exact_handle(np.eye(2))
-        for alpha in (0.0, 1.0, np.nan):
-            with pytest.raises(ValueError, match="alpha"):
+        for alpha in (0.0, 9.9e-7, 1.0, np.nan):  # the least alpha is 1e-6
+            with pytest.raises(BudgetExceeded, match="alpha must lie in"):
                 apply_rational_step(S, np.ones(2), alpha, 1e-3)
         with pytest.raises(ValueError, match="non-finite"):
             apply_rational_step(S, np.array([1.0, np.inf]), 0.2, 1e-3)
