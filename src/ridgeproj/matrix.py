@@ -53,8 +53,8 @@ def _as_finite_1d(x, length, what="vector"):
         raise DimensionMismatch(length, x.shape[0], what=f"{what} length")
     # One-pass check: the self dot product is non-finite iff an entry is,
     # except for benign overflow of huge finite entries, which the slow
-    # path then clears.
-    if not math.isfinite(float(x @ x)) and not np.all(np.isfinite(x)):
+    # path then clears.  Unlike ``x @ x``, np.vdot gives no overflow warning.
+    if not math.isfinite(float(np.vdot(x, x))) and not np.all(np.isfinite(x)):
         raise ValueError(f"{what} contains non-finite entries")
     return x
 

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._float64 import _TINY, _ceil_tight
+from ._float64 import _TINY, _ceil_tight, _exponent
 from .exceptions import BudgetExceeded, ConvergenceFailure
 from .matrix import DesignMatrix, _as_finite_1d
 from .project import ProjectionConfig, _StageConfig, pc_proj
@@ -103,11 +103,18 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
 
     ``callback(k, s_k)`` (if given) receives a copy of each series iterate,
     k = 0..q.
+
+    The whole run works on b scaled by the power of two that puts its
+    largest entry in [1/2, 1), and the result and every iterate are scaled
+    back, exactly in float64: ``pc_regress`` of ``2^k b`` is ``2^k`` times
+    ``pc_regress`` of b to the bit while ``2^k b`` has no subnormal entry,
+    and no squared norm over- or underflows at any scale of b.
     """
     b = _as_finite_1d(b, A.n_rows, what="right-hand side")
     q, eps_inner, _ = cfg.resolve(stats)
     proj_cfg = ProjectionConfig(lam=cfg.lam, gamma=cfg.gamma, eps=eps_inner, method="rational")
-    y = A.rmatvec(b)
+    e = _exponent(b)
+    y = A.rmatvec(np.ldexp(b, -e))
     try:
         try:
             y_proj = pc_proj(A, proj_cfg, y, stats)
@@ -126,9 +133,9 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
 
     s0 = s = solve(y_proj, 1)
     if callback is not None:
-        callback(0, s.copy())
+        callback(0, np.ldexp(s, e))
     for k in range(1, q + 1):
         s = s0 + cfg.lam * solve(s, k + 1)
         if callback is not None:
-            callback(k, s.copy())
-    return s
+            callback(k, np.ldexp(s, e))
+    return np.ldexp(s, e)

@@ -50,7 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._float64 import _EPS, _TINY, _ceil_tight
+from ._float64 import _EPS, _TINY, _ceil_tight, _exponent
 from .matrix import DesignMatrix, _as_finite_1d
 from .ridge import _gram_solver
 from .spectral import MatrixStats, _check_lam
@@ -117,15 +117,18 @@ class ProjectionConfig(_StageConfig):
         """Concrete (q, eps_inner, eps_op) for the given matrix stats.
 
         Validates the accumulated-noise budget ``7 q (eps_op + eps_machine)
-        <= eps`` where ``eps_op = sqrt(kappa) * eps_inner`` is the relative
-        error eps_inner allows one operator application and ``eps_machine`` its
-        query-level floor (see :func:`pc_proj`); a violating override is a
-        configuration error, raised here rather than surfacing as silent
-        inaccuracy.  ``14 q eps_machine`` is the float64 resolution level of
-        q steps, a convention rather than a proven bound on what the floor
-        costs (that bound is in :class:`~ridgeproj.stepfn.OperatorHandle`):
-        an ``eps`` below it is met only up to that level, like the ridge
-        residual floor, and the budget is checked against it instead.
+        <= eps`` where ``eps_op = sqrt(kappa) * eps_inner`` bounds from above
+        the relative error eps_inner allows one operator application, the eps
+        term ``eps_inner kappa_lambda / sqrt(kappa_lambda + 1)`` of the
+        handle's stated error (see :func:`~ridgeproj.ridge._gram_solver`),
+        and ``eps_machine`` its query-level floor (see :func:`pc_proj`); a
+        violating override is a configuration error, raised here rather than
+        surfacing as silent inaccuracy.  ``14 q eps_machine`` is the float64
+        resolution level of q steps, a convention rather than a proven bound
+        on what the floor costs (that bound is in
+        :class:`~ridgeproj.stepfn.OperatorHandle`): an ``eps`` below it is met
+        only up to that level, like the ridge residual floor, and the budget
+        is checked against it instead.
         """
         stats.check_lambda(self.lam)
         if self.q_override is not None:
@@ -176,6 +179,12 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     ``callback(k, s_k)`` (if given) receives the iterate after k outer
     iterations, k = 0..q, where iterate 0 is ``B y``.
 
+    Both engines run on y scaled by the power of two that puts its largest
+    entry in [1/2, 1), and the result and every iterate are scaled back.
+    That is exact in float64, so ``pc_proj`` of ``2^k y`` is ``2^k`` times
+    ``pc_proj`` of y to the bit while ``2^k y`` has no subnormal entry, and
+    no squared norm over- or underflows at any scale of y.
+
     With ``cfg.method == "rational"`` the same handle drives
     :func:`~ridgeproj.stepfn.apply_rational_step` on the window half-width
     ``alpha`` (1/2 for gamma of 1/6 and above), and the returned vector
@@ -193,8 +202,13 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
         raise ValueError("callback applies to method 'pk' only")
     y = _as_finite_1d(y, A.n_cols, what="input vector")
     q, eps_inner, _ = cfg.resolve(stats)
+    e = _exponent(y)
+    y = np.ldexp(y, -e)
     handle = _gram_solver(A, stats, eps_inner, query_norm=float(np.linalg.norm(y)))
     if cfg.method == "pk":
-        return apply_step(handle, y, q, callback=callback)
-    alpha = 2.0 * cfg.gamma / (1.0 - 2.0 * cfg.gamma) if 6.0 * cfg.gamma < 1.0 else 0.5
-    return apply_rational_step(handle, y, alpha, cfg.eps)[0]
+        scaled = None if callback is None else lambda k, s: callback(k, np.ldexp(s, e))
+        s = apply_step(handle, y, q, callback=scaled)
+    else:
+        alpha = 2.0 * cfg.gamma / (1.0 - 2.0 * cfg.gamma) if 6.0 * cfg.gamma < 1.0 else 0.5
+        s = apply_rational_step(handle, y, alpha, cfg.eps)[0]
+    return np.ldexp(s, e)

@@ -1,15 +1,16 @@
 """Black-box ridge regression: solve ``(A^T A + lambda I) x = y``.
 
-Two solvers, picked by the shape of A.  :func:`_solver` resolves the
-residual target and CG budget once per matrix, :class:`MatrixStats` (which
-hold lambda) and tolerance; :func:`ridge_solve` calls it on one right-hand
-side.  :func:`_gram_solver` returns the handle that applies ``B = M^{-1}
-A^T A``, and states its error, for every projection step: on a dense A
-with at least ``10 d`` rows it factors the ridge matrix once per call and
-makes two triangular solves per application; on every other A, and if
-that factorization fails, it runs :func:`_solver` on ``A^T A v``.  The
-10 is a memory rule: the d-by-d factor then adds at most a tenth to the
-bytes A already holds.
+One routine, :func:`_solver`, stands behind every ridge application: once
+per matrix, :class:`MatrixStats` (which hold lambda) and tolerance it
+resolves the residual target and CG budget, and returns ``solve`` with its
+stated error.  :func:`ridge_solve` calls it on one right-hand side;
+:func:`_gram_solver` returns the handle that applies ``B = M^{-1} A^T A``,
+one ``solve`` of ``A^T A v`` per application, for every projection step.
+``solve`` runs conjugate gradient, except in that handle on a dense A with
+at least ``10 d`` rows: there it makes two triangular solves with a factor
+of the ridge matrix built once per call, or runs CG if the factorization
+fails.  The 10 is a memory rule: the d-by-d factor then adds at most a
+tenth to the bytes A already holds.
 
 Conjugate gradient runs on the regularized gram operator, which is never
 materialized: each CG step makes one gram product on the gram factor of A
@@ -31,28 +32,23 @@ backward stable: its error is of order ``d * eps_machine * (kappa_lambda +
 1) * ||v||_2``, so like the CG residual floor below it limits accuracy only
 for tolerances near ``eps_machine * kappa_lambda``.
 
-Error contract.  The returned ``x`` satisfies
+Error contract and floors.  The returned ``x`` satisfies
 
     || x - x* ||_M  <=  eps * || y ||_{M^{-1}},    M = A^T A + lambda I,
 
-certified through the stopping rule  ||r||_2 <= eps * ||y||_2 *
-sqrt(lambda / (sigma1^2 + lambda)),  which is conservative on both sides:
-``||x - x*||_M = ||r||_{M^{-1}} <= ||r||_2 / sqrt(lambda)`` and
-``||y||_{M^{-1}} >= ||y||_2 / sqrt(sigma1^2 + lambda)``.
-
-Floating-point floor.  Residual targets below roughly
-``64 * eps_machine * (kappa_lambda + 1) * ||y||_2`` are unreachable in
-64-bit arithmetic; the solver clamps the target there and documents that
-requested tolerances beyond the floor are met only up to the floor.
-
-Query-level floor.  The projection iteration needs each gram solve to be
-accurate only on the scale of the vector being projected, not of the
-shrinking right-hand side it is applied to.  :func:`_gram_solver` therefore
-accepts the query norm ``||y||_2`` and never targets a residual below
-``lambda * eps_machine * ||y||_2``; since ``||x - B v||_2 <= ||r||_2 /
-lambda``, that costs at most ``eps_machine * ||y||_2`` per application.
-Both solvers return +0.0 zeros for a right-hand side ``A^T A v`` whose norm
-is at most 0.9 times that floor, where CG would stop before its first step.
+certified through the stopping rule ``||r||_2 <= rel_target ||y||_2``,
+``rel_target = eps sqrt(lambda / (sigma1^2 + lambda))``, which is
+conservative on both sides: ``||x - x*||_M = ||r||_{M^{-1}} <= ||r||_2 /
+sqrt(lambda)`` and ``||y||_{M^{-1}} >= ||y||_2 / sqrt(sigma1^2 + lambda)``.
+Residual targets below ``64 eps_machine (kappa_lambda + 1) ||y||_2`` are
+unreachable in float64, so rel_target is raised to that floor, and
+tolerances beyond it are met only up to it.  The projection handle also
+never targets a residual below the query floor ``lambda eps_machine
+||y||_2``, y the projected vector, which costs at most ``eps_machine
+||y||_2`` per application.  Both back ends share one zero rule, CG's first
+stopping test: a right-hand side of norm at most 0.9 times that floor gives
++0.0 zeros.  The handle states ``err_bound = kappa_lambda rel_target``,
+derived at :func:`_gram_solver`.
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy, ddot, dscal, dsyrk, dtrsv
 from scipy.linalg.lapack import dpotrf
 
-from ._float64 import _EPS
+from ._float64 import _EPS, _exponent
 from .exceptions import ConvergenceFailure
 from .matrix import DesignMatrix, _as_finite_1d
 from .spectral import MatrixStats
@@ -129,43 +125,6 @@ def _cg(A: DesignMatrix, lam, y, resid_target, max_iters):
     return x, math.sqrt(rs), it
 
 
-def _solver(A: DesignMatrix, stats: MatrixStats, eps: float, abs_floor: float = 0.0):
-    """``solve(rhs)`` for ``(A^T A + stats.lam I) x = rhs``, target and budget resolved once.
-
-    The residual target is ``eps * sqrt(lambda / (sigma1^2 + lambda)) *
-    ||rhs||_2``, raised to the float64 floor and to ``abs_floor``.
-    ``solve`` takes a finite length-d ``rhs``; a zero one gives zeros.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    lam, kappa = stats.lam, stats.kappa_lambda
-    sigma1 = stats.sigma1_estimate
-    scale = math.sqrt(lam / (sigma1 * sigma1 + lam))  # a product, as in kappa_lambda
-    rel_target = max(eps * scale, RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0))
-    max_iters = 10 * math.ceil(math.sqrt(kappa + 1.0) * math.log(2.0 / eps))
-    d = A.n_cols
-
-    def solve(rhs):
-        ny = math.sqrt(float(rhs @ rhs))
-        if ny == 0.0:
-            return np.zeros(d)
-        x, _, _ = _cg(A, lam, rhs, max(rel_target * ny, abs_floor), max_iters)
-        return x
-
-    return solve
-
-
-def ridge_solve(A: DesignMatrix, eps: float, y, stats: MatrixStats) -> np.ndarray:
-    """Solve ``(A^T A + stats.lam I) x = y`` to the relative-energy contract.
-
-    Returns ``x`` with ``||x - x*||_M <= eps * ||y||_{M^{-1}}`` (up to the
-    documented float64 floor).  Raises :class:`ConvergenceFailure` carrying
-    the final residual norm if the iteration budget runs out first.
-    """
-    solve = _solver(A, stats, eps)
-    return solve(_as_finite_1d(y, A.n_cols, what="right-hand side"))
-
-
 def _ridge_factor(R, lam):
     """Upper triangular T with ``T^T T = R^T R + lam I``, or None if ``dpotrf`` fails."""
     M = dsyrk(1.0, R.T)  # upper triangle of R^T R, Fortran order
@@ -174,46 +133,77 @@ def _ridge_factor(R, lam):
     return T if info == 0 else None
 
 
+def _solver(A: DesignMatrix, stats: MatrixStats, eps: float, abs_floor: float = 0.0,
+            factor=None):
+    """``(solve, err)`` for ``(A^T A + stats.lam I) x = rhs``, target and budget resolved once.
+
+    ``err = kappa_lambda rel_target``, with ``rel_target`` floor included.
+    ``solve`` takes a finite length-d ``rhs``: the only zero rule gives +0.0
+    zeros when ``||rhs||_2 <= 0.9 abs_floor``; otherwise it runs :func:`_cg`
+    to the residual ``max(rel_target ||rhs||_2, abs_floor)``, or, given
+    ``factor`` (a d-by-d R with ``R^T R = A^T A``), overwrites ``rhs`` with
+    two triangular solves by the Cholesky factor of ``R^T R + lambda I``,
+    built here after eps is checked (CG if it fails).
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    lam, kappa = stats.lam, stats.kappa_lambda
+    sigma1 = stats.sigma1_estimate
+    scale = math.sqrt(lam / (sigma1 * sigma1 + lam))  # a product, as in kappa_lambda
+    rel_target = max(eps * scale, RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0))
+    max_iters = 10 * math.ceil(math.sqrt(kappa + 1.0) * math.log(2.0 / eps))
+    T = None if factor is None else _ridge_factor(factor, lam)
+    stop = 0.9 * abs_floor
+    stop2 = stop * stop
+    d = A.n_cols
+
+    def solve(rhs):
+        rs = ddot(rhs, rhs)
+        if rs <= stop2:
+            return np.zeros(d)
+        if T is not None:
+            return dtrsv(T, dtrsv(T, rhs, trans=1, overwrite_x=1), overwrite_x=1)
+        return _cg(A, lam, rhs, max(rel_target * math.sqrt(rs), abs_floor), max_iters)[0]
+
+    return solve, rel_target * kappa
+
+
+def ridge_solve(A: DesignMatrix, eps: float, y, stats: MatrixStats) -> np.ndarray:
+    """Solve ``(A^T A + stats.lam I) x = y`` to the relative-energy contract.
+
+    Returns ``x`` with ``||x - x*||_M <= eps * ||y||_{M^{-1}}`` (up to the
+    documented float64 floor), by CG through :func:`_solver` on y scaled by
+    the power of two that puts its largest entry in [1/2, 1); x is scaled
+    back.  That is exact, and no squared norm of y over- or underflows.
+    Raises :class:`ConvergenceFailure` carrying the final residual norm if
+    the iteration budget runs out first.
+    """
+    solve, _ = _solver(A, stats, eps)
+    y = _as_finite_1d(y, A.n_cols, what="right-hand side")
+    e = _exponent(y)
+    return np.ldexp(solve(np.ldexp(y, -e)), e)
+
+
 def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float,
                  query_norm: float) -> OperatorHandle:
     """The handle of ``B = (A^T A + lambda I)^{-1} A^T A``, one gram product and solve per vector.
 
-    Its ``err_bound``, with ``kappa = max(kappa_lambda, 1)``, is
-
-        max(sqrt(kappa) eps, 64 eps_machine (kappa_lambda + 1) kappa_lambda):
-
-    the solve of ``A^T A v``, of norm at most ``sigma1^2 ||v||_2``, stops at
-    the residual target of :func:`_solver` or at its float64 floor, and
-    ``||x - B v||_2 <= ||r||_2 / lambda``.  ``query_norm`` (``||y||_2`` of
-    the vector the engine transforms) sets the query-level floor ``lambda
-    eps_machine query_norm``, so an application errs from ``B v`` by at most
-    ``err_bound ||v||_2 + eps_machine query_norm``, and is exactly zero once
-    ``A^T A v`` is below the floor.  The solve is two triangular solves with
-    the Cholesky factor of the ridge matrix, built here, when A is dense
-    with ``n_rows >= 10 * n_cols`` and the factorization succeeds; otherwise
-    it is one :func:`_solver` call, and ``query_norm = 0`` then gives
-    ``ridge_solve(A, eps, A^T A v, stats)``.
+    :func:`_solver` gives ``solve`` and ``err_bound`` for the query floor
+    ``lambda eps_machine query_norm`` (``||y||_2`` of the vector the engine
+    transforms), and gets the gram factor when A is dense with ``n_rows >=
+    10 * n_cols``.  The solve of ``A^T A v``, of norm at most ``sigma1^2
+    ||v||_2``, stops at a residual of at most ``rel_target ||A^T A v||_2`` or
+    the floor, and ``||x - B v||_2 <= ||r||_2 / lambda``: an application errs
+    by at most ``err_bound ||v||_2 + eps_machine query_norm``, with
+    ``err_bound = kappa_lambda rel_target``.  That is ``64 eps_machine
+    (kappa_lambda + 1) kappa_lambda`` where the float64 floor binds, and
+    ``eps kappa_lambda / sqrt(kappa_lambda + 1) <= sqrt(max(kappa_lambda,
+    1)) eps`` where eps binds.
     """
-    kappa = stats.kappa_lambda
-    err = max(math.sqrt(max(kappa, 1.0)) * eps,
-              RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0) * kappa)
-    floor = stats.lam * _EPS * query_norm
-    solve = _solver(A, stats, eps, abs_floor=floor)
     G = A._gram
-    mv, rmv = G._mv, G._rmv
     d = A.n_cols
-    T = None
-    if A.storage == "dense" and 0 < _FACTOR_ROWS_PER_COL * d <= A.n_rows:
-        T = _ridge_factor(G._dense, stats.lam)
-    if T is None:
-        return OperatorHandle(dimension=d, apply=lambda v: solve(rmv(mv(v))), err_bound=err)
-    stop = 0.9 * floor
-    stop2 = stop * stop  # CG's first stopping test, on ||A^T A v||^2
-
-    def apply(v):
-        rhs = rmv(mv(v))
-        if ddot(rhs, rhs) <= stop2:
-            return np.zeros(d)
-        return dtrsv(T, dtrsv(T, rhs, trans=1, overwrite_x=1), overwrite_x=1)
-
-    return OperatorHandle(dimension=d, apply=apply, err_bound=err)
+    factored = A.storage == "dense" and 0 < _FACTOR_ROWS_PER_COL * d <= A.n_rows
+    solve, err = _solver(A, stats, eps, stats.lam * _EPS * query_norm,
+                         G._dense if factored else None)
+    mv, rmv = G._mv, G._rmv
+    return OperatorHandle(dimension=d, apply=lambda v: solve(rmv(mv(v))), err_bound=err)

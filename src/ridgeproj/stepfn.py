@@ -179,22 +179,31 @@ class _Zolotarev:
         terms = self.weights / (x[..., None] ** 2 + self.poles)
         return self.scale * x * (1.0 + terms.sum(axis=-1))
 
-    def noise(self, err: float) -> float:
-        """A-priori bound, per ``||y||_2``, on what handle errors add to the certificate.
+    @property
+    def gain(self) -> np.ndarray:
+        """``D b_l / (2 sqrt(c_l))``, the bound on ``||D b_l X (X^2 + c_l)^{-1}||``."""
+        return self.scale * self.weights / (2.0 * np.sqrt(self.poles))
 
-        The handle terms of :func:`apply_rational_step`'s certificate, for a
-        handle of relative error ``err`` and absolute error ``eps_machine
-        ||y||_2``, with each measured norm replaced by its bound when the
-        spectrum of X keeps ``alpha <= |x| <= 1``: ``||z_l|| <= ||y|| /
-        (alpha^2 + c_l)``, ``||X z_l|| <= ||y|| / (2 sqrt(c_l))`` and ``||u||
-        <= (1 + sum_l b_l / (alpha^2 + c_l)) ||y||``.
+    def certificate(self, err: float, ny: float, rho, z, xz, u: float) -> float:
+        """The solve and handle terms of :func:`apply_rational_step`'s bound.
+
+        From the per-pole norms ``rho`` of the residuals, ``z`` of ``z_l`` and
+        ``xz`` of ``X z_l``, the norm ``u`` of ``y + sum_l b_l z_l``, and a
+        handle error ``err ||v||_2 + eps_machine ny``.
         """
-        c, b, D = self.poles, self.weights, self.scale
-        root = np.sqrt(c)
-        inv = 1.0 / (self.alpha ** 2 + c)
-        gain = D * b / (2.0 * root)
-        solves = 0.5 * float(gain @ (2.0 * err * (inv + 0.5 / root) + 4.0 * _EPS))
-        return solves + D * (err * (1.0 + float(b @ inv)) + _EPS)
+        solves = 0.5 * float(self.gain @ (rho + 2.0 * err * (z + xz) + 4.0 * _EPS * ny))
+        return solves + self.scale * (err * u + _EPS * ny)
+
+    def noise(self, err: float) -> float:
+        """:meth:`certificate` per ``||y||_2``, at ``rho = 0`` and the a-priori norms.
+
+        Those hold when the spectrum of X keeps ``alpha <= |x| <= 1``:
+        ``||z_l|| <= ||y|| / (alpha^2 + c_l)``, ``||X z_l|| <= ||y|| / (2
+        sqrt(c_l))`` and ``||u|| <= (1 + sum_l b_l / (alpha^2 + c_l)) ||y||``.
+        """
+        inv = 1.0 / (self.alpha ** 2 + self.poles)
+        return self.certificate(err, 1.0, 0.0, inv, 0.5 / np.sqrt(self.poles),
+                                1.0 + float(self.weights @ inv))
 
 
 def _zolotarev(alpha: float, n: int) -> _Zolotarev:
@@ -338,7 +347,7 @@ def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
     y = _as_finite_1d(y, S.dimension, what="input vector")
     ny = float(np.linalg.norm(y))
     c, b, D = r.poles, r.weights, r.scale
-    gain = D * b / (2.0 * np.sqrt(c))
+    gain = r.gain
     shift = c - c[0]
     max_iters = 10 * math.ceil(math.sqrt((1.0 + c[0]) / c[0]) * math.log(4.0 / tol))
 
@@ -385,14 +394,13 @@ def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
             resid[live] = np.abs(zn) * math.sqrt(rs)
             live[1:] &= gain[1:] * resid[1:] > _EPS * target
             it += 1
-        solves = 0.0
+        norms = np.empty((3, c.size))  # ||rho_l||, ||z_l||, ||X z_l||
         for l in range(c.size):
             w = X(z[l], it)
-            rho = y - X(w, it) - c[l] * z[l]
-            solves += gain[l] * (float(np.linalg.norm(rho)) + 4.0 * _EPS * ny + 2.0 * err * (
-                float(np.linalg.norm(z[l])) + float(np.linalg.norm(w))))
+            norms[:, l] = [np.linalg.norm(y - X(w, it) - c[l] * z[l]), np.linalg.norm(z[l]),
+                           np.linalg.norm(w)]
         u = y + b @ z
-        bound = 0.5 * (r.error * ny + solves) + D * (err * float(np.linalg.norm(u)) + _EPS * ny)
+        bound = 0.5 * r.error * ny + r.certificate(err, ny, *norms, float(np.linalg.norm(u)))
         if bound <= level * ny:
             return 0.5 * (y + D * X(u, it)), bound
         target *= 0.25

@@ -75,9 +75,9 @@ def rational_projection_worker(args):
     bounds = []
     engine = project.apply_rational_step
 
-    def recording(*args):
-        s, bound = engine(*args)
-        bounds.append(bound)
+    def recording(S, v, *args):
+        s, bound = engine(S, v, *args)
+        bounds.append(bound / float(np.linalg.norm(v)))
         return s, bound
 
     project.apply_rational_step = recording
@@ -85,9 +85,8 @@ def rational_projection_worker(args):
         s = pc_proj(problem.A, cfg, y, stats)
     finally:
         project.apply_rational_step = engine
-    y_norm = float(np.linalg.norm(y))
     err = float(np.linalg.norm(s - exact_projection(svd_small(problem.A), problem.lam, y)))
-    return err / y_norm, bounds[0] / y_norm
+    return err / float(np.linalg.norm(y)), bounds[0]
 
 
 def integral_identity_worker(k):

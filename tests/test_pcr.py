@@ -123,6 +123,23 @@ class TestPcRegress:
         err = gram_norm(problem.A, s - exact_pcr(oracle, problem.lam, b))
         assert err <= 14 * q * np.finfo(np.float64).eps * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("k", [-1000, -520, 520, 1000])
+    def test_power_of_two_scaling_is_exact(self, small_problem, k):
+        # Squared norms of 2^k b over- or underflow at these k; pc_regress
+        # runs on b scaled to a largest entry in [1/2, 1), so the result and
+        # every series iterate scale by 2^k to the bit.
+        problem, stats, _ = small_problem
+        cfg = PcrConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-3)
+        b = np.random.default_rng(81).standard_normal(60)
+        runs = []
+        for v in (b, np.ldexp(b, k)):
+            iterates = []
+            s = pc_regress(problem.A, cfg, v, stats, callback=lambda j, s: iterates.append(s))
+            runs.append([s] + iterates)
+        assert len(runs[1]) == len(runs[0])
+        for plain, scaled in zip(*runs):
+            assert scaled.tobytes() == np.ldexp(plain, k).tobytes()
+
     def test_projection_stage_engine(self, small_problem, monkeypatch):
         # The stage runs on the rational engine where it can certify eps' on
         # the ridge handle.  At kappa_lambda = 1e3 and eps = 1e-4, eps' = 7e-10

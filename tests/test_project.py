@@ -220,14 +220,14 @@ class TestPcProj:
 
         def recording(S, v, alpha, eps_):
             s, bound = engine(S, v, alpha, eps_)
-            bounds.append(bound)
+            bounds.append(bound / np.linalg.norm(v))
             return s, bound
 
         monkeypatch.setattr(project, "apply_rational_step", recording)
         cfg = ProjectionConfig(lam=1.0, gamma=0.125, eps=1e-4, method="rational")
         s = pc_proj(A, cfg, y, stats)
-        err = np.linalg.norm(s - exact_projection(svd_small(A), 1.0, y))
-        assert err <= bounds[0] <= 1e-4 * np.linalg.norm(y)
+        err = np.linalg.norm(s - exact_projection(svd_small(A), 1.0, y)) / np.linalg.norm(y)
+        assert err <= bounds[0] <= 1e-4
         with pytest.raises(BudgetExceeded, match="cannot be certified"):
             pc_proj(A, dataclasses.replace(cfg, eps=1e-7), y, stats)
 
@@ -291,6 +291,25 @@ class TestPcProj:
         assert abs(out[4]) <= eps
         # monotone along the spectrum
         assert np.all(np.diff(out) <= eps)
+
+    @pytest.mark.parametrize("method", ["pk", "rational"])
+    @pytest.mark.parametrize("k", [-1000, -520, 520, 1000])
+    def test_power_of_two_scaling_is_exact(self, small_problem, method, k):
+        # Squared norms of 2^k y over- or underflow at these k; pc_proj runs
+        # on y scaled to a largest entry in [1/2, 1), so the result and every
+        # iterate scale by 2^k to the bit.
+        problem, stats, _ = small_problem
+        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-4,
+                               method=method)
+        y = np.random.default_rng(80).standard_normal(40)
+        runs = []
+        for v in (y, np.ldexp(y, k)):
+            iterates = []
+            record = None if method == "rational" else lambda j, s: iterates.append(s)
+            runs.append([pc_proj(problem.A, cfg, v, stats, callback=record)] + iterates)
+        assert len(runs[1]) == len(runs[0])
+        for plain, scaled in zip(*runs):
+            assert scaled.tobytes() == np.ldexp(plain, k).tobytes()
 
     def test_deterministic(self, small_problem):
         problem, stats, _ = small_problem

@@ -79,6 +79,17 @@ class TestRidgeSolve:
         b = ridge_solve(A, 1e-8, y, stats)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("k", [-1000, -520, 520, 1000])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # ||2^k y||^2 over- or underflows at these k; the solve runs on y
+        # scaled to a largest entry in [1/2, 1), so x scales by 2^k to the bit.
+        rng = np.random.default_rng(8)
+        A = random_dense(rng, 30, 12)
+        stats = matrix_stats(A, 0.5)
+        y = rng.standard_normal(12)
+        x = ridge_solve(A, 1e-8, np.ldexp(y, k), stats)
+        assert x.tobytes() == np.ldexp(ridge_solve(A, 1e-8, y, stats), k).tobytes()
+
     def test_params_validation(self):
         # lambda is checked where it lives, in MatrixStats; eps by the solver.
         with pytest.raises(ValueError, match="lambda"):
@@ -334,17 +345,19 @@ class TestFactoredGramSolver:
         assert all(out.tobytes() == outs[0].tobytes() for out in outs)
 
     def test_zero_below_query_floor(self):
-        # CG's first stopping test: +0.0 zeros once ||A^T A v|| <= 0.9 * floor.
-        rng = np.random.default_rng(412)
-        A, stats = self.case(rng, 400, 40)
-        v = rng.standard_normal(40)
-        gram = np.linalg.norm(gram_apply(A, v))
-        floor_norm = gram / (stats.lam * np.finfo(float).eps)  # query norm with floor = ||A^T A v||
-        assert np.any(ridge_module._gram_solver(A, stats, 1e-8, 1.05 * floor_norm).apply(v))
-        out = ridge_module._gram_solver(A, stats, 1e-8, 1.2 * floor_norm).apply(v)
-        assert out.tobytes() == np.zeros(40).tobytes()
-        zero = ridge_module._gram_solver(A, stats, 1e-8, 0.0).apply(np.zeros(40))
-        assert zero.tobytes() == out.tobytes()
+        # CG's first stopping test, the one zero rule of both back ends: +0.0
+        # zeros once ||A^T A v|| <= 0.9 * floor.  n = 399 runs CG, 400 factors.
+        for n in (399, 400):
+            rng = np.random.default_rng(412)
+            A, stats = self.case(rng, n, 40)
+            v = rng.standard_normal(40)
+            gram = np.linalg.norm(gram_apply(A, v))
+            floor_norm = gram / (stats.lam * np.finfo(float).eps)  # floor = ||A^T A v||
+            assert np.any(ridge_module._gram_solver(A, stats, 1e-8, 1.05 * floor_norm).apply(v))
+            out = ridge_module._gram_solver(A, stats, 1e-8, 1.2 * floor_norm).apply(v)
+            assert out.tobytes() == np.zeros(40).tobytes()
+            zero = ridge_module._gram_solver(A, stats, 1e-8, 0.0).apply(np.zeros(40))
+            assert zero.tobytes() == out.tobytes()
 
     def test_err_bound_states_the_residual_floor(self):
         # At kappa_lambda = 11 and eps = 3e-15 the CG target is clamped to
@@ -361,3 +374,25 @@ class TestFactoredGramSolver:
         v = rng.standard_normal(20)
         exact = m_inverse_apply(svd_small(A), 1.0, gram_apply(A, v))
         assert np.linalg.norm(handle.apply(v) - exact) <= handle.err_bound * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("n, factored", [(60, False), (200, True)])
+    def test_err_bound_is_kappa_times_the_residual_target(self, monkeypatch, n, factored):
+        # Where eps binds, err_bound = kappa_lambda * eps * sqrt(lambda /
+        # (sigma1^2 + lambda)) = eps kappa / sqrt(kappa + 1), about 3.18e-6 at
+        # kappa_lambda = 11 and eps = 1e-6, below sqrt(kappa) eps = 3.32e-6;
+        # both back ends meet it.
+        calls = []
+        cg = ridge_module._cg
+        monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1) or cg(*a))
+        rng = np.random.default_rng(413)
+        A = spectrum_dense(rng, n, np.geomspace(11.0, 0.1, 20))
+        stats = matrix_stats(A, 1.0)
+        kappa, eps, s1 = stats.kappa_lambda, 1e-6, stats.sigma1_estimate
+        handle = ridge_module._gram_solver(A, stats, eps, 0.0)
+        assert 10.9 < kappa < 11.1
+        assert handle.err_bound == eps * math.sqrt(1.0 / (s1 * s1 + 1.0)) * kappa
+        assert 3.1e-6 < handle.err_bound < 3.25e-6 < math.sqrt(kappa) * eps
+        v = rng.standard_normal(20)
+        exact = m_inverse_apply(svd_small(A), 1.0, gram_apply(A, v))
+        assert np.linalg.norm(handle.apply(v) - exact) <= handle.err_bound * np.linalg.norm(v)
+        assert bool(calls) != factored
