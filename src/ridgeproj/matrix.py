@@ -1,18 +1,18 @@
 """Design-matrix storage and covariance-free matrix-vector products.
 
-A :class:`DesignMatrix` holds the data matrix with rows as samples, either
-dense (row-major) or in compressed-sparse-row form.  Everything downstream
-touches the matrix through products ``A x`` and ``A^T z``, with one
-exception: the d-by-d ridge matrix ``R^T R + lambda I`` is formed only to be
-Cholesky-factored, and only for projection on dense inputs with n >= 10 d
-(see :mod:`ridgeproj.ridge`).  No singular value or vector is computed.
+A :class:`DesignMatrix` holds the data matrix, rows as samples, as one
+operator (a dense row-major array or a CSR matrix) and its transpose (a
+view of the array, or a second CSR matrix).  Everything downstream touches
+it through ``A x`` and ``A^T z``, with one exception: the d-by-d ridge
+matrix ``R^T R + lambda I`` is formed only to be Cholesky-factored, and
+only for projection on dense inputs with n >= 10 d (see :mod:`ridgeproj.ridge`).
 
 Gram products ``A^T (A x)`` -- every product inside a ridge solve or a
 Lanczos step -- run on the gram factor: for a dense matrix with
 more rows than columns that is the d-by-d triangular factor R of
 ``A = QR``, built once on construction, with ``R^T R = A^T A`` and d^2
 instead of n*d entries; otherwise it is the matrix itself.  QR is not PCA:
-it computes no singular value or vector.
+it computes no singular value or vector, and neither does anything else here.
 
 Dense arrays are stored starting on a 64-byte (cache-line) boundary:
 numpy promises only 16 bytes, and a cache-resident factor that starts
@@ -28,6 +28,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from ._float64 import _exponent
 from .exceptions import DimensionMismatch
 
 __all__ = ["DesignMatrix", "gram_apply", "gram_norm"]
@@ -67,15 +68,13 @@ class DesignMatrix:
     for concurrent shared reads; no method mutates the stored arrays.
     """
 
-    __slots__ = ("n_rows", "n_cols", "storage", "_dense", "_csr", "_csr_t", "_factor")
+    __slots__ = ("n_rows", "n_cols", "storage", "_m", "_mt", "_factor")
 
-    def __init__(self, n_rows, n_cols, storage, dense=None, csr=None, factor=None):
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
-        self.storage = storage
-        self._dense = dense
-        self._csr = csr
-        self._csr_t = None if csr is None else csr.T.tocsr()
+    def __init__(self, m, factor=None):
+        self.n_rows, self.n_cols = m.shape
+        self.storage = "csr" if sp.issparse(m) else "dense"
+        self._m = m
+        self._mt = m.T.tocsr() if self.storage == "csr" else m.T
         self._factor = factor
 
     @classmethod
@@ -95,9 +94,8 @@ class DesignMatrix:
         factor = None
         if n > d:
             # Before the defensive copy, so one n-by-d temporary is alive at a time.
-            r = _aligned_copy(np.linalg.qr(arr, mode="r"))
-            factor = cls(d, d, "dense", dense=r)
-        return cls(n, d, "dense", dense=_aligned_copy(arr), factor=factor)
+            factor = cls(_aligned_copy(np.linalg.qr(arr, mode="r")))
+        return cls(_aligned_copy(arr), factor)
 
     @classmethod
     def from_csr(cls, n_rows, n_cols, indptr, indices, data) -> "DesignMatrix":
@@ -134,7 +132,7 @@ class DesignMatrix:
         if not np.all(np.isfinite(data)):
             raise ValueError("matrix contains non-finite entries")
         csr = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
-        return cls(n_rows, n_cols, "csr", csr=csr)
+        return cls(csr)
 
     @property
     def shape(self):
@@ -143,18 +141,18 @@ class DesignMatrix:
     @property
     def nnz(self) -> int:
         if self.storage == "dense":
-            return int(np.count_nonzero(self._dense))
-        return int(self._csr.nnz)
+            return int(np.count_nonzero(self._m))
+        return int(self._m.nnz)
 
     def toarray(self) -> np.ndarray:
         """Dense copy of the stored matrix."""
         if self.storage == "dense":
-            return np.array(self._dense)
-        return self._csr.toarray()
+            return np.array(self._m)
+        return self._m.toarray()
 
     def csr_parts(self):
         """Return ``(indptr, indices, data)``; converts if stored dense."""
-        csr = self._csr if self.storage == "csr" else sp.csr_matrix(self._dense)
+        csr = sp.csr_matrix(self._m)
         return csr.indptr.copy(), csr.indices.copy(), csr.data.copy()
 
     def matvec(self, x) -> np.ndarray:
@@ -170,14 +168,10 @@ class DesignMatrix:
     # Unchecked products for iteration-internal use; inputs are vectors the
     # solvers produced themselves, already validated on entry.
     def _mv(self, x):
-        if self.storage == "dense":
-            return self._dense.dot(x)
-        return self._csr.dot(x)
+        return self._m.dot(x)
 
     def _rmv(self, z):
-        if self.storage == "dense":
-            return self._dense.T.dot(z)
-        return self._csr_t.dot(z)
+        return self._mt.dot(z)
 
     @property
     def _gram(self) -> "DesignMatrix":
@@ -202,5 +196,10 @@ def gram_apply(A: DesignMatrix, x) -> np.ndarray:
 
 
 def gram_norm(A: DesignMatrix, x) -> float:
-    """Norm induced by the covariance operator: ``sqrt(x^T A^T A x) = ||A x||_2``."""
-    return float(np.linalg.norm(A.matvec(x)))
+    """Norm induced by the covariance operator: ``sqrt(x^T A^T A x) = ||A x||_2``.
+
+    Taken of ``A x`` scaled by an exact power of two, so no square over- or underflows.
+    """
+    ax = A.matvec(x)
+    e = _exponent(ax)
+    return math.ldexp(float(np.linalg.norm(np.ldexp(ax, -e))), e)

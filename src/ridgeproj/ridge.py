@@ -204,6 +204,6 @@ def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float,
     d = A.n_cols
     factored = A.storage == "dense" and 0 < _FACTOR_ROWS_PER_COL * d <= A.n_rows
     solve, err = _solver(A, stats, eps, stats.lam * _EPS * query_norm,
-                         G._dense if factored else None)
+                         G._m if factored else None)
     mv, rmv = G._mv, G._rmv
     return OperatorHandle(dimension=d, apply=lambda v: solve(rmv(mv(v))), err_bound=err)

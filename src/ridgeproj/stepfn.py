@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ellipj, ellipkm1
 
-from ._float64 import _EPS
+from ._float64 import _EPS, _exponent
 from .exceptions import BudgetExceeded, ConvergenceFailure
 from .matrix import _as_finite_1d
 
@@ -308,12 +308,19 @@ def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
     recursive shifted residuals give ``sum_l D b_l ||r_l|| / (2 sqrt(c_l))
     <= tol ||y||_2 / 2``.
 
+    The run works on y scaled by the power of two that puts its largest
+    entry in [1/2, 1), and s and the bound are scaled back.  That is exact,
+    so no squared norm of y over- or underflows, and on a linear handle
+    ``2^k y`` gives ``2^k`` times the result for y bit for bit.  Below, y
+    is the scaled vector.
+
     Certificate.  Then each true residual ``y - (X^2 + c_l) z_l`` is
     recomputed through S, two more applications per pole.  With the
     handle's error ``err_bound ||v||_2 + eps_machine ||y||_2`` per
     application (the contract of the projection handle, see
-    :class:`OperatorHandle`), the distance from s to ``(1/2)(y + sgn(X) y)``
-    is at most
+    :class:`OperatorHandle`, which :func:`~ridgeproj.project.pc_proj`
+    builds for the scaled vector), the distance from s to ``(1/2)(y +
+    sgn(X) y)`` is at most
 
         delta_n ||y|| / 2
         + (1/2) sum_l D b_l (||rho_l|| + 2 err (||z_l|| + ||X z_l||)
@@ -345,6 +352,8 @@ def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
     err = S.err_bound
     r, tol, level = _rational_plan(alpha, eps, err)
     y = _as_finite_1d(y, S.dimension, what="input vector")
+    e = _exponent(y)
+    y = np.ldexp(y, -e)
     ny = float(np.linalg.norm(y))
     c, b, D = r.poles, r.weights, r.scale
     gain = r.gain
@@ -402,7 +411,7 @@ def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
         u = y + b @ z
         bound = 0.5 * r.error * ny + r.certificate(err, ny, *norms, float(np.linalg.norm(u)))
         if bound <= level * ny:
-            return 0.5 * (y + D * X(u, it)), bound
+            return np.ldexp(0.5 * (y + D * X(u, it)), e), math.ldexp(bound, e)
         target *= 0.25
     raise ConvergenceFailure(
         f"certified bound {bound:.3e} exceeds {level:.3e} * ||y|| after"

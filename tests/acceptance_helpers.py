@@ -162,7 +162,7 @@ def factored_ridge_worker(seed):
         exact = F.V @ (F.singular_values ** 2 / (F.singular_values ** 2 + lam) * (F.V.T @ x))
         err = float(np.linalg.norm(apply(x) - exact))
         worst = max(worst, err / (eps_op * np.linalg.norm(x) + np.finfo(float).eps * y_norm))
-    return _ridge_factor(A._gram._dense, lam) is not None, worst
+    return _ridge_factor(A._gram._m, lam) is not None, worst
 
 
 def tall_projection_worker(args):

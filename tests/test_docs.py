@@ -109,6 +109,15 @@ def test_docstring_references_resolve():
     assert not dangling, f"docstring references that resolve nowhere: {dangling}"
 
 
+def test_readme_layout_names_every_module():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = re.search(r"^## Layout\n\n```\n(.*?)^```", text, flags=re.M | re.S)
+    assert layout, "README has no Layout block"
+    named = set(re.findall(r"^\s+(\w+\.py)\s", layout.group(1), flags=re.M))
+    missing = sorted(p.name for p in SOURCES if p.name != "__init__.py" and p.name not in named)
+    assert not missing, f"modules missing from README's Layout block: {missing}"
+
+
 PUBLIC = sorted([
     "__version__",
     "BudgetExceeded", "ConvergenceFailure", "DimensionMismatch", "RidgeProjError",

@@ -17,8 +17,10 @@ from ridgeproj import (
     matrix_stats,
     pc_proj,
     pc_regress,
+    ridge_solve,
     svd_small,
 )
+from ridgeproj import ridge as ridge_module
 from helpers import random_csr
 
 
@@ -70,6 +72,83 @@ class TestGramNorm:
             lhs = float(gram_apply(A, x) @ x)
             rhs = gram_norm(A, x) ** 2
             assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [-664, 664])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # The square of ||A 2^k x|| over- or underflows at these k; the norm
+        # is taken of A x scaled to a largest entry in [1/2, 1).
+        rng = np.random.default_rng(12)
+        A = DesignMatrix.from_dense(rng.standard_normal((30, 10)))
+        x = rng.standard_normal(10)
+        assert gram_norm(A, np.ldexp(x, k)) == np.ldexp(gram_norm(A, x), k) > 0.0
+
+
+class TestProductSeam:
+    """Every product runs through ``DesignMatrix._mv`` / ``_rmv`` as looked up on the class.
+
+    The benchmark counts products by patching those two methods on the
+    class, so a product that bypassed them would go uncounted.
+    """
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"mv": 0, "rmv": 0, "iters": []}
+        cg = ridge_module._cg
+
+        def counted(name, orig):
+            def wrapped(self, v):
+                counts[name] += 1
+                return orig(self, v)
+            return wrapped
+
+        def cg_spy(*args):
+            out = cg(*args)
+            counts["iters"].append(out[2])
+            return out
+
+        monkeypatch.setattr(DesignMatrix, "_mv", counted("mv", DesignMatrix._mv))
+        monkeypatch.setattr(DesignMatrix, "_rmv", counted("rmv", DesignMatrix._rmv))
+        monkeypatch.setattr(ridge_module, "_cg", cg_spy)
+        return counts
+
+    @pytest.mark.parametrize("kind", ["wide", "tall", "csr"])
+    def test_every_entry_point_is_counted(self, kind, counts):
+        rng = np.random.default_rng(31)
+        if kind == "csr":
+            A, arr = random_csr(rng, 60, 20)
+        else:
+            arr = rng.standard_normal((15, 40) if kind == "wide" else (200, 10))
+            A = DesignMatrix.from_dense(arr)
+        stats = matrix_stats(A, 0.05 * np.linalg.norm(arr, 2) ** 2)
+        x, z = rng.standard_normal(A.n_cols), rng.standard_normal(A.n_rows)
+
+        def products(fn, *args):
+            counts.update(mv=0, rmv=0, iters=[])
+            fn(*args)
+            return counts["mv"], counts["rmv"]
+
+        assert products(A.matvec, x) == (1, 0)
+        assert products(A.rmatvec, z) == (0, 1)
+        assert products(gram_apply, A, x) == (1, 1)
+        solved = products(ridge_solve, A, 1e-8, x, stats)
+        (iters,) = counts["iters"]
+        assert iters > 0 and solved == (iters, iters)  # one gram product per CG iteration
+        applied = products(ridge_module._gram_solver(A, stats, 1e-8, 0.0).apply, x)
+        if kind == "tall":  # n >= 10 d: the factored handle makes no CG run
+            assert counts["iters"] == [] and applied == (1, 1)
+        else:
+            (iters,) = counts["iters"]
+            assert applied == (iters + 1, iters + 1)
+
+    @pytest.mark.parametrize("shape", [(15, 40), (200, 10)])
+    def test_dense_transpose_is_a_view(self, shape):
+        A = DesignMatrix.from_dense(np.random.default_rng(32).standard_normal(shape))
+        for M in [A] + ([] if A._factor is None else [A._factor]):
+            assert np.shares_memory(M._mt, M._m) and M._mt.shape == M._m.shape[::-1]
+
+    def test_csr_transpose_is_a_csr_matrix(self):
+        A, arr = random_csr(np.random.default_rng(33), 30, 12)
+        assert A._mt.format == "csr" and np.array_equal(A._mt.toarray(), arr.T)
 
 
 class TestStorage:
@@ -171,7 +250,7 @@ class TestGramFactor:
             d = arr.shape[1]
             R = A._factor
             assert R.shape == (d, d) and R.storage == "dense"
-            assert not R._dense.flags.writeable
+            assert not R._m.flags.writeable
             assert R._factor is None
         else:
             assert A._factor is None
@@ -185,21 +264,21 @@ class TestGramFactor:
         A = DesignMatrix.from_dense(arr)
         assert np.array_equal(arr, before)
         assert arr.flags.writeable
-        assert A._dense is not arr
+        assert A._m is not arr
 
     @pytest.mark.parametrize("shape", [(60, 20), (61, 7), (20, 20), (15, 40)])
     def test_stored_arrays_cache_line_aligned(self, shape):
         # A factor that starts mid-cache-line runs gram products up to 1.5x slower.
         arr = np.random.default_rng(10).standard_normal(shape)
         A = DesignMatrix.from_dense(arr)
-        stored = [A._dense] + ([] if A._factor is None else [A._factor._dense])
+        stored = [A._m] + ([] if A._factor is None else [A._factor._m])
         for a in stored:
             assert a.ctypes.data % 64 == 0
             assert a.flags.c_contiguous and not a.flags.writeable
             assert a.dtype == np.float64
-        assert np.array_equal(A._dense, arr)
+        assert np.array_equal(A._m, arr)
         if A._factor is not None:
-            assert np.array_equal(A._factor._dense, np.linalg.qr(arr, mode="r"))
+            assert np.array_equal(A._factor._m, np.linalg.qr(arr, mode="r"))
 
     def test_from_dense_memory_peak(self):
         arr = np.random.default_rng(9).standard_normal((400, 50))
@@ -210,7 +289,7 @@ class TestGramFactor:
         finally:
             tracemalloc.stop()
         # One stored copy of A plus R; a second n-by-d copy would exceed this.
-        assert peak <= 1.25 * (arr.nbytes + A._factor._dense.nbytes)
+        assert peak <= 1.25 * (arr.nbytes + A._factor._m.nbytes)
 
 
 class TestFactorReference:

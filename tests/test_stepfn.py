@@ -370,6 +370,18 @@ class TestApplyRationalStep:
         again = apply_rational_step(exact_handle(S), y, 0.2, 1e-3)
         assert first[0].tobytes() == again[0].tobytes() and first[1] == again[1]
 
+    @pytest.mark.parametrize("k", [-664, 664])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # Squared norms of 2^k y over- or underflow at these k; the engine
+        # runs on y scaled to a largest entry in [1/2, 1), so s and the bound
+        # scale by 2^k to the bit.
+        S = exact_handle(np.diag([0.9, 0.2, 0.7]))
+        y = np.array([1.0, 2.0, 3.0])
+        s, bound = apply_rational_step(S, y, 0.3, 1e-6)
+        s_k, bound_k = apply_rational_step(S, np.ldexp(y, k), 0.3, 1e-6)
+        assert s_k.tobytes() == np.ldexp(s, k).tobytes()
+        assert bound_k == np.ldexp(bound, k) > 0.0
+
     def test_never_returns_an_uncertified_vector(self):
         # A handle that errs a thousand times beyond its stated bound makes
         # the recomputed residuals disagree with the recursive ones; the
