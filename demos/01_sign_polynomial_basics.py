@@ -41,10 +41,10 @@ def main():
 
     print("\n== degree rule: accuracy eps on |x| >= alpha ==")
     for alpha, eps in ((0.5, 1e-2), (0.25, 1e-4), (0.1, 1e-4)):
-        deg = sign_poly_degree(alpha, eps)
+        k = sign_poly_degree(alpha, eps)
         xs = np.linspace(alpha, 1.0, 2000)
-        worst = np.abs(1.0 - p_k_grid(xs, deg.k)).max()
-        print(f"  alpha={alpha:4.2f} eps={eps:.0e} -> k={deg.k:5d},"
+        worst = np.abs(1.0 - p_k_grid(xs, k)).max()
+        print(f"  alpha={alpha:4.2f} eps={eps:.0e} -> k={k:5d},"
               f" measured max error {worst:.2e}")
 
     print("\n== Chebyshev compression ==")
@@ -53,10 +53,10 @@ def main():
     print(f"  degree-8 stand-in for x^16: sup error {np.abs(poly(xs) - xs**16).max():.4f}"
           f"  (bound {2*np.exp(-64/32.0):.4f})")
     q = compressed_sign_poly(0.25, 0.1)
-    k = sign_poly_degree(0.25, 0.05).k  # comparable plain degree
+    k = sign_poly_degree(0.25, 0.05)  # comparable plain degree
     keep = np.abs(xs) >= 0.25
     err = np.abs(np.sign(xs[keep]) - q(xs[keep])).max()
-    print(f"  compressed sign poly: degree {q.degree} (plain p_k would use 2k+1 = {2*k+1}),"
+    print(f"  compressed sign poly: degree {q.degree()} (plain p_k would use 2k+1 = {2*k+1}),"
           f" error {err:.4f} on |x| >= 0.25")
 
     out = "sign_poly_table.csv"

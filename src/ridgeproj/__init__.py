@@ -27,8 +27,6 @@ from .pcr import PcrConfig, pc_regress
 from .project import ProjectionConfig, pc_proj
 from .ridge import ridge_solve
 from .signpoly import (
-    CompressedPoly,
-    SignPolyDegree,
     chebyshev_monomial_approx,
     compressed_sign_poly,
     integral_step_oracle,
@@ -62,8 +60,6 @@ __all__ = [
     "matrix_stats",
     "spectral_norm_estimate",
     "ridge_solve",
-    "SignPolyDegree",
-    "CompressedPoly",
     "p_k_eval",
     "p_k_grid",
     "sign_poly_degree",

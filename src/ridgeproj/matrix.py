@@ -60,6 +60,12 @@ def _as_finite_1d(x, length, what="vector"):
     return x
 
 
+def _check_int(value, name, minimum=1):
+    """Refuse all but an ``int`` or ``np.integer`` of at least ``minimum``; ``bool`` too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
 class DesignMatrix:
     """Immutable n-by-d data matrix, dense or CSR.
 
@@ -108,9 +114,8 @@ class DesignMatrix:
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         data = np.ascontiguousarray(data, dtype=np.float64)
-        n_rows, n_cols = int(n_rows), int(n_cols)
-        if min(n_rows, n_cols) < 0:
-            raise ValueError(f"CSR shape must be nonnegative, got {n_rows}x{n_cols}")
+        _check_int(n_rows, "n_rows", 0)
+        _check_int(n_cols, "n_cols", 0)
         if indptr.ndim != 1 or indptr.shape[0] != n_rows + 1:
             raise ValueError("indptr must have length n_rows + 1")
         if np.any(np.diff(indptr) < 0):
@@ -140,6 +145,7 @@ class DesignMatrix:
 
     @property
     def nnz(self) -> int:
+        """Stored entries for CSR, explicit zeros included; nonzero entries for dense."""
         if self.storage == "dense":
             return int(np.count_nonzero(self._m))
         return int(self._m.nnz)

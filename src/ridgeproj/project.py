@@ -51,10 +51,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._float64 import _EPS, _TINY, _ceil_tight, _exponent
-from .matrix import DesignMatrix, _as_finite_1d
+from .matrix import DesignMatrix, _as_finite_1d, _check_int
 from .ridge import _gram_solver
 from .spectral import MatrixStats, _check_lam
-from .stepfn import _check_int, apply_rational_step, apply_step
+from .stepfn import apply_rational_step, apply_step
 
 __all__ = ["ProjectionConfig", "pc_proj"]
 

@@ -9,7 +9,8 @@ recurrence ``t_{i+1} = t_i * (1 - x^2) * (2i+1)/(2i+2)``.  The module also
 provides the degree rule for a target accuracy, the pointwise error bound,
 an independent quadrature oracle for the same polynomial, and a lower-degree
 "compressed" variant.  Both Chebyshev constructions cut one ``poly2cheb``
-series at the target degree.
+series at the target degree and return it as a
+:class:`numpy.polynomial.Chebyshev` on the default domain [-1, 1].
 
 Evaluations clamp to the mathematical range [-1, 1]: partial sums can
 overshoot sgn(x) by a few ulps once the true gap is far below machine
@@ -20,19 +21,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 from numpy.polynomial import chebyshev as _cheb
 from scipy import integrate
 
 from ._float64 import _ceil_tight
 from .exceptions import ConvergenceFailure
-from .stepfn import _check_int
+from .matrix import _check_int
 
 __all__ = [
-    "SignPolyDegree",
-    "CompressedPoly",
     "p_k_eval",
     "p_k_grid",
     "sign_poly_degree",
@@ -43,47 +42,6 @@ __all__ = [
 ]
 
 _GRID_POINTS = 10_001
-
-
-@dataclass(frozen=True)
-class SignPolyDegree:
-    """Degree selection for approximating sgn(x) to ``eps`` on |x| >= alpha."""
-
-    k: int
-    alpha: float
-    eps: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        needed = _ceil_tight(self.alpha ** -2 * math.log(1.0 / self.eps))
-        if self.k < max(needed, 1):
-            raise ValueError(f"k={self.k} below required degree {needed}")
-
-
-@dataclass(frozen=True)
-class CompressedPoly:
-    """Polynomial in the Chebyshev basis; ``degree == len(coefficients) - 1``."""
-
-    coefficients: np.ndarray
-    degree: int = field(init=False)
-
-    def __post_init__(self):
-        coef = np.ascontiguousarray(self.coefficients, dtype=np.float64)
-        if coef.ndim != 1 or coef.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-d array")
-        if not np.all(np.isfinite(coef)):
-            raise ValueError("coefficients must be finite")
-        coef = coef.copy()
-        coef.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "degree", coef.size - 1)
-
-    def __call__(self, x):
-        """Evaluate at scalar or array ``x`` by the Clenshaw recurrence."""
-        return _cheb.chebval(x, self.coefficients)
 
 
 def _check_domain(x: float):
@@ -119,14 +77,13 @@ def p_k_grid(xs, k: int) -> np.ndarray:
     return np.clip(s, -1.0, 1.0)
 
 
-def sign_poly_degree(alpha: float, eps: float) -> SignPolyDegree:
+def sign_poly_degree(alpha: float, eps: float) -> int:
     """Degree rule ``k = ceil(alpha^-2 * ln(1/eps))`` for |sgn - p_k| <= eps."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    k = max(1, _ceil_tight(alpha ** -2 * math.log(1.0 / eps)))
-    return SignPolyDegree(k=k, alpha=alpha, eps=eps)
+    return max(1, _ceil_tight(alpha ** -2 * math.log(1.0 / eps)))
 
 
 def sign_error_bound(x: float, k: int) -> float:
@@ -178,7 +135,7 @@ def integral_step_oracle(x: float, k: int, quad_tol: float = 1e-9) -> float:
     return math.copysign(ratio, x) if x != 0.0 else 0.0
 
 
-def chebyshev_monomial_approx(s: int, d: int) -> CompressedPoly:
+def chebyshev_monomial_approx(s: int, d: int) -> Chebyshev:
     """Degree-<=d Chebyshev truncation of x^s, uniformly accurate on [-1, 1].
 
     ``poly2cheb`` of x^s cut after degree d, within 3e-17 of the exact
@@ -189,7 +146,7 @@ def chebyshev_monomial_approx(s: int, d: int) -> CompressedPoly:
     _check_int(d, "d")
     power = np.zeros(s + 1)
     power[-1] = 1.0
-    return CompressedPoly(_cheb.chebtrim(_cheb.poly2cheb(power)[:d + 1], 0))
+    return Chebyshev(_cheb.chebtrim(_cheb.poly2cheb(power)[:d + 1], 0))
 
 
 def _sign_grid(alpha: float) -> np.ndarray:
@@ -197,7 +154,7 @@ def _sign_grid(alpha: float) -> np.ndarray:
     return grid[np.abs(grid) >= alpha]
 
 
-def compressed_sign_poly(alpha: float, eps: float) -> CompressedPoly:
+def compressed_sign_poly(alpha: float, eps: float) -> Chebyshev:
     """Lower-degree sign approximation via Chebyshev compression of p_k.
 
     With ``k = ceil(alpha^-2 ln(2/eps))`` (the :func:`sign_poly_degree` of
@@ -218,7 +175,7 @@ def compressed_sign_poly(alpha: float, eps: float) -> CompressedPoly:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
-    k = sign_poly_degree(alpha, eps / 2.0).k
+    k = sign_poly_degree(alpha, eps / 2.0)
     a_const = k + 1
     d = max(1, _ceil_tight(math.sqrt(2.0 * k * math.log(a_const / (eps / 2.0)))))
 
@@ -236,7 +193,7 @@ def compressed_sign_poly(alpha: float, eps: float) -> CompressedPoly:
         degree = 1 + 2 * min(attempt_d, k)
         coef = _cheb.chebinterpolate(lambda x: x * _cheb.chebval(1.0 - x * x, cut), degree)
         coef[::2] = 0.0  # the construction is odd; even modes are rounding noise
-        poly = CompressedPoly(coef)
+        poly = Chebyshev(coef)
         last_err = float(np.abs(sgn - poly(grid)).max())
         if last_err <= eps:
             return poly

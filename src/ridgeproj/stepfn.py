@@ -31,7 +31,7 @@ from scipy.special import ellipj, ellipkm1
 
 from ._float64 import _EPS, _exponent
 from .exceptions import BudgetExceeded, ConvergenceFailure
-from .matrix import _as_finite_1d
+from .matrix import _as_finite_1d, _check_int
 
 __all__ = ["OperatorHandle", "apply_step", "apply_rational_step"]
 
@@ -84,12 +84,6 @@ class OperatorHandle:
             raise ValueError("dimension must be positive")
         if not 0.0 <= self.err_bound < np.inf:  # NaN would skip apply_step's budget guard
             raise ValueError(f"err_bound must be nonnegative and finite, got {self.err_bound!r}")
-
-
-def _check_int(value, name, minimum=1):
-    """Refuse all but an ``int`` or ``np.integer`` of at least ``minimum``; ``bool`` too."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 def _guarded(op: OperatorHandle, x, k):

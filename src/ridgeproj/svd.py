@@ -51,7 +51,7 @@ class SvdFactors:
 def svd_small(A: DesignMatrix) -> SvdFactors:
     """Exact thin SVD of a desk-scale matrix via LAPACK (``numpy.linalg.svd``).
 
-    Requires ``min(n, d) <= 2000`` and a nonzero matrix.  Singular values
+    Requires ``min(n, d) <= 2000`` and a nonzero, nonempty matrix.  Singular values
     at or below ``RANK_CUTOFF * sigma_1`` are dropped, so the returned rank
     is the numerical rank under that cutoff.  Signs are fixed so that the
     largest-magnitude entry of each column of V is positive.
@@ -59,7 +59,7 @@ def svd_small(A: DesignMatrix) -> SvdFactors:
     if min(A.n_rows, A.n_cols) > _ORACLE_MAX_DIM:
         raise ValueError(f"SVD oracle is limited to min(n, d) <= {_ORACLE_MAX_DIM}")
     U, sig, Vt = np.linalg.svd(A.toarray(), full_matrices=False)
-    if sig[0] == 0.0:
+    if sig.size == 0 or sig[0] == 0.0:
         raise ValueError("rank zero: cannot factor the zero matrix")
     r = int(np.sum(sig > RANK_CUTOFF * sig[0]))
     V = Vt[:r].T

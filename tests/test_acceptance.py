@@ -143,7 +143,7 @@ def test_criterion_06_degree_rule_accuracy():
     worst = 0.0
     for alpha in (0.5, 0.25, 0.1):
         for eps in (1e-2, 1e-4):
-            k = sign_poly_degree(alpha, eps).k
+            k = sign_poly_degree(alpha, eps)
             xs = np.linspace(alpha, 1.0, 2000)
             err = float(np.abs(1.0 - p_k_grid(xs, k)).max())
             err = max(err, float(np.abs(-1.0 - p_k_grid(-xs, k)).max()))
@@ -170,10 +170,10 @@ def test_criterion_07_chebyshev_compression():
     uncompressed_degree = 2 * k + 1
     keep = np.abs(xs) >= alpha
     sign_err = float(np.abs(np.sign(xs[keep]) - poly(xs[keep])).max())
-    ok = grid_ok and poly.degree < uncompressed_degree and sign_err <= eps
+    ok = grid_ok and poly.degree() < uncompressed_degree and sign_err <= eps
     _report(7, "chebyshev compression", ok,
             f"monomial excess {worst_excess:.2e} (budget 1e-10) over (s,d) in"
-            f" {{1..64}}^2; compressed degree {poly.degree} <"
+            f" {{1..64}}^2; compressed degree {poly.degree()} <"
             f" {uncompressed_degree}, sign error {sign_err:.3f} <= {eps}")
 
 

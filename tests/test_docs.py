@@ -1,15 +1,19 @@
-"""The demos and README examples import only public names, every
-docstring cross-reference in the library resolves, and the public surface
-is pinned.
+"""The demos run and, like the README examples, import only public names;
+every docstring cross-reference in the library resolves, and the public
+surface is pinned.
 
-The demos and README are parsed, not run, so this stays fast; running them
-is left to the reader.
+Each demo runs once as a subprocess, in a temporary directory because
+demos 01 and 04 write CSV files where they run; the README blocks are
+parsed, not run.
 """
 
 import ast
 import dataclasses
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +55,15 @@ def test_imports_are_public(label, source):
     missing = sorted(set(names) - set(ridgeproj.__all__))
     assert not missing, f"{label} imports names outside ridgeproj.__all__: {missing}"
 
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip()
 
 
 def docstring_references(path):
@@ -125,9 +138,8 @@ PUBLIC = sorted([
     "SvdFactors", "exact_pcr", "exact_projection", "svd_small",
     "MatrixStats", "matrix_stats", "spectral_norm_estimate",
     "ridge_solve",
-    "CompressedPoly", "SignPolyDegree", "chebyshev_monomial_approx",
-    "compressed_sign_poly", "integral_step_oracle", "p_k_eval", "p_k_grid",
-    "sign_error_bound", "sign_poly_degree",
+    "chebyshev_monomial_approx", "compressed_sign_poly", "integral_step_oracle",
+    "p_k_eval", "p_k_grid", "sign_error_bound", "sign_poly_degree",
     "OperatorHandle", "apply_step",
     "ProjectionConfig", "pc_proj", "PcrConfig", "pc_regress",
     "SyntheticProblem", "gen_synthetic",
@@ -147,7 +159,7 @@ FIELDS = {
 def test_public_surface():
     """A change to ``__all__`` or to these constructors is an edit to this test."""
     assert sorted(ridgeproj.__all__) == PUBLIC
-    assert len(set(ridgeproj.__all__)) == len(ridgeproj.__all__) == 42
+    assert len(set(ridgeproj.__all__)) == len(ridgeproj.__all__) == 40
     for name, expect in FIELDS.items():
         fields = [f.name for f in dataclasses.fields(getattr(ridgeproj, name)) if f.init]
         assert fields == expect, name

@@ -172,9 +172,15 @@ class TestStorage:
         assert np.array_equal(ok.toarray(), [[0, 1, 2], [0, 0, 0], [3, 4, 0]])
         with pytest.raises(ValueError, match="indptr"):
             DesignMatrix.from_csr(2, 2, [0, 1], [0], [1.0])
-        for n, d, indptr in ((-1, 3, []), (2, -1, [0, 0, 0])):
-            with pytest.raises(ValueError, match=f"CSR shape must be nonnegative, got {n}x{d}$"):
+        for n, d, indptr, name in ((-1, 3, [], "n_rows"), (2, -1, [0, 0, 0], "n_cols")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer of at least 0, got -1$"):
                 DesignMatrix.from_csr(n, d, indptr, [], [])
+        # Refused, not truncated: 2.9 is not a row count, nor True a column count.
+        for n, d in ((2.9, 2), (2, True), (np.float64(2.0), 2), ("2", 2)):
+            with pytest.raises(ValueError, match="must be an integer of at least 0"):
+                DesignMatrix.from_csr(n, d, [0, 1, 2], [0, 1], [1.0, 2.0])
+        A = DesignMatrix.from_csr(np.int64(2), np.int32(2), [0, 1, 2], [0, 1], [1.0, 2.0])
+        assert A.shape == (2, 2)
 
     def test_csr_row_check_matches_per_row_loop(self):
         rng = np.random.default_rng(4)
@@ -217,6 +223,10 @@ class TestStorage:
         A = DesignMatrix.from_dense([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
         assert A.shape == (3, 2)
         assert A.nnz == 2
+        # CSR counts what it stores, explicit zeros included: the entries a product reads.
+        B = DesignMatrix.from_csr(2, 2, [0, 1, 2], [0, 1], [1.0, 0.0])
+        assert B.nnz == 2
+        assert DesignMatrix.from_dense(B.toarray()).nnz == 1
 
 
 def _factor_case(kind):

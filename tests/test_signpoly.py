@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Chebyshev
 from numpy.polynomial import chebyshev as cheb
 
 from ridgeproj import (
-    CompressedPoly,
     chebyshev_monomial_approx,
     compressed_sign_poly,
     integral_step_oracle,
@@ -53,7 +53,7 @@ def cheb_power_referee(s, d):
 
 def per_term_sign_poly(alpha, eps, degree):
     """``x * sum_i w_i trunc_m((1 - x^2)^i)`` interpolated at ``degree = 2m + 1``."""
-    k = sign_poly_degree(alpha, eps / 2.0).k
+    k = sign_poly_degree(alpha, eps / 2.0)
     j = np.arange(1, k + 1)
     weights = np.concatenate([[1.0], np.cumprod((2 * j - 1) / (2 * j))])
     terms = [cheb_power_referee(i, (degree - 1) // 2) for i in range(k + 1)]
@@ -141,24 +141,20 @@ class TestSandwich:
 
 class TestDegreeRule:
     def test_examples(self):
-        assert sign_poly_degree(0.5, math.exp(-4.0)).k == 16
-        assert sign_poly_degree(1.0, math.exp(-1.0)).k == 1
-        assert sign_poly_degree(0.1, 1e-6).k == 1382
+        for alpha, eps, k in ((0.5, math.exp(-4.0), 16), (1.0, math.exp(-1.0), 1),
+                              (0.1, 1e-6, 1382)):
+            got = sign_poly_degree(alpha, eps)
+            assert type(got) is int and got == k
 
     def test_domain(self):
         for alpha, eps in ((0.0, 0.1), (1.5, 0.1), (0.5, 0.0), (0.5, 1.0)):
             with pytest.raises(ValueError):
                 sign_poly_degree(alpha, eps)
 
-    def test_invariant_enforced(self):
-        from ridgeproj import SignPolyDegree
-        with pytest.raises(ValueError, match="below required degree"):
-            SignPolyDegree(k=3, alpha=0.1, eps=0.01)
-
     def test_accuracy_at_selected_degree(self):
         for alpha in (0.5, 0.25, 0.1):
             for eps in (1e-2, 1e-4):
-                k = sign_poly_degree(alpha, eps).k
+                k = sign_poly_degree(alpha, eps)
                 xs = np.linspace(alpha, 1.0, 2000)
                 err = np.abs(1.0 - p_k_grid(xs, k)).max()
                 assert err <= eps
@@ -207,7 +203,7 @@ class TestChebyshevMonomial:
         xs = np.linspace(-1, 1, 101)
         assert np.array_equal(poly(xs), xs)
         poly16 = chebyshev_monomial_approx(16, 20)
-        assert poly16.degree == 16
+        assert poly16.degree() == 16
         assert np.abs(poly16(xs) - xs ** 16).max() <= 5e-15
 
     def test_bound_s16_d8(self):
@@ -229,7 +225,7 @@ class TestChebyshevMonomial:
     def test_matches_binomial_referee(self):
         for s in range(1, 65):
             for d in range(1, 65):
-                got = chebyshev_monomial_approx(s, d).coefficients
+                got = chebyshev_monomial_approx(s, d).coef
                 ref = cheb_power_referee(s, d)
                 assert got.shape == ref.shape, (s, d)
                 assert np.array_equal(got == 0.0, ref == 0.0), (s, d)
@@ -237,7 +233,7 @@ class TestChebyshevMonomial:
 
     def test_parity_structure(self):
         poly = chebyshev_monomial_approx(7, 5)
-        assert np.all(poly.coefficients[::2] == 0.0)
+        assert np.all(poly.coef[::2] == 0.0)
 
     def test_domain(self):
         for s, d in ((0, 3), (3, 0), (-1, 2), (True, 2), (2, True), (2.0, 3)):
@@ -250,7 +246,7 @@ class TestCompressedSignPoly:
         alpha, eps = 0.25, 0.1
         poly = compressed_sign_poly(alpha, eps)
         k = math.ceil(alpha ** -2 * math.log(2.0 / eps))
-        assert poly.degree < 2 * k + 1
+        assert poly.degree() < 2 * k + 1
         xs = np.linspace(-1, 1, 10001)
         keep = np.abs(xs) >= alpha
         assert np.abs(np.sign(xs[keep]) - poly(xs[keep])).max() <= eps
@@ -259,14 +255,14 @@ class TestCompressedSignPoly:
                                                     (0.25, 0.1, 53)])
     def test_matches_per_term_construction(self, alpha, eps, degree):
         poly = compressed_sign_poly(alpha, eps)
-        assert poly.degree == degree
-        ref = per_term_sign_poly(alpha, eps, poly.degree)
-        assert np.abs(poly.coefficients - ref).max() <= 1e-14
+        assert poly.degree() == degree
+        ref = per_term_sign_poly(alpha, eps, poly.degree())
+        assert np.abs(poly.coef - ref).max() <= 1e-14
 
     def test_small_margin_high_accuracy(self):
         alpha, eps = 0.05, 1e-4
         poly = compressed_sign_poly(alpha, eps)
-        assert poly.degree == 761
+        assert poly.degree() == 761
         xs = np.linspace(-1, 1, 10001)
         keep = np.abs(xs) >= alpha
         assert np.abs(np.sign(xs[keep]) - poly(xs[keep])).max() <= eps
@@ -282,13 +278,21 @@ class TestCompressedSignPoly:
                 compressed_sign_poly(alpha, eps)
 
 
-class TestCompressedPolyType:
-    def test_degree_invariant(self):
-        poly = CompressedPoly(np.array([0.0, 1.0, 0.5]))
-        assert poly.degree == 2
+# Each construction with the degree its polynomial has.
+BUILDS = {
+    "sign-0.25-0.1": (lambda: compressed_sign_poly(0.25, 0.1), 53),
+    "sign-0.05-1e-3": (lambda: compressed_sign_poly(0.05, 1e-3), 619),
+    "mono-16-8": (lambda: chebyshev_monomial_approx(16, 8), 8),
+    "mono-37-64": (lambda: chebyshev_monomial_approx(37, 64), 37),
+}
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CompressedPoly(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError):
-            CompressedPoly(np.array([]))
+
+@pytest.mark.parametrize("build, degree", BUILDS.values(), ids=BUILDS.keys())
+def test_returns_numpy_chebyshev(build, degree):
+    poly = build()
+    assert type(poly) is Chebyshev
+    assert np.array_equal(poly.domain, [-1.0, 1.0])
+    assert np.array_equal(poly.window, [-1.0, 1.0])
+    assert poly.degree() == poly.coef.size - 1 == degree
+    xs = np.linspace(-1.0, 1.0, 10001)
+    assert poly(xs).tobytes() == cheb.chebval(xs, poly.coef).tobytes()

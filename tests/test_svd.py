@@ -75,8 +75,9 @@ class TestSvdSmall:
         assert np.linalg.norm(F.reconstruct() - low) <= 1e-10 * np.linalg.norm(low)
 
     def test_zero_matrix_raises(self):
-        with pytest.raises(ValueError, match="rank zero"):
-            svd_small(DesignMatrix.from_dense(np.zeros((3, 3))))
+        for shape in ((3, 3), (0, 3), (3, 0)):  # an empty matrix is a zero matrix
+            with pytest.raises(ValueError, match="rank zero"):
+                svd_small(DesignMatrix.from_dense(np.zeros(shape)))
 
     def test_desk_scale_guard(self):
         class Fake:
