@@ -17,16 +17,19 @@ inverted; that is the source of the method's stability.
 
 The projection of ``A^T b`` that the series starts from runs on the
 certified rational engine (``ProjectionConfig(method="rational")``, see
-:func:`~ridgeproj.stepfn.apply_rational_step`): tens of ridge
-applications where the step polynomial makes hundreds, and a projection
-returned only once a bound computed after the run, from recomputed
-residuals, is within its tolerance.  Where the engine cannot certify that
-tolerance on the ridge handle's stated error (its residual floor grows like
-kappa_lambda^2: at gamma = 0.1 the engine takes eps = 1e-2 up to
-kappa_lambda near 400 and eps = 1e-4 up to near 50), it raises
-:class:`~ridgeproj.exceptions.BudgetExceeded` before any ridge
-application, and the stage reruns on the step polynomial, whose budget
-check may raise it too at large kappa_lambda.
+:func:`~ridgeproj.stepfn._rational_gram_step`): one multi-shift
+conjugate-gradient run on the ridge system, tens of gram products where
+the step polynomial makes thousands, and a projection returned only once a
+bound computed after the run, from recomputed residuals and proven
+rounding terms, is within its tolerance.  The ridge handle's residual
+floor, which grows like kappa_lambda^2, does not enter that bound.  Where
+the rounding terms keep the stage's tolerance out of reach (they grow like
+``eps_machine ||A||_F^2 / lambda`` times the row lengths of A and ``A^T``;
+on the 40 x 30 matrices of the tests, at gamma = 0.1, eps = 1e-4 is
+certified up to kappa_lambda = 1e3 and eps = 1e-2 up to 1e4), the engine
+raises :class:`~ridgeproj.exceptions.BudgetExceeded` before any product,
+and the stage reruns on the step polynomial, whose budget check may raise
+it too at large kappa_lambda.
 """
 
 from __future__ import annotations

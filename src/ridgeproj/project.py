@@ -15,26 +15,31 @@ fall inside the window, there is no error blow-up: those directions are
 attenuated by a monotone soft step between 0 and 1 (partial projection),
 which is the documented behavior rather than a detectable failure.
 
-Two step engines share the ridge handle.  The default, ``method="pk"``,
-is the paper's: the step polynomial ``p_q`` in ``X = 2B - I``, ``2q + 1``
-ridge applications with q growing like ``gamma^-2``.  ``method="rational"``
-applies Zolotarev's best rational approximation of sgn(X) instead, with n
-poles for an error ``delta_n <= eps/2``; one multi-shift conjugate-gradient
-run over the same handle solves all n shifted systems, so its ridge
-applications grow like ``alpha^-1 ln(1/eps)`` (``alpha = 2 gamma / (1 - 2
-gamma)``) rather than ``alpha^-2``.  After the run it recomputes the true
-shifted residuals through the handle and returns the vector only if a
-bound built from them, the handle's stated error and ``delta_n`` is at
-most ``eps ||y||_2``; otherwise it raises.  In-window directions then get
-a soft step between ``delta_n / 2`` and ``1 - delta_n / 2`` (see
-:func:`~ridgeproj.stepfn.apply_rational_step`), not one in [0, 1] that
+Two step engines.  The default, ``method="pk"``, is the paper's: the step
+polynomial ``p_q`` in ``X = 2B - I`` through the black-box ridge handle,
+``2q + 1`` ridge applications with q growing like ``gamma^-2``.
+``method="rational"`` applies Zolotarev's best rational approximation of
+sgn(X) instead, with n poles for an error ``delta_n <= eps/2``.  Every
+shifted system it needs is a rational function of ``A^T A`` alone, so one
+multi-shift conjugate-gradient run on the ridge system ``A^T A + lambda
+I`` itself solves them all, at one gram product per iteration (see
+:func:`~ridgeproj.stepfn._rational_gram_step`): the engine opens the ridge
+box instead of calling a ridge solver.  Its gram products grow like
+``alpha^-1 ln(1/eps)`` (``alpha = 2 gamma / (1 - 2 gamma)``) rather than
+``alpha^-2``.  After the run it recomputes the true shifted residuals and
+returns the vector only if a bound built from them, proven rounding terms
+of the gram products (from ``||A||_F^2``) and ``delta_n`` is at most ``eps
+||y||_2``; otherwise it raises.  In-window directions then get a soft step
+between ``delta_n / 2`` and ``1 - delta_n / 2``, not one in [0, 1] that
 follows ``p_q``.
 
-Both engines check the ridge handle's stated error, which includes the
-residual floor (see :func:`~ridgeproj.ridge._gram_solver`), before any
-application and raise :class:`~ridgeproj.exceptions.BudgetExceeded` for an
-eps it keeps out of reach: ``p_k`` from kappa_lambda near 1e5 at gamma =
-0.1 and eps = 1e-2, the rational engine at far smaller kappa_lambda.
+Both engines raise :class:`~ridgeproj.exceptions.BudgetExceeded` before
+any product for an eps they cannot reach: ``p_k`` checks the ridge
+handle's stated error, which includes the residual floor (see
+:func:`~ridgeproj.ridge._gram_solver`), from kappa_lambda near 1e5 at gamma
+= 0.1 and eps = 1e-2; the rational engine checks its rounding terms, which
+grow like ``(m_1 + m_2) eps_machine ||A||_F^2 / lambda``, ``m_1`` and
+``m_2`` the row lengths of A and ``A^T``.
 
 The paper's failure probability delta has no counterpart here: the inner
 solvers are deterministic, conjugate gradient meeting its tolerance or
@@ -54,7 +59,7 @@ from ._float64 import _EPS, _TINY, _ceil_tight, _exponent
 from .matrix import DesignMatrix, _as_finite_1d, _check_int
 from .ridge import _gram_solver
 from .spectral import MatrixStats, _check_lam
-from .stepfn import apply_rational_step, apply_step
+from .stepfn import _rational_gram_step, apply_step
 
 __all__ = ["ProjectionConfig", "pc_proj"]
 
@@ -91,17 +96,18 @@ class ProjectionConfig(_StageConfig):
 
     ``method`` picks the step engine: ``"pk"`` (the default) runs the
     paper's step polynomial through :func:`~ridgeproj.stepfn.apply_step`,
-    ``"rational"`` the certified Zolotarev engine
-    :func:`~ridgeproj.stepfn.apply_rational_step`, which sets its own
-    number of ridge applications and so takes no ``q_override``.
+    ``"rational"`` the certified Zolotarev engine on the gram operator,
+    :func:`~ridgeproj.stepfn._rational_gram_step`, which sets its own
+    number of gram products and so takes no ``q_override``.
 
-    The outer iteration count defaults to
-    ``q = ceil((2 gamma)^-2 ln(2/eps))``, and ``q_override`` pins it.  The
+    The outer iteration count of ``"pk"`` defaults to
+    ``q = ceil((2 gamma)^-2 ln(2/eps))``, and ``q_override`` pins it.  Its
     inner ridge tolerance always follows from eps, gamma and q:
     ``eps' = min(eps^2 gamma^2 / (8 sqrt(kappa)), 1 / (60 q sqrt(kappa)))``
     with ``kappa = max(kappa_lambda, 1)``, so a lambda far above sigma_1^2
     cannot push eps' to 1 or beyond; eps' is at least the smallest normal
-    double, so a tiny eps cannot push it to 0.  Both engines use this eps'.
+    double, so a tiny eps cannot push it to 0.  ``"rational"`` runs no
+    ridge solver and uses no eps'.
     """
 
     method: str = "pk"
@@ -185,14 +191,15 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     ``pc_proj`` of y to the bit while ``2^k y`` has no subnormal entry, and
     no squared norm over- or underflows at any scale of y.
 
-    With ``cfg.method == "rational"`` the same handle drives
-    :func:`~ridgeproj.stepfn.apply_rational_step` on the window half-width
-    ``alpha`` (1/2 for gamma of 1/6 and above), and the returned vector
-    carries a certificate computed after the run: ``||s - P y||_2 <= eps
-    ||y||_2`` under the gap window, with eps raised only to the engine's
-    float64 floor.  An eps that the stated error keeps out of reach, or a
-    gamma below 5e-7 (alpha below 1e-6), raises ``BudgetExceeded`` before
-    any application; a run that cannot certify raises
+    With ``cfg.method == "rational"`` no ridge handle is built:
+    :func:`~ridgeproj.stepfn._rational_gram_step` runs on the gram operator
+    of A with the window half-width ``alpha`` (1/2 for gamma of 1/6 and
+    above), and the returned vector carries a certificate computed after
+    the run: ``||s - P y||_2 <= eps ||y||_2`` under the gap window, with eps
+    raised only to the engine's float64 floor.  An eps that the
+    certificate's rounding terms keep out of reach, or a gamma below 5e-7
+    (alpha below 1e-6), raises ``BudgetExceeded`` before any product; a run
+    that cannot certify raises
     :class:`~ridgeproj.exceptions.ConvergenceFailure`.  In-window
     directions get a soft step between ``delta/2`` and ``1 - delta/2``,
     delta the Zolotarev error, at most eps/2.  This engine takes no
@@ -201,14 +208,13 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     if cfg.method == "rational" and callback is not None:
         raise ValueError("callback applies to method 'pk' only")
     y = _as_finite_1d(y, A.n_cols, what="input vector")
+    if cfg.method == "rational":
+        stats.check_lambda(cfg.lam)
+        alpha = 2.0 * cfg.gamma / (1.0 - 2.0 * cfg.gamma) if 6.0 * cfg.gamma < 1.0 else 0.5
+        return _rational_gram_step(A, cfg.lam, y, alpha, cfg.eps)[0]
     q, eps_inner, _ = cfg.resolve(stats)
     e = _exponent(y)
     y = np.ldexp(y, -e)
     handle = _gram_solver(A, stats, eps_inner, query_norm=float(np.linalg.norm(y)))
-    if cfg.method == "pk":
-        scaled = None if callback is None else lambda k, s: callback(k, np.ldexp(s, e))
-        s = apply_step(handle, y, q, callback=scaled)
-    else:
-        alpha = 2.0 * cfg.gamma / (1.0 - 2.0 * cfg.gamma) if 6.0 * cfg.gamma < 1.0 else 0.5
-        s = apply_rational_step(handle, y, alpha, cfg.eps)[0]
-    return np.ldexp(s, e)
+    scaled = None if callback is None else lambda k, s: callback(k, np.ldexp(s, e))
+    return np.ldexp(apply_step(handle, y, q, callback=scaled), e)

@@ -1,15 +1,28 @@
-"""Two engines that apply a spectral step to a vector through an operator.
+"""The step engines: a spectral step applied to a vector through an operator.
 
-The operator is available only as a black box that applies a symmetric
-matrix approximately.  :func:`apply_step` runs the step polynomial's
+:func:`apply_step` and :func:`apply_rational_step` see the operator only
+as a black box that applies a symmetric matrix approximately, the paper's
+"any ridge solver".  :func:`apply_step` runs the step polynomial's
 recurrence, which tolerates that noise: the error of the output grows at
 most linearly in the iteration count times the relative per-application
 error, provided the iteration count stays within the budget ``k <= 1/(7
 eps)``; an absolute error term can grow faster (see
 :class:`OperatorHandle`).  :func:`apply_rational_step` evaluates
 Zolotarev's rational approximation of the sign function by one
-multi-shift conjugate-gradient run, and bounds its own error after the
-run from residuals it recomputes through the operator.
+multi-shift conjugate-gradient run on the square of the step operator,
+and bounds its own error after the run from residuals it recomputes
+through the black box.
+
+:func:`_rational_gram_step`, the engine behind ``pc_proj(method=
+"rational")`` and ``pc_regress``'s projection stage, computes the same
+Zolotarev step but opens the ridge box: every system it needs is a shift
+of the ridge system ``A^T A + lambda I``, so one multi-shift run on that
+system, at one gram product per iteration, replaces the black-box
+engine's CG nested inside CG.  Its certificate rests on recomputed
+residuals and proven rounding terms, not on a ridge handle's stated
+error, so the handle's residual floor sets no limit on it.  Both
+multi-shift engines share one recurrence, :func:`_multishift_cg`, and the
+Zolotarev plan of :func:`_rational_plan`.
 
 Precision.  The stability analysis assumes arithmetic with a number of
 bits that grows like log(d / (eps * gap)).  Everything here runs in plain
@@ -287,6 +300,78 @@ def _rational_plan(alpha: float, eps: float, err: float):
     return r, tol, level
 
 
+def _multishift_cg(K, y, shifts, gain, target, max_iters, level, certify):
+    """Solve ``K z_0 = y`` and ``(K + shifts[l]) z_l = y`` by one conjugate-gradient run, certified.
+
+    K, applied as ``K(v, it)``, must be symmetric positive definite; the
+    shifts may be complex.  This is Jegerlehner's multi-shift recurrence:
+    CG on the seed system ``K z_0 = y``, whose residuals stay collinear with
+    every shifted system's, ``r_l = zeta_l r_0``, so each shifted iterate
+    costs vector updates and no product with K.  ``z_0`` stays real; the
+    shifted iterates take the dtype of ``shifts``.
+
+    The run stops once the recursive residual norms give ``gain_0 ||r_0||
+    + sum_l gain_l |zeta_l| ||r_0|| <= target`` (``gain`` lists the seed
+    first).  A shifted system is frozen once its share of that sum falls
+    below eps_machine of the target: its zeta would otherwise underflow
+    within a few hundred iterations, and its later updates round away.
+    Then ``certify(z_0, z, it)`` returns ``(bound, finish)``; a bound of at
+    most ``level ||y||_2`` returns ``(finish, bound)``.  Otherwise the run
+    goes on to a quarter of its target and certifies again; after four
+    rounds, or after ``max_iters`` iterations, it raises
+    :class:`ConvergenceFailure`.
+    """
+    ny = float(np.linalg.norm(y))
+    z0 = np.zeros(y.size)
+    p0 = y.copy()
+    z = np.zeros((shifts.size, y.size), dtype=shifts.dtype)
+    p = np.tile(y, (shifts.size, 1)).astype(shifts.dtype)
+    res = y.copy()
+    rs = float(res @ res)
+    zeta = np.ones(shifts.size, dtype=shifts.dtype)
+    zeta_old = zeta.copy()
+    a_old, beta = 1.0, 0.0
+    # Recursive residual norms, the seed's first.
+    resid = np.full(gain.size, math.sqrt(rs))
+    live = np.ones(shifts.size, dtype=bool)
+    it = 0
+    for _ in range(_CERTIFY_ROUNDS):
+        while float(gain @ resid) > target:
+            if it >= max_iters:
+                raise ConvergenceFailure(
+                    f"multi-shift conjugate gradient exhausted {max_iters} iterations",
+                    diagnostic=float(gain @ resid) / ny)
+            Kp = K(p0, it)
+            denom = float(p0 @ Kp)
+            if not denom > 0.0:
+                raise ConvergenceFailure(
+                    "multi-shift conjugate gradient breakdown: non-positive curvature",
+                    diagnostic=math.sqrt(rs) / ny)
+            a = rs / denom
+            zl, zo = zeta[live], zeta_old[live]
+            zn = zl * zo * a_old / (a * beta * (zo - zl) + zo * a_old * (1.0 + shifts[live] * a))
+            z0 += a * p0
+            z[live] += (a * zn / zl)[:, None] * p[live]
+            res = res - a * Kp
+            rs_new = float(res @ res)
+            beta = rs_new / rs
+            p0 = res + beta * p0
+            p[live] = zn[:, None] * res + (beta * (zn / zl) ** 2)[:, None] * p[live]
+            zeta_old[live], zeta[live] = zl, zn
+            a_old, rs = a, rs_new
+            resid[0] = math.sqrt(rs)
+            resid[1:][live] = np.abs(zn) * resid[0]
+            live &= gain[1:] * resid[1:] > _EPS * target
+            it += 1
+        bound, finish = certify(z0, z, it)
+        if bound <= level * ny:
+            return finish, bound
+        target *= 0.25
+    raise ConvergenceFailure(
+        f"certified bound {bound:.3e} exceeds {level:.3e} * ||y|| after"
+        f" {_CERTIFY_ROUNDS} rounds", diagnostic=bound / ny)
+
+
 def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
     """Apply ``(1/2)(y + r(X) y)``, ``X = 2S - I``, and certify it; returns ``(s, bound)``.
 
@@ -350,53 +435,13 @@ def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
     y = np.ldexp(y, -e)
     ny = float(np.linalg.norm(y))
     c, b, D = r.poles, r.weights, r.scale
-    gain = r.gain
-    shift = c - c[0]
     max_iters = 10 * math.ceil(math.sqrt((1.0 + c[0]) / c[0]) * math.log(4.0 / tol))
 
     def X(v, k):
         return 2.0 * _guarded(S, v, k) - v
 
-    z = np.zeros((c.size, y.size))
-    p = np.tile(y, (c.size, 1))
-    res = y.copy()
-    rs = float(res @ res)
-    zeta = np.ones(c.size)
-    zeta_old = np.ones(c.size)
-    a_old, beta = 1.0, 0.0
-    # Recursive shifted residual norms |zeta_l| ||res||.  A shifted system is
-    # frozen once its share of the stopping sum falls below eps_machine of
-    # the target: its zeta would otherwise underflow within a few hundred
-    # iterations, and its later updates round away.
-    resid = np.full(c.size, math.sqrt(rs))
-    live = np.ones(c.size, dtype=bool)
-    it = 0
-    target = 0.5 * tol * ny
-    for _ in range(_CERTIFY_ROUNDS):
-        while float(gain @ resid) > target:
-            if it >= max_iters:
-                raise ConvergenceFailure(
-                    f"multi-shift conjugate gradient exhausted {max_iters} iterations",
-                    diagnostic=float(gain @ resid) / ny)
-            Kp = X(X(p[0], it), it) + c[0] * p[0]
-            denom = float(p[0] @ Kp)
-            if not denom > 0.0:
-                raise ConvergenceFailure(
-                    "multi-shift conjugate gradient breakdown: non-positive curvature",
-                    diagnostic=math.sqrt(rs) / ny)
-            a = rs / denom
-            zl, zo = zeta[live], zeta_old[live]
-            zn = zl * zo * a_old / (a * beta * (zo - zl) + zo * a_old * (1.0 + shift[live] * a))
-            z[live] += (a * zn / zl)[:, None] * p[live]
-            res = res - a * Kp
-            rs_new = float(res @ res)
-            beta = rs_new / rs
-            p[live] = zn[:, None] * res + (beta * (zn / zl) ** 2)[:, None] * p[live]
-            zeta_old[live], zeta[live] = zl, zn
-            a_old, rs = a, rs_new
-            resid[live] = np.abs(zn) * math.sqrt(rs)
-            live[1:] &= gain[1:] * resid[1:] > _EPS * target
-            it += 1
+    def certify(z0, z, it):
+        z = np.vstack([z0, z])
         norms = np.empty((3, c.size))  # ||rho_l||, ||z_l||, ||X z_l||
         for l in range(c.size):
             w = X(z[l], it)
@@ -404,9 +449,150 @@ def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
                            np.linalg.norm(w)]
         u = y + b @ z
         bound = 0.5 * r.error * ny + r.certificate(err, ny, *norms, float(np.linalg.norm(u)))
-        if bound <= level * ny:
-            return np.ldexp(0.5 * (y + D * X(u, it)), e), math.ldexp(bound, e)
-        target *= 0.25
-    raise ConvergenceFailure(
-        f"certified bound {bound:.3e} exceeds {level:.3e} * ||y|| after"
-        f" {_CERTIFY_ROUNDS} rounds", diagnostic=bound / ny)
+        return bound, lambda: 0.5 * (y + D * X(u, it))
+
+    finish, bound = _multishift_cg(lambda v, k: X(X(v, k), k) + c[0] * v, y, c[1:] - c[0],
+                                   r.gain, 0.5 * tol * ny, max_iters, level, certify)
+    return np.ldexp(finish(), e), math.ldexp(bound, e)
+
+
+def _gamma(k: int) -> float:
+    """``k eps_machine / (1 - k eps_machine)``: the relative rounding error of k operations."""
+    return k * _EPS / (1.0 - k * _EPS)
+
+
+def _gram_rounding(G):
+    """``(eta, F)``: ``||fl(G^T fl(G v)) - G^T G v||_2 <= eta ||v||_2`` with room to spare, ``F >= ||G||_F^2``.
+
+    With m_1 and m_2 the longest inner products of ``G v`` and ``G^T w``
+    (the row lengths of G and G^T: stored entries per row for CSR), each
+    product errs by at most ``gamma_m || |G| |v| ||_2 <= gamma_m ||G||_F
+    ||v||_2`` in any summation order, so the gram product errs by at most
+    ``(gamma_{m_1} + gamma_{m_2} + gamma_{m_1} gamma_{m_2}) ||G||_F^2
+    ||v||_2 <= gamma_{m_1 + m_2} ||G||_F^2 ||v||_2``.  ``||G||_F^2`` is read
+    off the stored entries and rounded up to F; it bounds ``||G||_2^2`` from
+    above, which a Lanczos estimate of sigma_1 does not.  The returned eta
+    is ``gamma_{m_1 + m_2 + 8} F``, which also covers six roundings of each
+    entry of the product, ``gamma_6 ||fl(G^T G v)||_2``.
+    """
+    if G.storage == "csr":
+        entries = G._m.data
+        m = int(np.diff(G._m.indptr).max(initial=0) + np.diff(G._mt.indptr).max(initial=0))
+    else:
+        entries = G._m.reshape(-1)
+        m = sum(G.shape)
+    frob = float(np.vdot(entries, entries)) * (1.0 + 2.0 * _gamma(entries.size + 2))
+    return _gamma(m + 8) * frob, frob
+
+
+def _gram_terms(r: _Zolotarev, lam: float, eta: float, ny: float, rho, z) -> float:
+    """The solve and rounding terms of :func:`_rational_gram_step`'s bound.
+
+    ``rho`` and ``z`` hold the residual and solution norms, the real
+    system's first, and eta comes from :func:`_gram_rounding`.
+    """
+    h = r.weights / (1.0 + r.poles)
+    gain = np.concatenate(([r.scale], r.gain))
+    solves = float(gain @ (rho + eta * z + _gamma(6) * (ny + 2.0 * lam * z)))
+    terms = (1.0 + h.sum()) * ny + 2.0 * lam * (z[0] + float(h @ z[1:]))
+    return solves + 0.5 * _gamma(3 * r.poles.size + 20) * (ny + r.scale * terms)
+
+
+def _rational_gram_step(A, lam: float, y, alpha: float, eps: float):
+    """Apply ``(1/2)(y + r(X) y)``, ``X = (t - lam)/(t + lam)``, ``t = A^T A``; returns ``(s, bound)``.
+
+    The same Zolotarev step as :func:`apply_rational_step`, with the same
+    plan (``r``, tol; see :func:`_rational_plan`), but computed from the
+    gram operator of A directly instead of a black-box ridge handle.  This
+    entry opens the ridge box: it runs conjugate gradient on the ridge
+    system ``t + lam`` itself, at one gram product ``G^T (G v)`` through the
+    gram factor's ``_mv``/``_rmv`` per iteration, with no CG nested inside.
+
+    Every shifted system is a rational function of t alone.  With ``X = 1 -
+    2 lam (t + lam)^{-1}`` and, for each pole c_l,
+    ``tau_l = lam ((1 - c_l) + 2i sqrt(c_l)) / (1 + c_l)`` (so ``|tau_l| =
+    lam``), ``X / (X^2 + c_l) = (1 + c_l)^{-1} (1 + 2 Re(tau_l (t -
+    tau_l)^{-1}))``.  Hence
+
+        r(X) y = D [ y - 2 lam z_0 + sum_l b_l / (1 + c_l) (y + 2 Re(tau_l z_l)) ],
+
+    ``z_0 = (t + lam)^{-1} y``, ``z_l = (t - tau_l)^{-1} y``: the real ridge
+    system and n complex shifts ``-tau_l - lam`` of it, all solved by one
+    multi-shift run (:func:`_multishift_cg`) that stops when ``D ||r_0|| +
+    sum_l w_l ||r_l|| <= tol ||y||_2 / 4``, ``w_l = D b_l / (2 sqrt(c_l))``.
+    No final product is needed: s is assembled from the z's.  y is scaled by
+    the power of two that puts its largest entry in [1/2, 1), and s and the
+    bound are scaled back, so ``2^k y`` gives ``2^k`` times the result for y
+    bit for bit; below, y is the scaled vector.
+
+    Certificate.  One gram product on the block of the 2n + 1 real columns
+    of the z's recomputes each residual ``rho_l``.  Since t is symmetric,
+    ``||(t + lam)^{-1}|| <= 1 / lam`` and ``||(t - tau_l)^{-1}|| <= 1 / |Im
+    tau_l|``, and ``|tau_l| / |Im tau_l| = (1 + c_l) / (2 sqrt(c_l))``, the
+    distance from s to ``(1/2)(y + sgn(X) y)`` is at most
+
+        (1 + gamma_{2d + 4n + 24}) [ delta_n ||y|| / 2 + D R_0 + sum_l w_l R_l + E ],
+        R_l = ||rho_l|| + eta ||z_l|| + gamma_6 (||y|| + 2 lam ||z_l||),
+        E = gamma_{3n + 20} (||y|| + D ((1 + sum_l h_l) ||y|| + 2 lam (||z_0||
+            + sum_l h_l ||z_l||))) / 2,   h_l = b_l / (1 + c_l),
+
+    with ``gamma_k = k eps_machine / (1 - k eps_machine)``, eta of
+    :func:`_gram_rounding` for the gram factor G of A (``G^T G = t``), and
+    every norm as computed.  R_l covers the
+    rounding of the recomputed residual (its gram product, its entrywise
+    operations, and ``tau_l`` rounded to within ``gamma_4 lam``); E covers
+    the rounded coefficients and the assembly of s; the leading factor
+    covers the rounding of the norms and of the bound itself.  So every
+    rounding term rests on ``||G||_F``, never on an estimate of sigma_1, and
+    the bound holds whenever the spectrum of X keeps ``|x| >= alpha``.  The
+    vector is returned only if the bound is at most ``tol ||y||_2``;
+    otherwise the run goes on as in :func:`_multishift_cg`.  Four times the
+    rounding terms at their a-priori values (``rho = 0``, ``||z_0|| <=
+    ||y|| / lam``, ``||z_l|| <= ||y|| / |Im tau_l|``) above tol raises
+    :class:`~ridgeproj.exceptions.BudgetExceeded` before any product, as do
+    the refusals of :func:`_rational_plan`.  Inside the window the step
+    follows ``(1 + r(x)) / 2`` as in :func:`apply_rational_step`.
+    """
+    r, tol, _ = _rational_plan(alpha, eps, 0.0)
+    G = A._gram
+    y = _as_finite_1d(y, A.n_cols, what="input vector")
+    e = _exponent(y)
+    y = np.ldexp(y, -e)
+    ny = float(np.linalg.norm(y))
+    c, D = r.poles, r.scale
+    n, d = c.size, y.size
+    h = r.weights / (1.0 + c)
+    tau = lam * ((1.0 - c) + 2j * np.sqrt(c)) / (1.0 + c)
+    coef = 2.0 * h * tau
+    eta, frob = _gram_rounding(G)
+    inv_im = (1.0 + c) / (2.0 * lam * np.sqrt(c))  # 1 / |Im tau_l|
+    noise = 4.0 * _gram_terms(r, lam, eta, 1.0, 0.0, np.concatenate(([1.0 / lam], inv_im)))
+    if not noise <= tol:
+        raise BudgetExceeded(
+            f"gram-product rounding cannot be certified to {tol:.3e}: four times its"
+            f" a-priori size is {noise:.3e} at alpha = {alpha:.3e}")
+    mv, rmv = G._mv, G._rmv
+    # CG on t - tau_l converges like CG at condition number about
+    # sqrt(kappa_lambda) lam / |Im tau_l|; frob / lam bounds kappa_lambda.
+    max_iters = 10 * math.ceil(math.sqrt(1.0 + frob / lam) * lam * inv_im[0]
+                               * math.log(4.0 / tol))
+
+    def certify(z0, z, it):
+        block = np.empty((d, 2 * n + 1))
+        block[:, 0] = z0
+        block[:, 1::2] = z.real.T
+        block[:, 2::2] = z.imag.T
+        t = rmv(mv(block))
+        rho = np.empty((n + 1, d), dtype=z.dtype)
+        rho[0] = y - (t[:, 0] + lam * z0)
+        rho[1:] = y - ((t[:, 1::2] + 1j * t[:, 2::2]).T - tau[:, None] * z)
+        zn = np.concatenate(([np.linalg.norm(z0)], np.linalg.norm(z, axis=1)))
+        terms = _gram_terms(r, lam, eta, ny, np.linalg.norm(rho, axis=1), zn)
+        bound = (1.0 + _gamma(2 * d + 4 * n + 24)) * (0.5 * r.error * ny + terms)
+        v = (1.0 + float(h.sum())) * y - 2.0 * lam * z0 + (coef @ z).real
+        return bound, lambda: 0.5 * (y + D * v)
+
+    finish, bound = _multishift_cg(lambda v, it: rmv(mv(v)) + lam * v, y, -tau - lam,
+                                   np.concatenate(([D], r.gain)), 0.25 * tol * ny, max_iters,
+                                   tol, certify)
+    return np.ldexp(finish(), e), math.ldexp(bound, e)

@@ -18,7 +18,7 @@ from ridgeproj import (
     pc_regress,
     svd_small,
 )
-from helpers import m_inv_norm, m_inverse_apply, m_norm
+from helpers import black_box_rational, m_inv_norm, m_inverse_apply, m_norm, recorded_gram_step
 
 N, D, TOP_RANK = 120, 80, 20
 TALL_N, TALL_D, TALL_TOP_RANK = 400, 40, 8
@@ -63,30 +63,27 @@ def solve_synthetic(args):
 
 
 def rational_projection_worker(args):
-    """Criterion 1's problem on the rational engine: ``(error, certified bound)`` over ``||y||``."""
-    import ridgeproj.project as project
+    """Criterion 1's problem on the black-box rational engine: ``(error, certified bound)`` over ``||y||``."""
+    seed, gamma = args
+    problem = gen_synthetic(N, D, TOP_RANK, gamma, seed=seed)
+    stats = matrix_stats(problem.A, problem.lam)
+    y = np.random.default_rng([seed, 777]).standard_normal(D)
+    s, bound = black_box_rational(problem.A, stats, y, problem.algorithm_gap(), PROJ_EPS)
+    err = float(np.linalg.norm(s - exact_projection(svd_small(problem.A), problem.lam, y)))
+    return err / float(np.linalg.norm(y)), bound
 
+
+def gram_projection_worker(args):
+    """Criterion 1's problem on ``pc_proj(method="rational")``: ``(error, certified bound)`` over ``||y||``."""
     seed, gamma = args
     problem = gen_synthetic(N, D, TOP_RANK, gamma, seed=seed)
     stats = matrix_stats(problem.A, problem.lam)
     y = np.random.default_rng([seed, 777]).standard_normal(D)
     cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=PROJ_EPS,
                            method="rational")
-    bounds = []
-    engine = project.apply_rational_step
-
-    def recording(S, v, *args):
-        s, bound = engine(S, v, *args)
-        bounds.append(bound / float(np.linalg.norm(v)))
-        return s, bound
-
-    project.apply_rational_step = recording
-    try:
-        s = pc_proj(problem.A, cfg, y, stats)
-    finally:
-        project.apply_rational_step = engine
+    s, bound = recorded_gram_step(pc_proj, problem.A, cfg, y, stats)
     err = float(np.linalg.norm(s - exact_projection(svd_small(problem.A), problem.lam, y)))
-    return err / float(np.linalg.norm(y)), bounds[0]
+    return err / float(np.linalg.norm(y)), bound
 
 
 def integral_identity_worker(k):
@@ -175,3 +172,53 @@ def tall_projection_worker(args):
     s = pc_proj(problem.A, cfg, y, stats)
     err = float(np.linalg.norm(s - exact_projection(svd_small(problem.A), problem.lam, y)))
     return err / (PROJ_EPS * float(np.linalg.norm(y)))
+
+
+SWEEP_EPS = (1e-2, 1e-4, 1e-8)
+
+
+def kappa_sweep_worker(kappa):
+    """Criterion 14's sweep at one kappa_lambda: one row per eps.
+
+    A 600 x 300 dense matrix with lambda = 1, 30 top squared singular values
+    geometric from ``kappa`` down to the window edge of gamma = 0.1, and the
+    rest below it.  Each row is ``(eps, outcome, error / eps, bound / eps,
+    gram products made, black-box engine certified)``, where outcome is
+    "certified" or "refused" (``BudgetExceeded``).
+    """
+    from ridgeproj import BudgetExceeded, DesignMatrix
+    from helpers import spectrum_dense
+
+    gamma, lam = 0.1, 1.0
+    rng = np.random.default_rng([14, int(np.log10(kappa))])
+    edge = lam / (1.0 - 4.0 * gamma)
+    squared = np.concatenate([np.geomspace(kappa * lam, edge, 30),
+                              rng.uniform(0.0, (1.0 - 4.0 * gamma) * lam, 270)])
+    A = spectrum_dense(rng, 600, squared)
+    stats = matrix_stats(A, lam)
+    y = rng.standard_normal(300)
+    ny = float(np.linalg.norm(y))
+    ref = exact_projection(svd_small(A), lam, y)
+    products = []
+    mv = DesignMatrix._mv
+    DesignMatrix._mv = lambda self, x: products.append(1) or mv(self, x)
+    rows = []
+    try:
+        for eps in SWEEP_EPS:
+            try:
+                black_box_rational(A, stats, y, gamma, eps)
+                black_box = True
+            except BudgetExceeded:
+                black_box = False
+            cfg = ProjectionConfig(lam=lam, gamma=gamma, eps=eps, method="rational")
+            products.clear()
+            try:
+                s, bound = recorded_gram_step(pc_proj, A, cfg, y, stats)
+            except BudgetExceeded:
+                rows.append((eps, "refused", None, None, len(products), black_box))
+                continue
+            err = float(np.linalg.norm(s - ref)) / ny
+            rows.append((eps, "certified", err / eps, bound / eps, len(products), black_box))
+    finally:
+        DesignMatrix._mv = mv
+    return rows

@@ -1,5 +1,7 @@
 """Shared test utilities: exact norms from the factorization, matrix makers."""
 
+import math
+
 import numpy as np
 
 from ridgeproj import DesignMatrix, SvdFactors
@@ -74,3 +76,53 @@ def kappa_1e3_matrix(top=1e3):
     rng = np.random.default_rng(1000)
     squared = np.concatenate([np.geomspace(top, 2.0, 6), rng.uniform(0.0, 0.5, 24)])
     return spectrum_dense(rng, 40, squared)
+
+
+def black_box_rational(A, stats, y, gamma, eps):
+    """The Zolotarev engine over the projection's black-box ridge handle: ``(s, bound / ||y||)``.
+
+    ``apply_rational_step`` on ``_gram_solver(A, stats, eps', ||y||)``, eps'
+    the inner tolerance of ``ProjectionConfig(lam, gamma, eps)``, for y
+    scaled by the power of two that puts its largest entry in [1/2, 1); s
+    is scaled back.
+    """
+    from ridgeproj import ProjectionConfig
+    from ridgeproj._float64 import _exponent
+    from ridgeproj.ridge import _gram_solver
+    from ridgeproj.stepfn import apply_rational_step
+
+    eps_inner = ProjectionConfig(lam=stats.lam, gamma=gamma, eps=eps).resolve(stats)[1]
+    e = _exponent(y)
+    y = np.ldexp(y, -e)
+    ny = float(np.linalg.norm(y))
+    handle = _gram_solver(A, stats, eps_inner, query_norm=ny)
+    alpha = 2.0 * gamma / (1.0 - 2.0 * gamma) if 6.0 * gamma < 1.0 else 0.5  # as in pc_proj
+    s, bound = apply_rational_step(handle, y, alpha, eps)
+    return np.ldexp(s, e), bound / ny
+
+
+def recorded_gram_step(fn, *args):
+    """``fn(*args)`` and the bound over ``||y||`` of the one gram-engine run it makes.
+
+    Both are scaled by the power of two of y's largest entry first, so the
+    ratio is exact whenever ``||y||`` over- or underflows.
+    """
+    import ridgeproj.project as project
+    from ridgeproj._float64 import _exponent
+
+    engine = project._rational_gram_step
+    bounds = []
+
+    def recording(A, lam, y, alpha, eps):
+        s, bound = engine(A, lam, y, alpha, eps)
+        e = _exponent(y)
+        bounds.append(math.ldexp(bound, -e) / float(np.linalg.norm(np.ldexp(y, -e))))
+        return s, bound
+
+    project._rational_gram_step = recording
+    try:
+        out = fn(*args)
+    finally:
+        project._rational_gram_step = engine
+    (bound,) = bounds
+    return out, bound

@@ -279,10 +279,11 @@ def test_criterion_12_factored_ridge_box(pool):
 
 
 def test_criterion_13_rational_engine(pool):
-    # The certified Zolotarev engine (ProjectionConfig(method="rational")):
-    # on criterion 1's problems its bound, computed after the run from
-    # recomputed residuals, is at least the true error and at most eps; under
-    # handle noise up to the handle's stated bound it stays so.
+    # The certified Zolotarev engine over a black-box ridge handle
+    # (stepfn.apply_rational_step on the projection's handle): on criterion
+    # 1's problems its bound, computed after the run from recomputed
+    # residuals, is at least the true error and at most eps; under handle
+    # noise up to the handle's stated bound it stays so.
     from helpers import rotated_symmetric
     from ridgeproj.stepfn import apply_rational_step
 
@@ -316,3 +317,34 @@ def test_criterion_13_rational_engine(pool):
             f" {loosest:.2e} of the 1e-4*||y|| budget, every bound >= its error:"
             f" {certified}; 100 noisy-handle trials (err_bound in {{1e-8, 1e-6}},"
             f" eps {eps}) with error <= bound <= eps*||y||: {noisy_ok}")
+
+
+def test_criterion_14_gram_rational_engine(pool):
+    # The same Zolotarev step from one multi-shift CG run on the ridge system
+    # (ProjectionConfig(method="rational")): on criterion 1's problems its
+    # bound, which includes the proven gram-product rounding terms, is at
+    # least the true error and at most eps.  Over kappa_lambda x eps each
+    # cell certifies within eps or is refused before any gram product, and
+    # every cell the black-box engine certifies, this one certifies too.
+    results = pool.map(helpers.gram_projection_worker, SEED_GAMMAS)
+    certified = all(err <= bound <= helpers.PROJ_EPS for err, bound in results)
+    worst = max(err for err, _ in results) / helpers.PROJ_EPS
+    loosest = max(bound for _, bound in results) / helpers.PROJ_EPS
+
+    kappas = (1e2, 1e3, 1e4, 1e6)
+    sweep_ok = True
+    cells = []
+    for kappa, rows in zip(kappas, pool.map(helpers.kappa_sweep_worker, kappas)):
+        for eps, outcome, err, bound, products, black_box in rows:
+            if outcome == "certified":
+                sweep_ok &= err <= bound <= 1.0
+                cells.append(f"{kappa:.0e}/{eps:.0e}: {products} products, bound {bound:.2f} eps")
+            else:
+                sweep_ok &= products == 0 and not black_box
+                cells.append(f"{kappa:.0e}/{eps:.0e}: refused")
+    _report(14, "gram rational engine", certified and sweep_ok,
+            f"50 problems: worst error at {worst:.2e} and loosest certified bound at"
+            f" {loosest:.2e} of the 1e-4*||y|| budget, every bound >= its error:"
+            f" {certified}; kappa_lambda/eps sweep at gamma 0.1 (certified within eps,"
+            f" or refused before any product where the black-box engine refuses too):"
+            f" {sweep_ok}; " + "; ".join(cells))

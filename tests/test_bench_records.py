@@ -21,7 +21,7 @@ RUN_KEYS = {"run_order", "workload", "seed", "trace", "seconds", "side", "pair",
 
 
 def test_records_found():
-    assert {"BENCH_pr4.json", "BENCH_pr6.json"} <= {p.name for p in RECORDS}
+    assert {"BENCH_pr4.json", "BENCH_pr6.json", "BENCH_pr23.json"} <= {p.name for p in RECORDS}
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)

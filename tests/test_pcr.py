@@ -141,12 +141,11 @@ class TestPcRegress:
             assert scaled.tobytes() == np.ldexp(plain, k).tobytes()
 
     def test_projection_stage_engine(self, small_problem, monkeypatch):
-        # The stage runs on the rational engine where it can certify eps' on
-        # the ridge handle.  At kappa_lambda = 1e3 and eps = 1e-4, eps' = 7e-10
-        # is below what the handle's stated error (the ridge residual floor,
-        # 1.4e-8) lets it certify: the engine raises BudgetExceeded before any
-        # product with A, the stage reruns on p_k, and the result still meets
-        # the contract.
+        # The stage runs on the rational engine where it can certify eps'.
+        # At kappa_lambda = 1e4 and eps = 1e-4, eps' = 1.8e-10 is below four
+        # times the a-priori gram-product rounding terms of that engine's
+        # certificate: it raises BudgetExceeded before any product with A, the
+        # stage reruns on p_k, and the result still meets the contract.
         methods, refused_mv = [], []
         original = pcr_module.pc_proj
         mv_calls = []
@@ -166,7 +165,7 @@ class TestPcRegress:
         problem, stats, _ = small_problem
         pc_regress(problem.A, PcrConfig(lam=problem.lam, gamma=problem.algorithm_gap(),
                                         eps=1e-4), problem.b, stats)
-        A = kappa_1e3_matrix()
+        A = kappa_1e3_matrix(top=1e4)
         stats = matrix_stats(A, 1.0)
         b = np.random.default_rng(1002).standard_normal(40)
         s = pc_regress(A, PcrConfig(lam=1.0, gamma=0.125, eps=1e-4), b, stats)
@@ -174,10 +173,72 @@ class TestPcRegress:
         assert refused_mv == [0] and mv_calls
         assert gram_norm(A, s - exact_pcr(svd_small(A), 1.0, b)) <= 1e-4 * np.linalg.norm(b)
 
+    def test_stage_certifies_at_kappa_1e3(self, monkeypatch):
+        # At kappa_lambda = 1e3, gamma = 0.125 and eps = 1e-4 the stage's
+        # eps' = 7e-10 is certified by the rational engine on the gram
+        # operator: no p_k step and no ridge CG run inside the stage.
+        import ridgeproj.project as project
+        from ridgeproj import ridge
+
+        in_stage, pk_calls, stage_cg = [], [], []
+        original, cg, step = pcr_module.pc_proj, ridge._cg, project.apply_step
+
+        def stage(*args):
+            in_stage.append(1)
+            try:
+                return original(*args)
+            finally:
+                in_stage.pop()
+
+        monkeypatch.setattr(pcr_module, "pc_proj", stage)
+        monkeypatch.setattr(ridge, "_cg", lambda *a: stage_cg.extend(in_stage) or cg(*a))
+        monkeypatch.setattr(project, "apply_step", lambda *a, **k: pk_calls.append(1) or step(*a, **k))
+        A = kappa_1e3_matrix()
+        b = np.random.default_rng(1002).standard_normal(40)
+        s = pc_regress(A, PcrConfig(lam=1.0, gamma=0.125, eps=1e-4), b, matrix_stats(A, 1.0))
+        assert pk_calls == [] and stage_cg == []
+        assert gram_norm(A, s - exact_pcr(svd_small(A), 1.0, b)) <= 1e-4 * np.linalg.norm(b)
+
+    def test_stage_and_series_counts(self, small_problem, monkeypatch):
+        # Counts that hold on any machine: the projection stage makes one gram
+        # product per multi-shift iteration plus one for its certificate, 26
+        # on this problem (the bound below leaves 20% headroom), and no ridge
+        # CG run; the series makes exactly q + 1 ridge solves, one CG run each.
+        from ridgeproj import ridge
+
+        problem, stats, _ = small_problem
+        cfg = PcrConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-3)
+        q = cfg.resolve(stats)[0]
+        calls = {"mv": 0, "rmv": 0, "cg": 0, "solve": 0}
+        stage = {}
+        mv, rmv, cg = DesignMatrix._mv, DesignMatrix._rmv, ridge._cg
+        original, solve = pcr_module.pc_proj, pcr_module.ridge_solve
+
+        def counted(name, fn):
+            return lambda *a: calls.__setitem__(name, calls[name] + 1) or fn(*a)
+
+        def counted_stage(*args):
+            before = dict(calls)
+            out = original(*args)
+            stage.update({name: calls[name] - before[name] for name in calls})
+            return out
+
+        monkeypatch.setattr(DesignMatrix, "_mv", counted("mv", mv))
+        monkeypatch.setattr(DesignMatrix, "_rmv", counted("rmv", rmv))
+        monkeypatch.setattr(ridge, "_cg", counted("cg", cg))
+        monkeypatch.setattr(pcr_module, "ridge_solve", counted("solve", solve))
+        monkeypatch.setattr(pcr_module, "pc_proj", counted_stage)
+        pc_regress(problem.A, cfg, problem.b, stats)
+        assert stage["cg"] == 0 and stage["solve"] == 0
+        assert stage["mv"] == stage["rmv"] <= 31
+        assert calls["solve"] == q + 1
+        assert calls["cg"] == q + 1
+
     def test_projection_budget_sees_the_residual_floor(self):
-        # At kappa_lambda = 1e6 the ridge handle states its residual floor,
-        # 1.4e-2 relative, which no projection stage can take: the rational
-        # engine refuses it, and so does p_k's budget guard, instead of a
+        # At kappa_lambda = 1e6 no projection stage can take eps' = 1.8e-9:
+        # the rational engine's certificate would need gram-product rounding
+        # terms below it, and p_k's budget guard sees the ridge handle's
+        # residual floor, 1.4e-2 relative.  Both refuse instead of returning a
         # result many times over its contract.
         A = kappa_1e3_matrix(top=1e6)
         b = np.random.default_rng(1004).standard_normal(40)

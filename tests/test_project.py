@@ -23,7 +23,7 @@ from ridgeproj import (
     svd_small,
 )
 
-from helpers import kappa_1e3_matrix
+from helpers import black_box_rational, kappa_1e3_matrix, recorded_gram_step
 
 EPS_MACH = float(np.finfo(np.float64).eps)
 
@@ -175,30 +175,21 @@ class TestPcProj:
         assert err <= 14 * q * EPS_MACH * np.linalg.norm(y)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-8])
-    def test_rational_meets_its_certificate(self, small_problem, monkeypatch, eps):
+    def test_rational_meets_its_certificate(self, small_problem, eps):
         # The certified bound is at least the true error and at most eps ||y||.
         problem, stats, oracle = small_problem
-        bounds = []
-        engine = project.apply_rational_step
-
-        def recording(S, y, alpha, eps_):
-            s, bound = engine(S, y, alpha, eps_)
-            bounds.append(bound / np.linalg.norm(y))
-            return s, bound
-
-        monkeypatch.setattr(project, "apply_rational_step", recording)
         cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=eps,
                                method="rational")
         y = np.random.default_rng(78).standard_normal(40)
-        s = pc_proj(problem.A, cfg, y, stats)
+        s, bound = recorded_gram_step(pc_proj, problem.A, cfg, y, stats)
         err = np.linalg.norm(s - exact_projection(oracle, problem.lam, y)) / np.linalg.norm(y)
-        assert err <= bounds[0] <= eps
+        assert err <= bound <= eps
 
     def test_rational_refuses_below_its_handle_noise(self, small_problem):
-        # The handle states the ridge residual floor, 64 eps_machine (kappa +
-        # 1) kappa relative error; at eps = 1e-200 what that adds to the
-        # certificate is far above the engine's float64 level, so pc_proj
-        # raises instead of returning a vector it cannot certify.
+        # The certificate's gram-product rounding terms, from ||A||_F^2, are
+        # far above the engine's float64 level at eps = 1e-200, so pc_proj
+        # raises before any product instead of returning a vector it cannot
+        # certify.
         problem, stats, _ = small_problem
         cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-4,
                                method="rational")
@@ -206,30 +197,21 @@ class TestPcProj:
         with pytest.raises(BudgetExceeded, match="cannot be certified"):
             pc_proj(problem.A, dataclasses.replace(cfg, eps=1e-200), np.ones(40), stats)
 
-    def test_rational_at_kappa_1e3(self, monkeypatch):
-        # kappa_lambda = 1e3 makes the stated handle error 64 eps_machine
-        # (kappa + 1) kappa = 1.4e-8.  eps = 1e-4 is certified; at eps = 1e-7
-        # four times what that error adds to the certificate exceeds eps, and
-        # the engine refuses rather than return a bound above eps ||y||.
+    def test_rational_at_kappa_1e3(self):
+        # The black-box engine on the projection's ridge handle.  kappa_lambda
+        # = 1e3 makes the stated handle error 64 eps_machine (kappa + 1) kappa
+        # = 1.4e-8.  eps = 1e-4 is certified; at eps = 1e-7 four times what
+        # that error adds to the certificate exceeds eps, and the engine
+        # refuses rather than return a bound above eps ||y||.
         A = kappa_1e3_matrix()
         stats = matrix_stats(A, 1.0)
         assert 990.0 < stats.kappa_lambda < 1010.0
         y = np.random.default_rng(1001).standard_normal(30)
-        bounds = []
-        engine = project.apply_rational_step
-
-        def recording(S, v, alpha, eps_):
-            s, bound = engine(S, v, alpha, eps_)
-            bounds.append(bound / np.linalg.norm(v))
-            return s, bound
-
-        monkeypatch.setattr(project, "apply_rational_step", recording)
-        cfg = ProjectionConfig(lam=1.0, gamma=0.125, eps=1e-4, method="rational")
-        s = pc_proj(A, cfg, y, stats)
+        s, bound = black_box_rational(A, stats, y, 0.125, 1e-4)
         err = np.linalg.norm(s - exact_projection(svd_small(A), 1.0, y)) / np.linalg.norm(y)
-        assert err <= bounds[0] <= 1e-4
+        assert err <= bound <= 1e-4
         with pytest.raises(BudgetExceeded, match="cannot be certified"):
-            pc_proj(A, dataclasses.replace(cfg, eps=1e-7), y, stats)
+            black_box_rational(A, stats, y, 0.125, 1e-7)
 
     def test_pk_budget_sees_the_residual_floor(self):
         # At kappa_lambda = 1e6 the ridge handle states its residual floor,

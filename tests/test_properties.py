@@ -24,6 +24,7 @@ from ridgeproj import (
     pc_regress,
 )
 from ridgeproj.stepfn import _rational_plan
+from helpers import recorded_gram_step
 
 EPS_MACH = float(np.finfo(np.float64).eps)
 LAM = 1.0
@@ -186,7 +187,14 @@ def test_projection_is_idempotent(problem):
     assert np.linalg.norm(again - s) <= (2.0 + EPS) * EPS * np.linalg.norm(problem.y)
 
 
-# The rational engine (ProjectionConfig(method="rational")) on the same spectra.
+# The rational engine (ProjectionConfig(method="rational"), one multi-shift CG
+# run on the ridge system) on the same spectra.  Its certified bound, which
+# includes the gram-product rounding terms, is checked against the true error.
+
+
+def rational_run(A, y, lam=LAM):
+    """``(s, bound / ||y||)`` of ``pc_proj`` on the rational engine."""
+    return recorded_gram_step(pc_proj, A, rational_cfg(lam), y, matrix_stats(A, lam))
 
 
 @pytest.mark.parametrize("c", [0.25, 4.0])
@@ -200,40 +208,51 @@ def test_rational_power_of_two_rescaling_is_bit_identical(c, problem):
             == pc_proj(problem.A, rational_cfg(), problem.y, stats).tobytes())
 
 
+@given(problem=problems(), k=st.integers(min_value=-900, max_value=900))
+@settings(max_examples=15, deadline=None)
+def test_rational_power_of_two_query_is_bit_identical(problem, k):
+    s, bound = rational_run(problem.A, problem.y)
+    s_k, bound_k = rational_run(problem.A, np.ldexp(problem.y, k))
+    assert s_k.tobytes() == np.ldexp(s, k).tobytes() and bound_k == bound
+
+
 @given(problem=problems(kept=0))
 @settings(max_examples=15, deadline=None)
 def test_rational_lambda_above_spectrum_projects_to_zero(problem):
     for scale in (1.0, 1e-8):
         A = build(scale * problem.values, problem.storage)
-        s = pc_proj(A, rational_cfg(), problem.y, matrix_stats(A, LAM))
-        assert np.linalg.norm(s) <= EPS * np.linalg.norm(problem.y)
+        s, bound = rational_run(A, problem.y)
+        assert np.linalg.norm(s) <= bound * np.linalg.norm(problem.y)
+        assert bound <= EPS
 
 
 @given(problem=problems(dropped=0, zeros=0))
 @settings(max_examples=15, deadline=None)
 def test_rational_lambda_below_spectrum_is_identity(problem):
-    s = pc_proj(problem.A, rational_cfg(), problem.y, matrix_stats(problem.A, LAM))
-    assert np.linalg.norm(s - problem.y) <= EPS * np.linalg.norm(problem.y)
+    s, bound = rational_run(problem.A, problem.y)
+    assert np.linalg.norm(s - problem.y) <= bound * np.linalg.norm(problem.y)
+    assert bound <= EPS
 
 
 @given(problem=problems())
 @settings(max_examples=15, deadline=None)
 def test_rational_rank_deficient_and_general_spectra(problem):
-    s = pc_proj(problem.A, rational_cfg(), problem.y, matrix_stats(problem.A, LAM))
-    assert (np.linalg.norm(s - problem.exact_projection(problem.y))
-            <= EPS * np.linalg.norm(problem.y))
+    s, bound = rational_run(problem.A, problem.y)
+    err = np.linalg.norm(s - problem.exact_projection(problem.y)) / np.linalg.norm(problem.y)
+    assert err <= bound <= EPS
 
 
 @given(problem=problems(inside=1) | problems(inside=2))
 @settings(max_examples=15, deadline=None)
 def test_rational_in_window_eigenvalues_follow_the_soft_step(problem):
     # Every direction maps to 1/2 (1 + r(2b - 1)), r the engine's Zolotarev
-    # approximation, up to the certificate's solve and handle terms, which
+    # approximation, up to the certificate's solve and rounding terms, which
     # do not depend on the window; the factors lie in [-delta/2, 1 + delta/2].
-    s = pc_proj(problem.A, rational_cfg(), problem.y, matrix_stats(problem.A, LAM))
+    s, bound = rational_run(problem.A, problem.y)
     r = _rational_plan(2.0 * GAMMA / (1.0 - 2.0 * GAMMA), EPS, 0.0)[0]
     b = problem.sq / (problem.sq + LAM)
     step = 0.5 * (1.0 + r(2.0 * b - 1.0))
     assert np.all((-r.error / 2 <= step) & (step <= 1.0 + r.error / 2))
     expect = problem.V @ (step * (problem.V.T @ problem.y))
-    assert np.linalg.norm(s - expect) <= EPS * np.linalg.norm(problem.y)
+    ny = np.linalg.norm(problem.y)
+    assert np.linalg.norm(s - expect) <= (bound - r.error / 2) * ny <= EPS * ny
