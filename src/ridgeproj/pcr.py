@@ -104,6 +104,15 @@ def pc_regress(A: DesignMatrix, cfg: PcrConfig, b, stats: MatrixStats,
     the j-th series solve, j = 1..q+1.  At large kappa_lambda ``"pk"``
     raises ``BudgetExceeded`` too, before any ridge application.
 
+    The contract is not certified where the stage reruns on ``"pk"``.  That
+    rerun carries only the a-priori budget of
+    :meth:`~ridgeproj.project.ProjectionConfig.resolve`, whose noise check
+    does not see the ridge residual floor, so below that floor it can
+    return a result over its contract without raising.  On the tests'
+    ``kappa_1e3_matrix(top=1e4)`` (40 x 30, kappa_lambda = 1e4 at lambda =
+    1), at gamma = 0.1 and eps = 1e-6, the error is 18 eps for one
+    right-hand side.
+
     ``callback(k, s_k)`` (if given) receives a copy of each series iterate,
     k = 0..q.
 

@@ -185,11 +185,12 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     ``callback(k, s_k)`` (if given) receives the iterate after k outer
     iterations, k = 0..q, where iterate 0 is ``B y``.
 
-    Both engines run on y scaled by the power of two that puts its largest
-    entry in [1/2, 1), and the result and every iterate are scaled back.
-    That is exact in float64, so ``pc_proj`` of ``2^k y`` is ``2^k`` times
-    ``pc_proj`` of y to the bit while ``2^k y`` has no subnormal entry, and
-    no squared norm over- or underflows at any scale of y.
+    y is validated and prepared here, once, for both engines: scaled by the
+    power of two that puts its largest entry in [1/2, 1), and the result
+    and every iterate are scaled back once.  That is exact in float64, so
+    ``pc_proj`` of ``2^k y`` is ``2^k`` times ``pc_proj`` of y to the bit
+    while ``2^k y`` has no subnormal entry, and no squared norm over- or
+    underflows at any scale of y.
 
     With ``cfg.method == "rational"`` no ridge handle is built:
     :func:`~ridgeproj.stepfn._rational_gram_step` runs on the gram operator
@@ -208,13 +209,15 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     if cfg.method == "rational" and callback is not None:
         raise ValueError("callback applies to method 'pk' only")
     y = _as_finite_1d(y, A.n_cols, what="input vector")
+    e = _exponent(y)
+    y = np.ldexp(y, -e)
     if cfg.method == "rational":
         stats.check_lambda(cfg.lam)
         alpha = 2.0 * cfg.gamma / (1.0 - 2.0 * cfg.gamma) if 6.0 * cfg.gamma < 1.0 else 0.5
-        return _rational_gram_step(A, cfg.lam, y, alpha, cfg.eps)[0]
-    q, eps_inner, _ = cfg.resolve(stats)
-    e = _exponent(y)
-    y = np.ldexp(y, -e)
-    handle = _gram_solver(A, stats, eps_inner, query_norm=float(np.linalg.norm(y)))
-    scaled = None if callback is None else lambda k, s: callback(k, np.ldexp(s, e))
-    return np.ldexp(apply_step(handle, y, q, callback=scaled), e)
+        s = _rational_gram_step(A, cfg.lam, y, alpha, cfg.eps)[0]
+    else:
+        q, eps_inner, _ = cfg.resolve(stats)
+        handle = _gram_solver(A, stats, eps_inner, query_norm=float(np.linalg.norm(y)))
+        scaled = None if callback is None else lambda k, s: callback(k, np.ldexp(s, e))
+        s = apply_step(handle, y, q, callback=scaled)
+    return np.ldexp(s, e)

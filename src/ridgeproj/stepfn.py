@@ -24,6 +24,15 @@ error, so the handle's residual floor sets no limit on it.  Both
 multi-shift engines share one recurrence, :func:`_multishift_cg`, and the
 Zolotarev plan of :func:`_rational_plan`.
 
+Refusals.  Each engine checks its own error model before any product.
+The shared :func:`_rational_plan` checks only eps (``ValueError`` outside
+(0, 1)) and alpha.  :class:`~ridgeproj.exceptions.BudgetExceeded` comes
+from :func:`apply_step` for a q beyond its handle's error budget, from
+:func:`apply_rational_step` for a handle error that would take its noise
+past the certified level (:func:`_certified_level`, the one reader of a
+handle error among the rational engines), and from
+:func:`_rational_gram_step` for gram-product rounding terms above tol.
+
 Precision.  The stability analysis assumes arithmetic with a number of
 bits that grows like log(d / (eps * gap)).  Everything here runs in plain
 64-bit floats (53-bit mantissa), which covers that premise for
@@ -36,14 +45,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import ellipj, ellipkm1
 
 from ._float64 import _EPS, _exponent
-from .exceptions import BudgetExceeded, ConvergenceFailure
+from .exceptions import BudgetExceeded, ConvergenceFailure, DimensionMismatch
 from .matrix import _as_finite_1d, _check_int
 
 __all__ = ["OperatorHandle", "apply_step", "apply_rational_step"]
@@ -93,8 +102,7 @@ class OperatorHandle:
     err_bound: float = 0.0
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
+        _check_int(self.dimension, "dimension")
         if not 0.0 <= self.err_bound < np.inf:  # NaN would skip apply_step's budget guard
             raise ValueError(f"err_bound must be nonnegative and finite, got {self.err_bound!r}")
 
@@ -107,7 +115,11 @@ def _guarded(op: OperatorHandle, x, k):
             f"operator application failed at iteration {k}: {exc}",
             diagnostic=exc.diagnostic,
         ) from exc
-    return np.asarray(out, dtype=np.float64)
+    out = np.asarray(out, dtype=np.float64)
+    if out.shape != (op.dimension,):
+        raise DimensionMismatch((op.dimension,), out.shape,
+                                what=f"iteration {k}: operator output shape")
+    return out
 
 
 def apply_step(S: OperatorHandle, y, q: int,
@@ -135,6 +147,10 @@ def apply_step(S: OperatorHandle, y, q: int,
     ``callback(k, s_k)`` (if given) receives a copy of the iterate after
     initialization (k = 0) and after each of the q updates, also for the
     steps skipped after a zero increment.
+
+    An application whose output is not a vector of length ``S.dimension``
+    raises :class:`~ridgeproj.exceptions.DimensionMismatch` naming its
+    iteration, and a result with a non-finite entry raises ``ValueError``.
     """
     _check_int(q, "q")
     err = S.err_bound
@@ -162,6 +178,8 @@ def apply_step(S: OperatorHandle, y, q: int,
     if callback is not None:
         for j in range(k + 2, q + 1):
             callback(j, s.copy())
+    if not np.isfinite(s).all():
+        raise ValueError("the operator handle produced non-finite entries")
     return s
 
 
@@ -242,10 +260,10 @@ def _zolotarev(alpha: float, n: int) -> _Zolotarev:
     # by that rounding, and the error on [alpha, 1] peaks at its ends too.
     x = math.sqrt(margin) / dn
     x[0], x[-1] = alpha, 1.0
-    values = x * (1.0 + (weights / (x[:, None] ** 2 + poles)).sum(axis=1))
+    unit = _Zolotarev(alpha=alpha, scale=1.0, poles=poles, weights=weights, error=math.nan)
+    values = unit(x)
     hi, lo = float(values.max()), float(values.min())
-    return _Zolotarev(alpha=alpha, scale=2.0 / (hi + lo), poles=poles, weights=weights,
-                      error=(hi - lo) / (hi + lo))
+    return replace(unit, scale=2.0 / (hi + lo), error=(hi - lo) / (hi + lo))
 
 
 # The float64 floor of the rational engine's tolerance: the Zolotarev error
@@ -261,24 +279,21 @@ _CERTIFY_ROUNDS = 4
 _MIN_ALPHA = 1e-6
 
 
-def _rational_plan(alpha: float, eps: float, err: float):
-    """``(r, tol, level)`` of :func:`apply_rational_step` for a handle of relative error ``err``.
+def _rational_plan(alpha: float, eps: float):
+    """``(r, tol)``: the Zolotarev approximation both rational engines run for eps.
 
     ``tol = max(eps, 64 eps_machine)`` sets the approximation, the one with
     the fewest poles whose error is at most ``tol / 2``, and the residual
     target.  In float64 that error stops falling somewhere below 1e-12 for
     alpha near 1e-4 and below (the elliptic functions and the values near 1
     round); if it stops above ``tol / 2``, the last approximation that
-    still lowered it is used, and tol is raised to twice its error.
-    ``level = max(tol, 4 r.noise(0))`` is the certified level: only the
-    handle's ``eps_machine ||y||`` terms may raise it above tol.  These are
-    the float64 floor of the engine, the counterpart of the ``14 q
-    eps_machine`` level of :func:`apply_step`.  A relative error ``err``
-    with ``4 r.noise(err)`` above the level leaves too little of it for the
-    solves, so no run could certify it: that raises
-    :class:`~ridgeproj.exceptions.BudgetExceeded` before any application,
-    as does an alpha outside ``[1e-6, 1)``.
+    still lowered it is used, and tol is raised to twice its error.  An eps
+    outside (0, 1) raises ``ValueError``, and an alpha outside ``[1e-6,
+    1)`` raises :class:`~ridgeproj.exceptions.BudgetExceeded`.  The plan
+    knows no operator: each engine checks its own error model against tol.
     """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if not _MIN_ALPHA <= alpha < 1.0:
         raise BudgetExceeded(f"alpha must lie in [{_MIN_ALPHA}, 1), got {alpha}")
     tol = max(eps, _RATIONAL_FLOOR)
@@ -291,13 +306,7 @@ def _rational_plan(alpha: float, eps: float, err: float):
             tol = 2.0 * r.error
             break
         r = more
-    level = max(tol, 4.0 * r.noise(0.0))
-    noise = 4.0 * r.noise(err)
-    if noise > level:
-        raise BudgetExceeded(
-            f"handle error {err:.3e} cannot be certified to {level:.3e}: four times its"
-            f" a-priori noise is {noise:.3e} at alpha = {alpha:.3e}")
-    return r, tol, level
+    return r, tol
 
 
 def _multishift_cg(K, y, shifts, gain, target, max_iters, level, certify):
@@ -372,6 +381,26 @@ def _multishift_cg(K, y, shifts, gain, target, max_iters, level, certify):
         f" {_CERTIFY_ROUNDS} rounds", diagnostic=bound / ny)
 
 
+def _certified_level(r: _Zolotarev, tol: float, err: float) -> float:
+    """The level :func:`apply_rational_step` certifies with r on a handle of relative error err.
+
+    ``level = max(tol, 4 r.noise(0))``: only the handle's ``eps_machine
+    ||y||`` terms may raise it above tol.  These are the float64 floor of
+    the engine, the counterpart of the ``14 q eps_machine`` level of
+    :func:`apply_step`.  A relative error ``err`` with ``4 r.noise(err)``
+    above the level leaves too little of it for the solves, so no run could
+    certify it: that raises :class:`~ridgeproj.exceptions.BudgetExceeded`
+    before any application.
+    """
+    level = max(tol, 4.0 * r.noise(0.0))
+    noise = 4.0 * r.noise(err)
+    if noise > level:
+        raise BudgetExceeded(
+            f"handle error {err:.3e} cannot be certified to {level:.3e}: four times its"
+            f" a-priori noise is {noise:.3e} at alpha = {r.alpha:.3e}")
+    return level
+
+
 def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
     """Apply ``(1/2)(y + r(X) y)``, ``X = 2S - I``, and certify it; returns ``(s, bound)``.
 
@@ -414,12 +443,13 @@ def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
     residuals, which drift from the true ones under inexact products.  The
     vector is returned only if the bound is at most ``level ||y||_2``, where
     ``level`` is tol or, below the float64 floor, four times the a-priori
-    ``eps_machine`` terms (see :func:`_rational_plan`).  Otherwise the run
+    ``eps_machine`` terms (see :func:`_certified_level`).  Otherwise the run
     goes on to a quarter of its residual target and certifies again; after
     four rounds it raises :class:`ConvergenceFailure`.  A handle whose
     ``err_bound`` alone would take the bound past ``level``, and an alpha
     outside ``[1e-6, 1)``, are refused with
-    :class:`~ridgeproj.exceptions.BudgetExceeded` before any application.
+    :class:`~ridgeproj.exceptions.BudgetExceeded` before any application,
+    and an eps outside (0, 1) with ``ValueError``.
 
     Inside the window (``|x| < alpha``) ``r`` rises monotonically from
     ``r(0) = 0`` to ``r(alpha) = 1 - delta_n`` (odd in x), so in-window
@@ -429,7 +459,8 @@ def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
     holds for ``||s - (1/2)(y + r(X) y)||`` whatever the spectrum.
     """
     err = S.err_bound
-    r, tol, level = _rational_plan(alpha, eps, err)
+    r, tol = _rational_plan(alpha, eps)
+    level = _certified_level(r, tol, err)
     y = _as_finite_1d(y, S.dimension, what="input vector")
     e = _exponent(y)
     y = np.ldexp(y, -e)
@@ -485,14 +516,13 @@ def _gram_rounding(G):
     return _gamma(m + 8) * frob, frob
 
 
-def _gram_terms(r: _Zolotarev, lam: float, eta: float, ny: float, rho, z) -> float:
+def _gram_terms(r: _Zolotarev, lam: float, h, gain, eta: float, ny: float, rho, z) -> float:
     """The solve and rounding terms of :func:`_rational_gram_step`'s bound.
 
     ``rho`` and ``z`` hold the residual and solution norms, the real
-    system's first, and eta comes from :func:`_gram_rounding`.
+    system's first; h and gain are the engine's ``b_l / (1 + c_l)`` and
+    ``(D, w_1, ..., w_n)``, and eta comes from :func:`_gram_rounding`.
     """
-    h = r.weights / (1.0 + r.poles)
-    gain = np.concatenate(([r.scale], r.gain))
     solves = float(gain @ (rho + eta * z + _gamma(6) * (ny + 2.0 * lam * z)))
     terms = (1.0 + h.sum()) * ny + 2.0 * lam * (z[0] + float(h @ z[1:]))
     return solves + 0.5 * _gamma(3 * r.poles.size + 20) * (ny + r.scale * terms)
@@ -520,10 +550,11 @@ def _rational_gram_step(A, lam: float, y, alpha: float, eps: float):
     system and n complex shifts ``-tau_l - lam`` of it, all solved by one
     multi-shift run (:func:`_multishift_cg`) that stops when ``D ||r_0|| +
     sum_l w_l ||r_l|| <= tol ||y||_2 / 4``, ``w_l = D b_l / (2 sqrt(c_l))``.
-    No final product is needed: s is assembled from the z's.  y is scaled by
-    the power of two that puts its largest entry in [1/2, 1), and s and the
-    bound are scaled back, so ``2^k y`` gives ``2^k`` times the result for y
-    bit for bit; below, y is the scaled vector.
+    No final product is needed: s is assembled from the z's.  y must be
+    prepared as :func:`~ridgeproj.project.pc_proj` prepares it: a finite
+    float64 vector of length ``A.n_cols`` that is zero or has its largest
+    absolute entry in [1/2, 1), so no squared norm of it over- or
+    underflows.  The engine neither checks nor scales it.
 
     Certificate.  One gram product on the block of the 2n + 1 real columns
     of the z's recomputes each residual ``rho_l``.  Since t is symmetric,
@@ -549,24 +580,23 @@ def _rational_gram_step(A, lam: float, y, alpha: float, eps: float):
     otherwise the run goes on as in :func:`_multishift_cg`.  Four times the
     rounding terms at their a-priori values (``rho = 0``, ``||z_0|| <=
     ||y|| / lam``, ``||z_l|| <= ||y|| / |Im tau_l|``) above tol raises
-    :class:`~ridgeproj.exceptions.BudgetExceeded` before any product, as do
+    :class:`~ridgeproj.exceptions.BudgetExceeded` before any product, after
     the refusals of :func:`_rational_plan`.  Inside the window the step
     follows ``(1 + r(x)) / 2`` as in :func:`apply_rational_step`.
     """
-    r, tol, _ = _rational_plan(alpha, eps, 0.0)
+    r, tol = _rational_plan(alpha, eps)
     G = A._gram
-    y = _as_finite_1d(y, A.n_cols, what="input vector")
-    e = _exponent(y)
-    y = np.ldexp(y, -e)
     ny = float(np.linalg.norm(y))
     c, D = r.poles, r.scale
     n, d = c.size, y.size
     h = r.weights / (1.0 + c)
+    gain = np.concatenate(([D], r.gain))
     tau = lam * ((1.0 - c) + 2j * np.sqrt(c)) / (1.0 + c)
     coef = 2.0 * h * tau
     eta, frob = _gram_rounding(G)
     inv_im = (1.0 + c) / (2.0 * lam * np.sqrt(c))  # 1 / |Im tau_l|
-    noise = 4.0 * _gram_terms(r, lam, eta, 1.0, 0.0, np.concatenate(([1.0 / lam], inv_im)))
+    noise = 4.0 * _gram_terms(r, lam, h, gain, eta, 1.0, 0.0,
+                              np.concatenate(([1.0 / lam], inv_im)))
     if not noise <= tol:
         raise BudgetExceeded(
             f"gram-product rounding cannot be certified to {tol:.3e}: four times its"
@@ -587,12 +617,11 @@ def _rational_gram_step(A, lam: float, y, alpha: float, eps: float):
         rho[0] = y - (t[:, 0] + lam * z0)
         rho[1:] = y - ((t[:, 1::2] + 1j * t[:, 2::2]).T - tau[:, None] * z)
         zn = np.concatenate(([np.linalg.norm(z0)], np.linalg.norm(z, axis=1)))
-        terms = _gram_terms(r, lam, eta, ny, np.linalg.norm(rho, axis=1), zn)
+        terms = _gram_terms(r, lam, h, gain, eta, ny, np.linalg.norm(rho, axis=1), zn)
         bound = (1.0 + _gamma(2 * d + 4 * n + 24)) * (0.5 * r.error * ny + terms)
         v = (1.0 + float(h.sum())) * y - 2.0 * lam * z0 + (coef @ z).real
         return bound, lambda: 0.5 * (y + D * v)
 
-    finish, bound = _multishift_cg(lambda v, it: rmv(mv(v)) + lam * v, y, -tau - lam,
-                                   np.concatenate(([D], r.gain)), 0.25 * tol * ny, max_iters,
-                                   tol, certify)
-    return np.ldexp(finish(), e), math.ldexp(bound, e)
+    finish, bound = _multishift_cg(lambda v, it: rmv(mv(v)) + lam * v, y, -tau - lam, gain,
+                                   0.25 * tol * ny, max_iters, tol, certify)
+    return finish(), bound

@@ -1,7 +1,5 @@
 """Shared test utilities: exact norms from the factorization, matrix makers."""
 
-import math
-
 import numpy as np
 
 from ridgeproj import DesignMatrix, SvdFactors
@@ -101,22 +99,17 @@ def black_box_rational(A, stats, y, gamma, eps):
     return np.ldexp(s, e), bound / ny
 
 
-def recorded_gram_step(fn, *args):
-    """``fn(*args)`` and the bound over ``||y||`` of the one gram-engine run it makes.
-
-    Both are scaled by the power of two of y's largest entry first, so the
-    ratio is exact whenever ``||y||`` over- or underflows.
-    """
+def gram_step_calls(fn, *args):
+    """``fn(*args)`` and ``(y, bound)`` of every gram-engine run it makes."""
     import ridgeproj.project as project
-    from ridgeproj._float64 import _exponent
 
     engine = project._rational_gram_step
-    bounds = []
+    calls = []
 
     def recording(A, lam, y, alpha, eps):
+        y = y.copy()
         s, bound = engine(A, lam, y, alpha, eps)
-        e = _exponent(y)
-        bounds.append(math.ldexp(bound, -e) / float(np.linalg.norm(np.ldexp(y, -e))))
+        calls.append((y, bound))
         return s, bound
 
     project._rational_gram_step = recording
@@ -124,5 +117,16 @@ def recorded_gram_step(fn, *args):
         out = fn(*args)
     finally:
         project._rational_gram_step = engine
-    (bound,) = bounds
-    return out, bound
+    return out, calls
+
+
+def recorded_gram_step(fn, *args):
+    """``fn(*args)`` and the bound over ``||y||`` of the one gram-engine run it makes.
+
+    The engine runs on y as ``pc_proj`` prepares it, with its largest entry
+    in [1/2, 1), so the ratio is exact whenever the caller's ``||y||``
+    over- or underflows.
+    """
+    out, calls = gram_step_calls(fn, *args)
+    ((y, bound),) = calls
+    return out, bound / float(np.linalg.norm(y))

@@ -24,7 +24,7 @@ from ridgeproj import (
     pc_regress,
 )
 from ridgeproj.stepfn import _rational_plan
-from helpers import recorded_gram_step
+from helpers import gram_step_calls, recorded_gram_step
 
 EPS_MACH = float(np.finfo(np.float64).eps)
 LAM = 1.0
@@ -249,10 +249,25 @@ def test_rational_in_window_eigenvalues_follow_the_soft_step(problem):
     # approximation, up to the certificate's solve and rounding terms, which
     # do not depend on the window; the factors lie in [-delta/2, 1 + delta/2].
     s, bound = rational_run(problem.A, problem.y)
-    r = _rational_plan(2.0 * GAMMA / (1.0 - 2.0 * GAMMA), EPS, 0.0)[0]
+    r = _rational_plan(2.0 * GAMMA / (1.0 - 2.0 * GAMMA), EPS)[0]
     b = problem.sq / (problem.sq + LAM)
     step = 0.5 * (1.0 + r(2.0 * b - 1.0))
     assert np.all((-r.error / 2 <= step) & (step <= 1.0 + r.error / 2))
     expect = problem.V @ (step * (problem.V.T @ problem.y))
     ny = np.linalg.norm(problem.y)
     assert np.linalg.norm(s - expect) <= (bound - r.error / 2) * ny <= EPS * ny
+
+
+@given(problem=problems(), k=st.integers(min_value=-900, max_value=900))
+@settings(max_examples=15, deadline=None)
+def test_gram_engine_receives_a_prepared_vector(problem, k):
+    # pc_proj validates and scales the query once for both engines: every
+    # gram-engine run, also pc_regress's stage, receives a zero vector or one
+    # whose largest absolute entry lies in [1/2, 1).
+    stats = matrix_stats(problem.A, LAM)
+    d, n = problem.A.n_cols, problem.A.n_rows
+    for fn, cfg, v in ((pc_proj, rational_cfg(), problem.y), (pc_proj, rational_cfg(), np.zeros(d)),
+                       (pc_regress, pcr_cfg(), problem.b), (pc_regress, pcr_cfg(), np.zeros(n))):
+        _, calls = gram_step_calls(fn, problem.A, cfg, np.ldexp(v, k), stats)
+        ((y, _),) = calls
+        assert not y.any() or 0.5 <= np.abs(y).max() < 1.0

@@ -331,7 +331,7 @@ class TestFactoredGramSolver:
         # BLAS would print a parameter error for a 0-by-0 dsyrk; no factor is
         # tried, and the handle refuses dimension 0 as pc_proj always did.
         A = DesignMatrix.from_dense(np.ones((5, 0)))
-        with pytest.raises(ValueError, match="dimension must be positive"):
+        with pytest.raises(ValueError, match="dimension must be an integer of at least 1"):
             ridge_module._gram_solver(A, MatrixStats(sigma1_estimate=1.0, lam=1.0), 0.1, 1.0)
         assert capfd.readouterr().err == ""
 

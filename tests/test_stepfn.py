@@ -9,6 +9,7 @@ from ridgeproj import (
     BudgetExceeded,
     ConvergenceFailure,
     DesignMatrix,
+    DimensionMismatch,
     OperatorHandle,
     ProjectionConfig,
     apply_step,
@@ -16,7 +17,7 @@ from ridgeproj import (
     p_k_eval,
     pc_proj,
 )
-from ridgeproj.stepfn import _rational_plan, _zolotarev, apply_rational_step
+from ridgeproj.stepfn import _certified_level, _rational_plan, _zolotarev, apply_rational_step
 from ridgeproj.synthetic import haar_orthonormal
 from helpers import rotated_symmetric
 
@@ -152,6 +153,46 @@ class TestApplyStep:
             with pytest.raises(ValueError, match="err_bound"):
                 OperatorHandle(dimension=2, apply=lambda v: v, err_bound=bad)
 
+    @pytest.mark.parametrize("dimension", [2.5, np.nan, True, 3.0, "3"])
+    def test_dimension_must_be_an_integer(self, dimension):
+        # A float or a bool is no dimension, even where it compares as one.
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            OperatorHandle(dimension=dimension, apply=lambda v: v)
+
+    def test_output_of_the_wrong_shape_is_refused(self):
+        # A (3, 1) column would broadcast against y into a 3 x 3 iterate.
+        S = np.diag([0.9, 0.2, 0.7])
+        column = OperatorHandle(3, lambda v: (S @ v)[:, None])
+        with pytest.raises(DimensionMismatch, match="iteration 0: operator output shape"):
+            apply_step(column, np.ones(3), 5)
+        calls = []
+        # The fourth application is the first of iteration 1.
+        late = OperatorHandle(3, lambda v: calls.append(1) or (S @ v)[:2 if len(calls) == 4 else 3])
+        with pytest.raises(DimensionMismatch, match="iteration 1: operator output shape"):
+            apply_step(late, np.ones(3), 5)
+        with pytest.raises(DimensionMismatch, match="operator output shape"):
+            apply_rational_step(column, np.ones(3), 0.3, 1e-3)
+        # A list of the right length is still taken, through np.asarray.
+        listed = OperatorHandle(3, lambda v: list(S @ v))
+        assert apply_step(listed, np.ones(3), 5).tobytes() == \
+            apply_step(exact_handle(S), np.ones(3), 5).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_output_is_refused(self, bad):
+        S = np.diag([0.9, 0.2, 0.7])
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            with np.errstate(invalid="ignore"):  # once fed an inf, S v holds 0 * inf
+                out = S @ v
+            if len(calls) == 4:
+                out[1] = bad
+            return out
+
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_step(OperatorHandle(3, apply), np.ones(3), 5)
+
 
 def apply_step_every_step(S, y, q, callback=None):
     """The recurrence through all q steps, with no stop at a zero increment: the referee."""
@@ -264,7 +305,7 @@ class TestZolotarev:
         # values near 1 round to a few eps_machine, which at eps = 1e-4
         # (delta_n of 6e-6 to 2e-5) is up to 1e-10 of delta_n: that case gets
         # the slack.
-        r, tol, _ = _rational_plan(alpha, eps, 0.0)
+        r, tol = _rational_plan(alpha, eps)
         assert tol == eps and r.error <= eps / 2
         assert r.poles.size == 1 or _zolotarev(alpha, r.poles.size - 1).error > eps / 2
         xs = np.geomspace(alpha, 1.0, 20_001)
@@ -274,7 +315,7 @@ class TestZolotarev:
     @pytest.mark.parametrize("alpha", [0.3, 0.0476])
     def test_window_is_a_monotone_soft_step(self, alpha):
         # Inside |x| < alpha, r rises from r(0) = 0 to r(alpha) = 1 - delta_n.
-        r = _rational_plan(alpha, 1e-4, 0.0)[0]
+        r = _rational_plan(alpha, 1e-4)[0]
         xs = np.linspace(0.0, alpha, 10_001)
         vals = r(xs)
         assert vals[0] == 0.0 and np.all(np.diff(vals) > 0.0)
@@ -288,13 +329,14 @@ class TestZolotarev:
         # eps = 1e-200 is clamped to 64 eps_machine for n and the CG target,
         # and the certified level rises to four times the a-priori
         # eps_machine terms of the handle, never by its relative error.
-        r, tol, level = _rational_plan(0.1, 1e-200, 0.0)
+        r, tol = _rational_plan(0.1, 1e-200)
+        level = _certified_level(r, tol, 0.0)
         assert tol == 64.0 * EPS_MACH
         assert r.error <= tol / 2 and r.poles.size < 20
         assert level == max(tol, 4.0 * r.noise(0.0)) and level < 1e-12
         # At alpha = 1e-4 the float64 error stops falling near 6e-13: tol
         # rises to twice the least error reached, which still bounds the grid.
-        r, tol, _ = _rational_plan(1e-4, 1e-200, 0.0)
+        r, tol = _rational_plan(1e-4, 1e-200)
         assert 64.0 * EPS_MACH < tol == 2.0 * r.error < 1e-11
         xs = np.geomspace(1e-4, 1.0, 20_001)
         assert np.abs(r(xs) - 1.0).max() <= r.error * (1.0 + 1e-9) + 8.0 * EPS_MACH
@@ -303,16 +345,19 @@ class TestZolotarev:
     @pytest.mark.parametrize("alpha, eps, err", [(0.1, 1e-200, 1e-13), (0.2, 1e-4, 1e-5),
                                                  (1e-3, 1e-2, 1e-6)])
     def test_handle_error_beyond_the_level_is_refused(self, alpha, eps, err):
-        # The handle's relative error may not raise the certified level: four
-        # times its a-priori noise above the level is refused with
-        # BudgetExceeded, also for an eps below the float64 floor.
+        # The handle's relative error may not raise the certified level of
+        # apply_rational_step: four times its a-priori noise above the level
+        # is refused with BudgetExceeded, also for an eps below the float64
+        # floor.
+        r, tol = _rational_plan(alpha, eps)
         with pytest.raises(BudgetExceeded, match="cannot be certified"):
-            _rational_plan(alpha, eps, err)
-        r, _, level = _rational_plan(alpha, eps, 0.0)
+            _certified_level(r, tol, err)
+        level = _certified_level(r, tol, 0.0)
         assert 4.0 * r.noise(err) > level
 
     def test_handle_error_within_the_level_is_taken(self):
-        r, tol, level = _rational_plan(0.2, 1e-4, 1e-7)
+        r, tol = _rational_plan(0.2, 1e-4)
+        level = _certified_level(r, tol, 1e-7)
         assert tol == level == 1e-4 and 4.0 * r.noise(1e-7) <= level
 
 
@@ -336,7 +381,7 @@ class TestApplyRationalStep:
         S, Q = rotated_symmetric(rng, eigs)
         y = rng.standard_normal(30)
         s, bound = apply_rational_step(exact_handle(S), y, alpha, eps)
-        r = _rational_plan(alpha, eps, 0.0)[0]
+        r = _rational_plan(alpha, eps)[0]
         expect = Q @ (0.5 * (1.0 + r(2.0 * eigs - 1.0)) * (Q.T @ y))
         assert np.linalg.norm(s - expect) <= bound - 0.5 * r.error * np.linalg.norm(y)
 
@@ -348,7 +393,7 @@ class TestApplyRationalStep:
         S, Q = rotated_symmetric(rng, eigs)
         y = rng.standard_normal(30)
         s, bound = apply_rational_step(exact_handle(S), y, 0.1, 1e-200)
-        level = _rational_plan(0.1, 1e-200, 0.0)[2]
+        level = _certified_level(*_rational_plan(0.1, 1e-200), 0.0)
         err = np.linalg.norm(s - sign_reference(eigs, Q, y))
         assert err <= bound <= level * np.linalg.norm(y) < 1e-12 * np.linalg.norm(y)
 
@@ -400,3 +445,13 @@ class TestApplyRationalStep:
                 apply_rational_step(S, np.ones(2), alpha, 1e-3)
         with pytest.raises(ValueError, match="non-finite"):
             apply_rational_step(S, np.array([1.0, np.inf]), 0.2, 1e-3)
+
+    @pytest.mark.parametrize("eps", [np.nan, 0.0, -1.0, 1.0, 2.0, np.inf])
+    def test_eps_outside_the_unit_interval_is_refused(self, eps):
+        # Refused before any application, like ridge._solver and both configs.
+        calls = []
+        diag = np.diag([0.9, 0.2, 0.7])
+        S = OperatorHandle(dimension=3, apply=lambda v: calls.append(1) or diag @ v)
+        with pytest.raises(ValueError, match="eps must lie in"):
+            apply_rational_step(S, np.ones(3), 0.3, eps)
+        assert calls == []
