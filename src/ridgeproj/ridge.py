@@ -2,15 +2,16 @@
 
 One routine, :func:`_solver`, stands behind every ridge application: once
 per matrix, :class:`MatrixStats` (which hold lambda) and tolerance it
-resolves the residual target and CG budget, and returns ``solve`` with its
-stated error.  :func:`ridge_solve` calls it on one right-hand side;
-:func:`_gram_solver` returns the handle that applies ``B = M^{-1} A^T A``,
-one ``solve`` of ``A^T A v`` per application, for every projection step.
-``solve`` runs conjugate gradient, except in that handle on a dense A with
-at least ``10 d`` rows: there it makes two triangular solves with a factor
-of the ridge matrix built once per call, or runs CG if the factorization
-fails.  The 10 is a memory rule: the d-by-d factor then adds at most a
-tenth to the bytes A already holds.
+resolves the relative residual target and CG budget, and returns
+``solve``.  :func:`ridge_solve` calls it on one right-hand side;
+:func:`_gram_solver` returns the handle that applies ``B = M^{-1} A^T A =
+I - lambda M^{-1}`` as ``v - lambda x``, x the ``solve`` of v itself, for
+every projection step: one ridge solve and no gram product of its own per
+application.  ``solve`` runs conjugate gradient, except in that handle on
+a dense A with at least ``10 d`` rows: there it makes two triangular
+solves with a factor of the ridge matrix built once per call, or runs CG
+if the factorization fails.  The 10 is a memory rule: the d-by-d factor
+then adds at most a tenth to the bytes A already holds.
 
 Conjugate gradient runs on the regularized gram operator, which is never
 materialized: each CG step makes one gram product on the gram factor of A
@@ -25,12 +26,12 @@ iterations it either meets its stopping rule or raises.
 
 The factored solver forms ``M = R^T R + lambda I`` (``dsyrk``) only to
 hand it to LAPACK's Cholesky factorization ``M = T^T T`` (``dpotrf``); it
-computes no singular value or vector.  Each application still makes its
-gram product ``R^T (R v)`` through the factor's ``_mv``/``_rmv``, then
-returns ``T^{-1} T^{-T}`` of it (two ``dtrsv`` calls).  A Cholesky solve is
-backward stable: its error is of order ``d * eps_machine * (kappa_lambda +
-1) * ||v||_2``, so like the CG residual floor below it limits accuracy only
-for tolerances near ``eps_machine * kappa_lambda``.
+computes no singular value or vector.  Each application returns ``v -
+lambda T^{-1} T^{-T} v`` (two ``dtrsv`` calls) and makes no product with A
+or R.  A Cholesky solve is backward stable: ``lambda`` times its error is
+of order ``d * eps_machine * (kappa_lambda + 1) * ||v||_2``, so like the
+CG residual floor below it limits accuracy only for tolerances near
+``eps_machine * kappa_lambda``.
 
 Error contract and floors.  The returned ``x`` satisfies
 
@@ -42,13 +43,15 @@ conservative on both sides: ``||x - x*||_M = ||r||_{M^{-1}} <= ||r||_2 /
 sqrt(lambda)`` and ``||y||_{M^{-1}} >= ||y||_2 / sqrt(sigma1^2 + lambda)``.
 Residual targets below ``64 eps_machine (kappa_lambda + 1) ||y||_2`` are
 unreachable in float64, so rel_target is raised to that floor, and
-tolerances beyond it are met only up to it.  The projection handle also
-never targets a residual below the query floor ``lambda eps_machine
-||y||_2``, y the projected vector, which costs at most ``eps_machine
-||y||_2`` per application.  Both back ends share one zero rule, CG's first
-stopping test: a right-hand side of norm at most 0.9 times that floor gives
-+0.0 zeros.  The handle states ``err_bound = kappa_lambda rel_target``,
-derived at :func:`_gram_solver`.
+tolerances beyond it are met only up to it.  The projection handle errs
+by at most ``lambda ||x_hat - x||_2 <= ||r||_2``, so its CG stops at the
+residual ``err_bound ||v||_2``, ``err_bound = kappa_lambda rel_target``
+(floored at ``64 eps_machine (kappa_lambda + 1)`` for kappa_lambda below
+1), and never below the query floor ``eps_machine ||y||_2``, y the
+projected vector, which costs at most ``eps_machine ||y||_2`` per
+application.  Both back ends share one zero rule: a v of norm at most 0.9
+times that floor gives +0.0 zeros.  Both are derived at
+:func:`_gram_solver`.
 """
 
 from __future__ import annotations
@@ -133,17 +136,16 @@ def _ridge_factor(R, lam):
     return T if info == 0 else None
 
 
-def _solver(A: DesignMatrix, stats: MatrixStats, eps: float, abs_floor: float = 0.0,
-            factor=None):
-    """``(solve, err)`` for ``(A^T A + stats.lam I) x = rhs``, target and budget resolved once.
+def _solver(A: DesignMatrix, stats: MatrixStats, eps: float, factor=None):
+    """``(solve, rel_target)`` for ``(A^T A + stats.lam I) x = rhs``, budget resolved once.
 
-    ``err = kappa_lambda rel_target``, with ``rel_target`` floor included.
-    ``solve`` takes a finite length-d ``rhs``: the only zero rule gives +0.0
-    zeros when ``||rhs||_2 <= 0.9 abs_floor``; otherwise it runs :func:`_cg`
-    to the residual ``max(rel_target ||rhs||_2, abs_floor)``, or, given
-    ``factor`` (a d-by-d R with ``R^T R = A^T A``), overwrites ``rhs`` with
-    two triangular solves by the Cholesky factor of ``R^T R + lambda I``,
-    built here after eps is checked (CG if it fails).
+    ``rel_target`` is the relative residual target of eps, floor included.
+    ``solve(rhs, target)`` takes a finite length-d ``rhs`` and runs
+    :func:`_cg` to the residual ``target``, which gives +0.0 zeros for a
+    zero ``rhs``; or, given ``factor`` (a d-by-d R with ``R^T R = A^T
+    A``), it ignores ``target`` and returns two triangular solves of a
+    copy of ``rhs`` by the Cholesky factor of ``R^T R + lambda I``, built
+    here after eps is checked (CG if it fails).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -153,19 +155,13 @@ def _solver(A: DesignMatrix, stats: MatrixStats, eps: float, abs_floor: float = 
     rel_target = max(eps * scale, RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0))
     max_iters = 10 * math.ceil(math.sqrt(kappa + 1.0) * math.log(2.0 / eps))
     T = None if factor is None else _ridge_factor(factor, lam)
-    stop = 0.9 * abs_floor
-    stop2 = stop * stop
-    d = A.n_cols
 
-    def solve(rhs):
-        rs = ddot(rhs, rhs)
-        if rs <= stop2:
-            return np.zeros(d)
+    def solve(rhs, target):
         if T is not None:
-            return dtrsv(T, dtrsv(T, rhs, trans=1, overwrite_x=1), overwrite_x=1)
-        return _cg(A, lam, rhs, max(rel_target * math.sqrt(rs), abs_floor), max_iters)[0]
+            return dtrsv(T, dtrsv(T, rhs, trans=1), overwrite_x=1)
+        return _cg(A, lam, rhs, target, max_iters)[0]
 
-    return solve, rel_target * kappa
+    return solve, rel_target
 
 
 def ridge_solve(A: DesignMatrix, eps: float, y, stats: MatrixStats) -> np.ndarray:
@@ -178,32 +174,54 @@ def ridge_solve(A: DesignMatrix, eps: float, y, stats: MatrixStats) -> np.ndarra
     Raises :class:`ConvergenceFailure` carrying the final residual norm if
     the iteration budget runs out first.
     """
-    solve, _ = _solver(A, stats, eps)
+    solve, rel_target = _solver(A, stats, eps)
     y = _as_finite_1d(y, A.n_cols, what="right-hand side")
     e = _exponent(y)
-    return np.ldexp(solve(np.ldexp(y, -e)), e)
+    y = np.ldexp(y, -e)
+    return np.ldexp(solve(y, rel_target * math.sqrt(ddot(y, y))), e)
 
 
 def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float,
                  query_norm: float) -> OperatorHandle:
-    """The handle of ``B = (A^T A + lambda I)^{-1} A^T A``, one gram product and solve per vector.
+    """The handle of ``B = (A^T A + lambda I)^{-1} A^T A``, as ``v - lambda x`` with ``M x = v``.
 
-    :func:`_solver` gives ``solve`` and ``err_bound`` for the query floor
-    ``lambda eps_machine query_norm`` (``||y||_2`` of the vector the engine
-    transforms), and gets the gram factor when A is dense with ``n_rows >=
-    10 * n_cols``.  The solve of ``A^T A v``, of norm at most ``sigma1^2
-    ||v||_2``, stops at a residual of at most ``rel_target ||A^T A v||_2`` or
-    the floor, and ``||x - B v||_2 <= ||r||_2 / lambda``: an application errs
-    by at most ``err_bound ||v||_2 + eps_machine query_norm``, with
-    ``err_bound = kappa_lambda rel_target``.  That is ``64 eps_machine
-    (kappa_lambda + 1) kappa_lambda`` where the float64 floor binds, and
-    ``eps kappa_lambda / sqrt(kappa_lambda + 1) <= sqrt(max(kappa_lambda,
-    1)) eps`` where eps binds.
+    ``B = I - lambda M^{-1}``, ``M = A^T A + lambda I``: one application is
+    one ridge solve on v itself, with no gram product of its own.
+    :func:`_solver` gives ``solve`` and ``rel_target`` for eps, and gets the
+    gram factor when A is dense with ``n_rows >= 10 * n_cols``.  The handle
+    states ``err_bound = max(kappa_lambda rel_target, 64 eps_machine
+    (kappa_lambda + 1))``.  Wherever ``kappa_lambda >= 1`` that is
+    ``kappa_lambda rel_target``: ``64 eps_machine (kappa_lambda + 1)
+    kappa_lambda`` where the float64 floor binds, ``eps kappa_lambda /
+    sqrt(kappa_lambda + 1) <= sqrt(kappa_lambda) eps`` where eps binds.
+    Below 1 (lambda above sigma1^2) the small ``B v`` is what is left of
+    ``v - lambda x`` after cancellation, so it is known only to a few
+    eps_machine ``||v||_2``, and the residual floor is the floor of the bound.
+
+    An application errs by at most ``err_bound ||v||_2 + eps_machine
+    query_norm``, query_norm ``||y||_2`` of the vector the engine
+    transforms.  The one zero rule: ``||v||_2 <= 0.9 eps_machine
+    query_norm`` gives +0.0 zeros, which err by ``||B v||_2 <= ||v||_2``.
+    Otherwise CG stops at a residual r of at most ``max(err_bound ||v||_2,
+    eps_machine query_norm)``, and ``lambda ||x_hat - x||_2 = lambda
+    ||M^{-1} r||_2 <= ||r||_2``; the rounding of ``v - lambda x_hat`` adds at
+    most ``2 eps_machine ||v||_2``, which CG's 0.9 stopping margin absorbs
+    because err_bound is at least 64 eps_machine.  The Cholesky solve errs
+    as the module docstring states.
     """
-    G = A._gram
     d = A.n_cols
+    lam, kappa = stats.lam, stats.kappa_lambda
     factored = A.storage == "dense" and 0 < _FACTOR_ROWS_PER_COL * d <= A.n_rows
-    solve, err = _solver(A, stats, eps, stats.lam * _EPS * query_norm,
-                         G._m if factored else None)
-    mv, rmv = G._mv, G._rmv
-    return OperatorHandle(dimension=d, apply=lambda v: solve(rmv(mv(v))), err_bound=err)
+    solve, rel_target = _solver(A, stats, eps, A._gram._m if factored else None)
+    err = max(kappa * rel_target, RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0))
+    floor = _EPS * query_norm
+    stop = 0.9 * floor
+    stop2 = stop * stop
+
+    def apply(v):
+        rs = ddot(v, v)
+        if rs <= stop2:
+            return np.zeros(d)
+        return v - lam * solve(v, max(err * math.sqrt(rs), floor))
+
+    return OperatorHandle(dimension=d, apply=apply, err_bound=err)

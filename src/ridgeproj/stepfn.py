@@ -140,8 +140,8 @@ def apply_step(S: OperatorHandle, y, q: int,
     An increment ``w_{k+1}`` that is exactly zero ends the loop: with
     S(0) = 0 every later increment is zero too, so s is final and no further
     application is made.  This is exact, not approximate: the ridge handles
-    of :func:`~ridgeproj.project.pc_proj` return +0.0 vectors for a
-    right-hand side below their query-level floor, and once one +0.0
+    of :func:`~ridgeproj.project.pc_proj` return +0.0 vectors for an
+    input below their query-level floor, and once one +0.0
     increment has been added, adding more changes no bit of s.
 
     ``callback(k, s_k)`` (if given) receives a copy of the iterate after
@@ -449,7 +449,8 @@ def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
     ``err_bound`` alone would take the bound past ``level``, and an alpha
     outside ``[1e-6, 1)``, are refused with
     :class:`~ridgeproj.exceptions.BudgetExceeded` before any application,
-    and an eps outside (0, 1) with ``ValueError``.
+    and an eps outside (0, 1) with ``ValueError``; an application with a
+    non-finite entry raises ``ValueError``, as in :func:`apply_step`.
 
     Inside the window (``|x| < alpha``) ``r`` rises monotonically from
     ``r(0) = 0`` to ``r(alpha) = 1 - delta_n`` (odd in x), so in-window
@@ -469,7 +470,10 @@ def apply_rational_step(S: OperatorHandle, y, alpha: float, eps: float):
     max_iters = 10 * math.ceil(math.sqrt((1.0 + c[0]) / c[0]) * math.log(4.0 / tol))
 
     def X(v, k):
-        return 2.0 * _guarded(S, v, k) - v
+        out = _guarded(S, v, k)
+        if not np.isfinite(out).all():  # NaN would read as a curvature breakdown
+            raise ValueError("the operator handle produced non-finite entries")
+        return 2.0 * out - v
 
     def certify(z0, z, it):
         z = np.vstack([z0, z])

@@ -134,11 +134,11 @@ class TestProductSeam:
         (iters,) = counts["iters"]
         assert iters > 0 and solved == (iters, iters)  # one gram product per CG iteration
         applied = products(ridge_module._gram_solver(A, stats, 1e-8, 0.0).apply, x)
-        if kind == "tall":  # n >= 10 d: the factored handle makes no CG run
-            assert counts["iters"] == [] and applied == (1, 1)
-        else:
+        if kind == "tall":  # n >= 10 d: the factored handle makes no CG run and no product
+            assert counts["iters"] == [] and applied == (0, 0)
+        else:  # v - lam M^{-1} v: one gram product per CG iteration, none for the rhs
             (iters,) = counts["iters"]
-            assert applied == (iters + 1, iters + 1)
+            assert applied == (iters, iters)
 
     @pytest.mark.parametrize("shape", [(15, 40), (200, 10)])
     def test_dense_transpose_is_a_view(self, shape):

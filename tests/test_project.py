@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ridgeproj.project as project
+import ridgeproj.ridge as ridge
 from ridgeproj import (
     BudgetExceeded,
     DesignMatrix,
@@ -15,7 +16,6 @@ from ridgeproj import (
     apply_step,
     exact_projection,
     gen_synthetic,
-    gram_apply,
     matrix_stats,
     p_k_eval,
     pc_proj,
@@ -348,11 +348,18 @@ def recorded_applications(monkeypatch):
 
 
 def relative_only_step(problem, stats, cfg, y):
-    """``apply_step`` on a public ``ridge_solve`` against ``A^T A v``."""
+    """``apply_step`` on ``B v = v - lam x``, x a public ``ridge_solve`` of v itself.
+
+    Where eps' binds, the solve at ``kappa_lambda eps'`` stops at the
+    projection handle's residual target ``kappa_lambda rel_target(eps')
+    ||v||``; it has no query-level floor.
+    """
     q, eps_inner, eps_op = cfg.resolve(stats)
+    A, lam = problem.A, stats.lam
+    eps_solve = stats.kappa_lambda * eps_inner
     handle = OperatorHandle(
-        dimension=problem.A.n_cols,
-        apply=lambda v: ridge_solve(problem.A, eps_inner, gram_apply(problem.A, v), stats),
+        dimension=A.n_cols,
+        apply=lambda v: v - lam * ridge_solve(A, eps_solve, v, stats),
         err_bound=eps_op,
     )
     return apply_step(handle, y, q)
@@ -377,6 +384,46 @@ class TestProjectionHandle:
             assert err <= (eps_op * np.linalg.norm(v) + EPS_MACH * ny) * (1 + 1e-9)
             floor_bound += err > eps_op * np.linalg.norm(v)
         assert floor_bound >= 1
+
+    @pytest.mark.parametrize("n, factored", [(119, False), (120, True)])
+    def test_products_inside_the_step(self, monkeypatch, n, factored):
+        # B v = v - lam M^{-1} v: every product of a query is a CG iteration's
+        # gram product, none is made for a right-hand side, and the factored
+        # path (n >= 10 d) makes none at all.
+        problem = gen_synthetic(n, 12, 4, 0.3, seed=415)
+        stats = matrix_stats(problem.A, problem.lam)
+        cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-3)
+        counts = {"mv": 0, "rmv": 0, "iters": 0, "cg": 0}
+        inside = []
+        mv, rmv, cg, step = DesignMatrix._mv, DesignMatrix._rmv, ridge._cg, project.apply_step
+
+        def count(name, orig):
+            def wrapped(self, v):
+                counts[name] += bool(inside)
+                return orig(self, v)
+            return wrapped
+
+        def cg_spy(*args):
+            out = cg(*args)
+            counts["iters"] += out[2]
+            counts["cg"] += 1
+            return out
+
+        def step_spy(*args, **kwargs):
+            inside.append(1)
+            try:
+                return step(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(DesignMatrix, "_mv", count("mv", mv))
+        monkeypatch.setattr(DesignMatrix, "_rmv", count("rmv", rmv))
+        monkeypatch.setattr(ridge, "_cg", cg_spy)
+        monkeypatch.setattr(project, "apply_step", step_spy)
+        pc_proj(problem.A, cfg, np.random.default_rng(11).standard_normal(12), stats)
+        assert counts["mv"] == counts["rmv"] == counts["iters"]
+        assert (counts["cg"] == 0) == factored
+        assert factored or counts["iters"] > 0
 
     def test_matches_relative_only_path_where_floor_cannot_bind(self, small_problem):
         problem, stats, _ = small_problem

@@ -15,6 +15,8 @@ from ridgeproj import (
 from ridgeproj import ridge as ridge_module
 from helpers import m_inv_norm, m_inverse_apply, m_norm, random_csr, random_dense, spectrum_dense
 
+EPS_MACH = float(np.finfo(np.float64).eps)
+
 
 def _solve(A, lam, eps, y):
     stats = matrix_stats(A, lam)
@@ -270,7 +272,7 @@ class TestProductSeam:
         apply(rng.standard_normal(A.n_cols))
         (iters,) = counted["iters"]
         assert iters > 0
-        assert counted["mv"] == counted["rmv"] == iters + 1
+        assert counted["mv"] == counted["rmv"] == iters  # CG on v itself, no rhs product
 
     def test_factored_gram_solver_application(self, counted):
         rng = np.random.default_rng(408)
@@ -279,7 +281,7 @@ class TestProductSeam:
         apply = ridge_module._gram_solver(A, matrix_stats(A, lam), 1e-8, 0.0).apply
         counted.update(mv=0, rmv=0)
         apply(rng.standard_normal(A.n_cols))
-        assert counted["mv"] == counted["rmv"] == 1
+        assert counted["mv"] == counted["rmv"] == 0
         assert counted["iters"] == []
 
 
@@ -345,14 +347,14 @@ class TestFactoredGramSolver:
         assert all(out.tobytes() == outs[0].tobytes() for out in outs)
 
     def test_zero_below_query_floor(self):
-        # CG's first stopping test, the one zero rule of both back ends: +0.0
-        # zeros once ||A^T A v|| <= 0.9 * floor.  n = 399 runs CG, 400 factors.
+        # The one zero rule of both back ends: +0.0 zeros once ||v|| <= 0.9 *
+        # floor, floor = eps_machine * query_norm, which errs by ||B v|| <=
+        # ||v||.  n = 399 runs CG, 400 factors.
         for n in (399, 400):
             rng = np.random.default_rng(412)
             A, stats = self.case(rng, n, 40)
             v = rng.standard_normal(40)
-            gram = np.linalg.norm(gram_apply(A, v))
-            floor_norm = gram / (stats.lam * np.finfo(float).eps)  # floor = ||A^T A v||
+            floor_norm = np.linalg.norm(v) / np.finfo(float).eps  # floor = ||v||
             assert np.any(ridge_module._gram_solver(A, stats, 1e-8, 1.05 * floor_norm).apply(v))
             out = ridge_module._gram_solver(A, stats, 1e-8, 1.2 * floor_norm).apply(v)
             assert out.tobytes() == np.zeros(40).tobytes()
@@ -395,4 +397,39 @@ class TestFactoredGramSolver:
         v = rng.standard_normal(20)
         exact = m_inverse_apply(svd_small(A), 1.0, gram_apply(A, v))
         assert np.linalg.norm(handle.apply(v) - exact) <= handle.err_bound * np.linalg.norm(v)
+        assert bool(calls) != factored
+
+
+class TestSmoothProjectionHandle:
+    """``B v = v - lambda (A^T A + lambda I)^{-1} v`` against the SVD oracle, on both back ends."""
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-8, 3e-15])
+    @pytest.mark.parametrize("kappa", [0.01, 0.5, 11.0, 1e3])
+    @pytest.mark.parametrize("n, factored", [(119, False), (120, True)])
+    def test_meets_its_stated_error(self, monkeypatch, n, factored, kappa, eps):
+        calls = []
+        cg = ridge_module._cg
+        monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1) or cg(*a))
+        rng = np.random.default_rng([414, n, int(math.log10(kappa) + 2), int(-math.log10(eps))])
+        # Rank 9 of d = 12, sigma_1 = 1: lambda = 1 / kappa sets kappa_lambda.
+        A = spectrum_dense(rng, n, np.r_[np.geomspace(1.0, 1e-2, 9), np.zeros(3)])
+        stats = matrix_stats(A, 1.0 / kappa)
+        lam, k, s1 = stats.lam, stats.kappa_lambda, stats.sigma1_estimate
+        y = rng.standard_normal(12)
+        handle = ridge_module._gram_solver(A, stats, eps, float(np.linalg.norm(y)))
+        floor = 64.0 * EPS_MACH * (k + 1.0)
+        kappa_rel = max(eps * math.sqrt(lam / (s1 * s1 + lam)), floor) * k  # kappa rel_target
+        if k >= 1.0:
+            assert handle.err_bound == kappa_rel
+        else:  # v - lambda x is computed to a few eps_machine ||v|| only
+            assert handle.err_bound == max(kappa_rel, floor)
+        F = svd_small(A)
+        sig2 = F.singular_values ** 2
+        assert sig2.size == 9
+        v = rng.standard_normal(12)
+        null = v - F.V @ (F.V.T @ v)
+        for x in (y, v, null, 1e-14 * v):
+            exact = F.V @ (sig2 / (sig2 + lam) * (F.V.T @ x))
+            err = np.linalg.norm(handle.apply(x) - exact)
+            assert err <= handle.err_bound * np.linalg.norm(x) + EPS_MACH * np.linalg.norm(y)
         assert bool(calls) != factored

@@ -446,6 +446,23 @@ class TestApplyRationalStep:
         with pytest.raises(ValueError, match="non-finite"):
             apply_rational_step(S, np.array([1.0, np.inf]), 0.2, 1e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_output_is_refused(self, bad):
+        # As apply_step refuses it: a NaN must not read as a curvature breakdown.
+        S = np.diag([0.9, 0.2, 0.7])
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            out = S @ v
+            if len(calls) == 3:
+                out[1] = bad
+            return out
+
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_rational_step(OperatorHandle(3, apply), np.array([1.0, 2.0, 3.0]), 0.3, 1e-6)
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("eps", [np.nan, 0.0, -1.0, 1.0, 2.0, np.inf])
     def test_eps_outside_the_unit_interval_is_refused(self, eps):
         # Refused before any application, like ridge._solver and both configs.
