@@ -19,11 +19,13 @@ class DimensionMismatch(RidgeProjError, ValueError):
 
 
 class BudgetExceeded(RidgeProjError, ValueError):
-    """A step engine refuses, before any operator application, an accuracy out of its reach.
+    """An accuracy out of reach is refused before any operator application.
 
-    Either an iteration count exceeds the error budget that makes it valid,
-    or an accuracy cannot be certified on the operator handle's stated
-    error.
+    A step engine refuses an iteration count that exceeds the error budget
+    that makes it valid, or an accuracy it cannot certify on the operator
+    handle's stated error; a configuration refuses a noise budget its
+    iteration count exceeds; and the ridge solvers refuse a kappa_lambda
+    whose float64 residual floor is no tighter than the right-hand side.
     """
 
 

@@ -2,10 +2,11 @@
 
 A :class:`DesignMatrix` holds the data matrix, rows as samples, as one
 operator (a dense row-major array or a CSR matrix) and its transpose (a
-view of the array, or a second CSR matrix).  Everything downstream touches
-it through ``A x`` and ``A^T z``, with one exception: the d-by-d ridge
-matrix ``R^T R + lambda I`` is formed only to be Cholesky-factored, and
-only for projection on dense inputs with n >= 10 d (see :mod:`ridgeproj.ridge`).
+view of the array, or a second CSR matrix).  Every storage rule lives
+here: downstream code touches a matrix through ``A x`` and ``A^T z``, the
+Cholesky factor of ``R^T R + lambda I`` (dense inputs with n >= 10 d only,
+see :meth:`DesignMatrix._ridge_factor`) and the row lengths and values
+that bound a product's rounding.
 
 Gram products ``A^T (A x)`` -- every product inside a ridge solve or a
 Lanczos step -- run on the gram factor: for a dense matrix with
@@ -27,6 +28,8 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrf
 
 from ._float64 import _exponent
 from .exceptions import DimensionMismatch
@@ -34,6 +37,10 @@ from .exceptions import DimensionMismatch
 __all__ = ["DesignMatrix", "gram_apply", "gram_norm"]
 
 _ALIGN = 64
+
+# Dense matrices with at least this many rows per column get a Cholesky
+# factor of the ridge matrix; it then adds at most a tenth to A's bytes.
+_FACTOR_ROWS_PER_COL = 10
 
 
 def _aligned_copy(arr):
@@ -183,6 +190,23 @@ class DesignMatrix:
     def _gram(self) -> "DesignMatrix":
         """The smallest stored matrix G with ``G^T G = A^T A``: R if built, else A."""
         return self if self._factor is None else self._factor
+
+    def _ridge_factor(self, lam):
+        """Upper Cholesky factor of ``A^T A + lam I``; None unless dense with ``0 < 10 d <= n``, or on failure."""
+        d = self.n_cols
+        if self.storage != "dense" or not 0 < _FACTOR_ROWS_PER_COL * d <= self.n_rows:
+            return None
+        M = dsyrk(1.0, self._factor._m.T)  # upper triangle of R^T R, Fortran order
+        M.flat[::d + 1] += lam
+        T, info = dpotrf(M, overwrite_a=1)
+        return T if info == 0 else None
+
+    def _row_lengths_and_values(self):
+        """``(m_1, m_2, values)``: longest rows of A and ``A^T`` (d, n if dense), stored entries."""
+        if self.storage == "csr":
+            return (int(np.diff(self._m.indptr).max(initial=0)),
+                    int(np.diff(self._mt.indptr).max(initial=0)), self._m.data)
+        return self.n_cols, self.n_rows, self._m.reshape(-1)
 
     def __repr__(self):
         return f"<DesignMatrix {self.n_rows}x{self.n_cols} {self.storage}>"

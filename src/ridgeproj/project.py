@@ -56,6 +56,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._float64 import _EPS, _TINY, _ceil_tight, _exponent
+from .exceptions import BudgetExceeded
 from .matrix import DesignMatrix, _as_finite_1d, _check_int
 from .ridge import _gram_solver
 from .spectral import MatrixStats, _check_lam
@@ -128,7 +129,8 @@ class ProjectionConfig(_StageConfig):
         term ``eps_inner kappa_lambda / sqrt(kappa_lambda + 1)`` of the
         handle's stated error (see :func:`~ridgeproj.ridge._gram_solver`),
         and ``eps_machine`` its query-level floor (see :func:`pc_proj`); a
-        violating override is a configuration error, raised here rather than
+        violating override raises
+        :class:`~ridgeproj.exceptions.BudgetExceeded` here rather than
         surfacing as silent inaccuracy.  ``14 q eps_machine`` is the float64
         resolution level of q steps, a convention rather than a proven bound
         on what the floor costs (that bound is in
@@ -153,7 +155,7 @@ class ProjectionConfig(_StageConfig):
         noise = 7.0 * q * (eps_op + _EPS)
         budget = max(self.eps, 14.0 * q * _EPS)
         if noise > budget:
-            raise ValueError(
+            raise BudgetExceeded(
                 f"noise budget violated: 7*q*(eps_op + eps_machine) = {noise:.3e}"
                 f" exceeds {budget:.3e} (eps = {self.eps}); lower q or raise eps"
             )

@@ -1,17 +1,16 @@
 """Black-box ridge regression: solve ``(A^T A + lambda I) x = y``.
 
-One routine, :func:`_solver`, stands behind every ridge application: once
-per matrix, :class:`MatrixStats` (which hold lambda) and tolerance it
-resolves the relative residual target and CG budget, and returns
-``solve``.  :func:`ridge_solve` calls it on one right-hand side;
-:func:`_gram_solver` returns the handle that applies ``B = M^{-1} A^T A =
-I - lambda M^{-1}`` as ``v - lambda x``, x the ``solve`` of v itself, for
-every projection step: one ridge solve and no gram product of its own per
-application.  ``solve`` runs conjugate gradient, except in that handle on
-a dense A with at least ``10 d`` rows: there it makes two triangular
-solves with a factor of the ridge matrix built once per call, or runs CG
-if the factorization fails.  The 10 is a memory rule: the d-by-d factor
-then adds at most a tenth to the bytes A already holds.
+One function, :func:`_cg_budget`, turns :class:`MatrixStats` (which hold
+lambda) and a tolerance into CG's relative residual target and iteration
+budget; each entry runs its own back end on them.  :func:`ridge_solve`
+runs conjugate gradient on one right-hand side.  :func:`_gram_solver`
+returns the handle that applies ``B = M^{-1} A^T A = I - lambda M^{-1}``
+as ``v - lambda x``, x the ridge solve of v itself, for every projection
+step: one ridge solve and no gram product of its own per application.
+The handle runs CG too, except on a dense A with at least ``10 d`` rows:
+there it makes two triangular solves with the Cholesky factor of the
+ridge matrix that :meth:`~ridgeproj.matrix.DesignMatrix._ridge_factor`
+builds once per handle under its memory rule, or runs CG if that fails.
 
 Conjugate gradient runs on the regularized gram operator, which is never
 materialized: each CG step makes one gram product on the gram factor of A
@@ -28,10 +27,12 @@ The factored solver forms ``M = R^T R + lambda I`` (``dsyrk``) only to
 hand it to LAPACK's Cholesky factorization ``M = T^T T`` (``dpotrf``); it
 computes no singular value or vector.  Each application returns ``v -
 lambda T^{-1} T^{-T} v`` (two ``dtrsv`` calls) and makes no product with A
-or R.  A Cholesky solve is backward stable: ``lambda`` times its error is
-of order ``d * eps_machine * (kappa_lambda + 1) * ||v||_2``, so like the
-CG residual floor below it limits accuracy only for tolerances near
-``eps_machine * kappa_lambda``.
+or R.  A Cholesky solve is backward stable, and the standard bound puts
+``lambda`` times its error at order ``d * eps_machine * (kappa_lambda + 1)
+* ||v||_2``.  For d > 64 and kappa_lambda < d / 64 that is above the
+float64 floor of the handle's stated error below, so on this path the
+stated error is checked, not proved: the tests hold it against an SVD
+oracle up to d = 200 and kappa_lambda = 1e9.
 
 Error contract and floors.  The returned ``x`` satisfies
 
@@ -43,7 +44,7 @@ conservative on both sides: ``||x - x*||_M = ||r||_{M^{-1}} <= ||r||_2 /
 sqrt(lambda)`` and ``||y||_{M^{-1}} >= ||y||_2 / sqrt(sigma1^2 + lambda)``.
 Residual targets below ``64 eps_machine (kappa_lambda + 1) ||y||_2`` are
 unreachable in float64, so rel_target is raised to that floor, and
-tolerances beyond it are met only up to it.  The projection handle errs
+tolerances beyond it are met only up to it; a floor of 1 or more is refused.  The projection handle errs
 by at most ``lambda ||x_hat - x||_2 <= ||r||_2``, so its CG stops at the
 residual ``err_bound ||v||_2``, ``err_bound = kappa_lambda rel_target``
 (floored at ``64 eps_machine (kappa_lambda + 1)`` for kappa_lambda below
@@ -59,11 +60,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.blas import daxpy, ddot, dscal, dsyrk, dtrsv
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.blas import daxpy, ddot, dscal, dtrsv
 
 from ._float64 import _EPS, _exponent
-from .exceptions import ConvergenceFailure
+from .exceptions import BudgetExceeded, ConvergenceFailure
 from .matrix import DesignMatrix, _as_finite_1d
 from .spectral import MatrixStats
 from .stepfn import OperatorHandle
@@ -73,10 +73,6 @@ __all__ = ["ridge_solve"]
 # Multiplier on eps_machine * (kappa_lambda + 1) below which residual
 # targets are clamped; about 64x the attainable CG residual.
 RESIDUAL_FLOOR_MULT = 64.0
-
-# Dense matrices with at least this many rows per column get the factored
-# projection solver; its d-by-d factor is then at most a tenth of A's bytes.
-_FACTOR_ROWS_PER_COL = 10
 
 
 def _cg(A: DesignMatrix, lam, y, resid_target, max_iters):
@@ -128,57 +124,41 @@ def _cg(A: DesignMatrix, lam, y, resid_target, max_iters):
     return x, math.sqrt(rs), it
 
 
-def _ridge_factor(R, lam):
-    """Upper triangular T with ``T^T T = R^T R + lam I``, or None if ``dpotrf`` fails."""
-    M = dsyrk(1.0, R.T)  # upper triangle of R^T R, Fortran order
-    M.flat[::R.shape[1] + 1] += lam
-    T, info = dpotrf(M, overwrite_a=1)
-    return T if info == 0 else None
+def _cg_budget(stats: MatrixStats, eps: float):
+    """``(rel_target, max_iters)``: CG's relative residual target for eps, floor included, and budget.
 
-
-def _solver(A: DesignMatrix, stats: MatrixStats, eps: float, factor=None):
-    """``(solve, rel_target)`` for ``(A^T A + stats.lam I) x = rhs``, budget resolved once.
-
-    ``rel_target`` is the relative residual target of eps, floor included.
-    ``solve(rhs, target)`` takes a finite length-d ``rhs`` and runs
-    :func:`_cg` to the residual ``target``, which gives +0.0 zeros for a
-    zero ``rhs``; or, given ``factor`` (a d-by-d R with ``R^T R = A^T
-    A``), it ignores ``target`` and returns two triangular solves of a
-    copy of ``rhs`` by the Cholesky factor of ``R^T R + lambda I``, built
-    here after eps is checked (CG if it fails).
+    Raises :class:`~ridgeproj.exceptions.BudgetExceeded` once the floor
+    reaches 1 (kappa_lambda near 7e13): no residual below ``||rhs||_2``
+    could then be certified.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    lam, kappa = stats.lam, stats.kappa_lambda
-    sigma1 = stats.sigma1_estimate
+    lam, kappa, sigma1 = stats.lam, stats.kappa_lambda, stats.sigma1_estimate
+    floor = RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0)
+    if not floor < 1.0:
+        raise BudgetExceeded(f"kappa_lambda = {kappa:.3e} puts the ridge residual floor"
+                             f" at {floor:.3e}, no tighter than the right-hand side")
     scale = math.sqrt(lam / (sigma1 * sigma1 + lam))  # a product, as in kappa_lambda
-    rel_target = max(eps * scale, RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0))
     max_iters = 10 * math.ceil(math.sqrt(kappa + 1.0) * math.log(2.0 / eps))
-    T = None if factor is None else _ridge_factor(factor, lam)
-
-    def solve(rhs, target):
-        if T is not None:
-            return dtrsv(T, dtrsv(T, rhs, trans=1), overwrite_x=1)
-        return _cg(A, lam, rhs, target, max_iters)[0]
-
-    return solve, rel_target
+    return max(eps * scale, floor), max_iters
 
 
 def ridge_solve(A: DesignMatrix, eps: float, y, stats: MatrixStats) -> np.ndarray:
     """Solve ``(A^T A + stats.lam I) x = y`` to the relative-energy contract.
 
     Returns ``x`` with ``||x - x*||_M <= eps * ||y||_{M^{-1}}`` (up to the
-    documented float64 floor), by CG through :func:`_solver` on y scaled by
-    the power of two that puts its largest entry in [1/2, 1); x is scaled
-    back.  That is exact, and no squared norm of y over- or underflows.
-    Raises :class:`ConvergenceFailure` carrying the final residual norm if
-    the iteration budget runs out first.
+    documented float64 floor), by :func:`_cg` on the budget of
+    :func:`_cg_budget` and y scaled by the power of two that puts its
+    largest entry in [1/2, 1); x is scaled back.  That is exact, and no
+    squared norm of y over- or underflows.  Raises :class:`ConvergenceFailure`
+    carrying the final residual norm if the iteration budget runs out first.
     """
-    solve, rel_target = _solver(A, stats, eps)
+    rel_target, max_iters = _cg_budget(stats, eps)
     y = _as_finite_1d(y, A.n_cols, what="right-hand side")
     e = _exponent(y)
     y = np.ldexp(y, -e)
-    return np.ldexp(solve(y, rel_target * math.sqrt(ddot(y, y))), e)
+    x = _cg(A, stats.lam, y, rel_target * math.sqrt(ddot(y, y)), max_iters)[0]
+    return np.ldexp(x, e)
 
 
 def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float,
@@ -186,10 +166,11 @@ def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float,
     """The handle of ``B = (A^T A + lambda I)^{-1} A^T A``, as ``v - lambda x`` with ``M x = v``.
 
     ``B = I - lambda M^{-1}``, ``M = A^T A + lambda I``: one application is
-    one ridge solve on v itself, with no gram product of its own.
-    :func:`_solver` gives ``solve`` and ``rel_target`` for eps, and gets the
-    gram factor when A is dense with ``n_rows >= 10 * n_cols``.  The handle
-    states ``err_bound = max(kappa_lambda rel_target, 64 eps_machine
+    one ridge solve on v itself, with no gram product of its own: two
+    ``dtrsv`` calls with the factor of
+    :meth:`~ridgeproj.matrix.DesignMatrix._ridge_factor`, built once
+    :func:`_cg_budget` has checked eps, or :func:`_cg` if there is none.  The
+    handle states ``err_bound = max(kappa_lambda rel_target, 64 eps_machine
     (kappa_lambda + 1))``.  Wherever ``kappa_lambda >= 1`` that is
     ``kappa_lambda rel_target``: ``64 eps_machine (kappa_lambda + 1)
     kappa_lambda`` where the float64 floor binds, ``eps kappa_lambda /
@@ -211,8 +192,8 @@ def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float,
     """
     d = A.n_cols
     lam, kappa = stats.lam, stats.kappa_lambda
-    factored = A.storage == "dense" and 0 < _FACTOR_ROWS_PER_COL * d <= A.n_rows
-    solve, rel_target = _solver(A, stats, eps, A._gram._m if factored else None)
+    rel_target, max_iters = _cg_budget(stats, eps)
+    T = A._ridge_factor(lam)
     err = max(kappa * rel_target, RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0))
     floor = _EPS * query_norm
     stop = 0.9 * floor
@@ -222,6 +203,8 @@ def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float,
         rs = ddot(v, v)
         if rs <= stop2:
             return np.zeros(d)
-        return v - lam * solve(v, max(err * math.sqrt(rs), floor))
+        if T is not None:
+            return v - lam * dtrsv(T, dtrsv(T, v, trans=1), overwrite_x=1)
+        return v - lam * _cg(A, lam, v, max(err * math.sqrt(rs), floor), max_iters)[0]
 
     return OperatorHandle(dimension=d, apply=apply, err_bound=err)

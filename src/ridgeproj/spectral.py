@@ -33,7 +33,8 @@ class MatrixStats:
 
     ``sigma1_estimate`` is deliberately inflated by the estimation tolerance
     so it upper-bounds the true spectral norm; a slight overestimate only
-    tightens derived tolerances.  ``lam`` must be positive and finite.
+    tightens derived tolerances.  ``lam`` must be positive and finite, and
+    ``kappa_lambda`` finite.
     """
 
     sigma1_estimate: float
@@ -43,6 +44,8 @@ class MatrixStats:
         if not 0.0 <= self.sigma1_estimate < math.inf:
             raise ValueError("sigma1_estimate must be finite and nonnegative")
         _check_lam(self.lam)
+        if not self.kappa_lambda < math.inf:
+            raise ValueError(f"kappa_lambda = sigma1^2 / lambda overflows at lambda = {self.lam}")
 
     @property
     def kappa_lambda(self) -> float:

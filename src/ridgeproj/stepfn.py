@@ -500,7 +500,9 @@ def _gram_rounding(G):
     """``(eta, F)``: ``||fl(G^T fl(G v)) - G^T G v||_2 <= eta ||v||_2`` with room to spare, ``F >= ||G||_F^2``.
 
     With m_1 and m_2 the longest inner products of ``G v`` and ``G^T w``
-    (the row lengths of G and G^T: stored entries per row for CSR), each
+    (the row lengths of G and G^T: stored entries per row for CSR), read
+    with the stored entries from
+    :meth:`~ridgeproj.matrix.DesignMatrix._row_lengths_and_values`, each
     product errs by at most ``gamma_m || |G| |v| ||_2 <= gamma_m ||G||_F
     ||v||_2`` in any summation order, so the gram product errs by at most
     ``(gamma_{m_1} + gamma_{m_2} + gamma_{m_1} gamma_{m_2}) ||G||_F^2
@@ -510,14 +512,9 @@ def _gram_rounding(G):
     is ``gamma_{m_1 + m_2 + 8} F``, which also covers six roundings of each
     entry of the product, ``gamma_6 ||fl(G^T G v)||_2``.
     """
-    if G.storage == "csr":
-        entries = G._m.data
-        m = int(np.diff(G._m.indptr).max(initial=0) + np.diff(G._mt.indptr).max(initial=0))
-    else:
-        entries = G._m.reshape(-1)
-        m = sum(G.shape)
+    m_1, m_2, entries = G._row_lengths_and_values()
     frob = float(np.vdot(entries, entries)) * (1.0 + 2.0 * _gamma(entries.size + 2))
-    return _gamma(m + 8) * frob, frob
+    return _gamma(m_1 + m_2 + 8) * frob, frob
 
 
 def _gram_terms(r: _Zolotarev, lam: float, h, gain, eta: float, ny: float, rho, z) -> float:

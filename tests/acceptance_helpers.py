@@ -136,7 +136,7 @@ def factored_ridge_worker(seed):
     residual floor.
     """
     from ridgeproj import DesignMatrix
-    from ridgeproj.ridge import _gram_solver, _ridge_factor
+    from ridgeproj.ridge import _gram_solver
 
     rng = np.random.default_rng([seed, 1212])
     d = int(rng.integers(2, 41))
@@ -159,7 +159,7 @@ def factored_ridge_worker(seed):
         exact = F.V @ (F.singular_values ** 2 / (F.singular_values ** 2 + lam) * (F.V.T @ x))
         err = float(np.linalg.norm(apply(x) - exact))
         worst = max(worst, err / (eps_op * np.linalg.norm(x) + np.finfo(float).eps * y_norm))
-    return _ridge_factor(A._gram._m, lam) is not None, worst
+    return A._ridge_factor(lam) is not None, worst
 
 
 def tall_projection_worker(args):

@@ -167,6 +167,19 @@ class TestExitCodes:
         assert "noise_scale" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, lam", [("project", "1e-200"), ("pcr", "1e-200"),
+                                              ("project", "5e-324"), ("pcr", "5e-324")])
+    def test_extreme_kappa_lambda_exit_1(self, synth_files, tmp_path, capsys, command, lam):
+        # kappa_lambda past the ridge residual floor (1e-200) or past the
+        # largest double (5e-324): a typed refusal, not a traceback.
+        source = (["--vector", synth_files + "_xtrue.csv"] if command == "project"
+                  else ["--rhs", synth_files + "_b.csv"])
+        out = tmp_path / "o.csv"
+        assert run([command, "--matrix", synth_files + "_A.mtx", *source, "--lambda", lam,
+                    "--gamma", "0.1", "--eps", "1e-3", "--out", str(out)]) == 1
+        assert "ridgeproj: error: kappa_lambda" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_2(self, monkeypatch, tmp_path):
         def boom(args):
             raise ConvergenceFailure("forced", diagnostic=1.0)

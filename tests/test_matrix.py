@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,12 @@ from ridgeproj import (
 )
 from ridgeproj import ridge as ridge_module
 from helpers import random_csr
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "ridgeproj").glob("*.py"))
+# Storage attributes of a DesignMatrix, and the modules that may read them:
+# the file writer picks its format by ``storage``.
+STORAGE_READERS = {"_m": {"matrix.py"}, "_mt": {"matrix.py"}, "_factor": {"matrix.py"},
+                   "storage": {"matrix.py", "fileio.py"}}
 
 
 class TestGramApply:
@@ -341,3 +349,17 @@ class TestFactorReference:
         assert np.linalg.norm(outs[0] - outs[1]) <= 1e-10 * np.linalg.norm(b)
         for s in outs:
             assert gram_norm(problem.A, s - ref) <= eps * np.linalg.norm(b)
+
+
+def storage_reads(path):
+    """``attr:line`` of each storage attribute that ``path`` reads but may not."""
+    return [f"{node.attr}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and path.name not in STORAGE_READERS.get(node.attr, {path.name})]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_storage_is_read_in_matrix_module_only(path):
+    assert "matrix.py" in [p.name for p in SOURCES]
+    assert storage_reads(path) == []

@@ -62,6 +62,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="noise budget.*lower q or raise eps"):
             cfg.resolve(stats)
 
+    def test_noise_budget_refusal_is_typed(self):
+        # Like every refusal of an accuracy out of reach; still a ValueError.
+        stats = matrix_stats(DesignMatrix.from_dense(np.diag([1.0, 0.5])), 0.5)
+        cfg = ProjectionConfig(lam=0.5, gamma=0.2, eps=1e-2, q_override=40_000)
+        with pytest.raises(BudgetExceeded, match="noise budget"):
+            cfg.resolve(stats)
+
     def test_noise_budget_counts_the_query_floor(self):
         A = DesignMatrix.from_dense(np.diag([1.0, 0.5]))
         stats = matrix_stats(A, 0.5)

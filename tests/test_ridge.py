@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from ridgeproj import (
+    BudgetExceeded,
     ConvergenceFailure,
     DesignMatrix,
     MatrixStats,
+    PcrConfig,
+    ProjectionConfig,
     gram_apply,
     matrix_stats,
+    pc_proj,
+    pc_regress,
     ridge_solve,
     svd_small,
 )
+from ridgeproj import matrix as matrix_module
 from ridgeproj import ridge as ridge_module
 from helpers import m_inv_norm, m_inverse_apply, m_norm, random_csr, random_dense, spectrum_dense
 
@@ -317,7 +323,7 @@ class TestFactoredGramSolver:
         calls = []
         cg = ridge_module._cg
         monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1) or cg(*a))
-        monkeypatch.setattr(ridge_module, "dpotrf", lambda a, **kw: (a, 1))
+        monkeypatch.setattr(matrix_module, "dpotrf", lambda a, **kw: (a, 1))
         rng = np.random.default_rng(410)
         A, stats = self.case(rng, 400, 40)
         y = rng.standard_normal(40)
@@ -433,3 +439,65 @@ class TestSmoothProjectionHandle:
             err = np.linalg.norm(handle.apply(x) - exact)
             assert err <= handle.err_bound * np.linalg.norm(x) + EPS_MACH * np.linalg.norm(y)
         assert bool(calls) != factored
+
+    def test_factored_handle_at_bench_width(self, monkeypatch):
+        # The tall-dense benchmark's width d = 200, at n = 10 d; squared
+        # singular values from 1 down to 1e-8 put some on each side of every
+        # lambda.  The Cholesky error is checked here, not proved.
+        calls = []
+        monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1))
+        rng = np.random.default_rng(415)
+        d = 200
+        A = spectrum_dense(rng, 10 * d, np.geomspace(1.0, 1e-8, d))
+        F = svd_small(A)
+        sig2 = F.singular_values ** 2
+        assert sig2.size == d
+        y = rng.standard_normal(d)
+        vectors = (y, rng.standard_normal(d), F.V[:, 0], F.V[:, -1])
+        for kappa in (0.5, 2.0, 1e3, 1e9):
+            stats = matrix_stats(A, 1.0 / kappa)
+            for eps in (1e-2, 1e-12):
+                handle = ridge_module._gram_solver(A, stats, eps, float(np.linalg.norm(y)))
+                for v in vectors:
+                    exact = F.V @ (sig2 / (sig2 + stats.lam) * (F.V.T @ v))
+                    err = np.linalg.norm(handle.apply(v) - exact)
+                    bound = handle.err_bound * np.linalg.norm(v) + EPS_MACH * np.linalg.norm(y)
+                    assert err <= bound, (kappa, eps, err / bound)
+        assert calls == []
+
+
+class TestExtremeKappaLambda:
+    """kappa_lambda = sigma1^2 / lambda whose float64 floor leaves nothing to certify is refused."""
+
+    def test_budget_refuses_once_the_residual_floor_reaches_one(self):
+        # 64 eps_machine (kappa + 1) crosses 1 between kappa = 7e13 and 7.1e13.
+        rel_target, max_iters = ridge_module._cg_budget(MatrixStats(1.0, 1.0 / 7e13), 0.1)
+        assert 0.99 < rel_target < 1.0 and max_iters > 0
+        with pytest.raises(BudgetExceeded, match="residual floor"):
+            ridge_module._cg_budget(MatrixStats(1.0, 1.0 / 7.1e13), 0.1)
+        with pytest.raises(ValueError, match="eps must lie in"):
+            ridge_module._cg_budget(MatrixStats(1.0, 1.0 / 7.1e13), 1.0)
+
+    @pytest.mark.parametrize("lam", [1e-20, 1e-200, 1e-300])
+    def test_every_entry_refuses(self, lam):
+        # sigma1 = 3.15: kappa_lambda near 1e21, 1e201 and 1e301.
+        A = DesignMatrix.from_dense(np.random.default_rng(0).standard_normal((5, 3)))
+        stats = matrix_stats(A, lam)
+        with pytest.raises(BudgetExceeded, match="residual floor"):
+            ridge_solve(A, 1e-6, np.ones(3), stats)
+        with pytest.raises(BudgetExceeded):
+            pc_proj(A, ProjectionConfig(lam=lam, gamma=0.1, eps=1e-2), np.ones(3), stats)
+        with pytest.raises(BudgetExceeded):
+            pc_regress(A, PcrConfig(lam=lam, gamma=0.1, eps=1e-2), np.ones(5), stats)
+
+    def test_handle_refuses_before_factor_or_product(self, monkeypatch):
+        calls = []
+        for name in ("_ridge_factor", "_mv", "_rmv"):
+            monkeypatch.setattr(DesignMatrix, name, lambda *a, name=name: calls.append(name))
+        A = DesignMatrix.from_dense(np.random.default_rng(1).standard_normal((40, 3)))
+        stats = MatrixStats(sigma1_estimate=1.0, lam=1e-20)
+        with pytest.raises(BudgetExceeded, match="residual floor"):
+            ridge_module._gram_solver(A, stats, 1e-2, 1.0)
+        with pytest.raises(BudgetExceeded, match="residual floor"):
+            ridge_solve(A, 1e-2, np.ones(3), stats)
+        assert calls == []

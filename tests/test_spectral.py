@@ -84,6 +84,15 @@ class TestMatrixStats:
         assert stats.sigma1_estimate >= sigma1 * (1.0 - 1e-3)
         assert stats.sigma1_estimate <= sigma1 * (1.0 + 3e-3)
 
+    def test_overflowing_kappa_lambda_is_refused(self):
+        # sigma1^2 / lambda at sigma1 = 3.15 and lambda = 5e-324 is past the largest double.
+        with pytest.raises(ValueError, match="kappa_lambda .* overflows"):
+            MatrixStats(sigma1_estimate=3.15, lam=5e-324)
+        A = DesignMatrix.from_dense(np.random.default_rng(0).standard_normal((5, 3)))
+        with pytest.raises(ValueError, match="kappa_lambda .* overflows"):
+            matrix_stats(A, 5e-324)
+        assert MatrixStats(sigma1_estimate=3.15, lam=1e-300).kappa_lambda < np.inf
+
     def test_lambda_guard(self):
         A = random_dense(np.random.default_rng(4), 10, 6)
         stats = matrix_stats(A, lam=0.5)

@@ -465,7 +465,7 @@ class TestApplyRationalStep:
 
     @pytest.mark.parametrize("eps", [np.nan, 0.0, -1.0, 1.0, 2.0, np.inf])
     def test_eps_outside_the_unit_interval_is_refused(self, eps):
-        # Refused before any application, like ridge._solver and both configs.
+        # Refused before any application, like ridge._cg_budget and both configs.
         calls = []
         diag = np.diag([0.9, 0.2, 0.7])
         S = OperatorHandle(dimension=3, apply=lambda v: calls.append(1) or diag @ v)
