@@ -17,7 +17,7 @@ inverted; that is the source of the method's stability.
 
 The projection of ``A^T b`` that the series starts from runs on the
 certified rational engine (``ProjectionConfig(method="rational")``, see
-:func:`~ridgeproj.stepfn._rational_gram_step`): one multi-shift
+:func:`~ridgeproj.ridge._rational_gram_step`): one multi-shift
 conjugate-gradient run on the ridge system, tens of gram products where
 the step polynomial makes thousands, and a projection returned only once a
 bound computed after the run, from recomputed residuals and proven

@@ -23,7 +23,7 @@ sgn(X) instead, with n poles for an error ``delta_n <= eps/2``.  Every
 shifted system it needs is a rational function of ``A^T A`` alone, so one
 multi-shift conjugate-gradient run on the ridge system ``A^T A + lambda
 I`` itself solves them all, at one gram product per iteration (see
-:func:`~ridgeproj.stepfn._rational_gram_step`): the engine opens the ridge
+:func:`~ridgeproj.ridge._rational_gram_step`): the engine opens the ridge
 box instead of calling a ridge solver.  Its gram products grow like
 ``alpha^-1 ln(1/eps)`` (``alpha = 2 gamma / (1 - 2 gamma)``) rather than
 ``alpha^-2``.  After the run it recomputes the true shifted residuals and
@@ -58,9 +58,9 @@ import numpy as np
 from ._float64 import _EPS, _TINY, _ceil_tight, _exponent
 from .exceptions import BudgetExceeded
 from .matrix import DesignMatrix, _as_finite_1d, _check_int
-from .ridge import _gram_solver
+from .ridge import _gram_solver, _rational_gram_step
 from .spectral import MatrixStats, _check_lam
-from .stepfn import _rational_gram_step, apply_step
+from .stepfn import apply_step
 
 __all__ = ["ProjectionConfig", "pc_proj"]
 
@@ -98,7 +98,7 @@ class ProjectionConfig(_StageConfig):
     ``method`` picks the step engine: ``"pk"`` (the default) runs the
     paper's step polynomial through :func:`~ridgeproj.stepfn.apply_step`,
     ``"rational"`` the certified Zolotarev engine on the gram operator,
-    :func:`~ridgeproj.stepfn._rational_gram_step`, which sets its own
+    :func:`~ridgeproj.ridge._rational_gram_step`, which sets its own
     number of gram products and so takes no ``q_override``.
 
     The outer iteration count of ``"pk"`` defaults to
@@ -195,7 +195,7 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     underflows at any scale of y.
 
     With ``cfg.method == "rational"`` no ridge handle is built:
-    :func:`~ridgeproj.stepfn._rational_gram_step` runs on the gram operator
+    :func:`~ridgeproj.ridge._rational_gram_step` runs on the gram operator
     of A with the window half-width ``alpha`` (1/2 for gamma of 1/6 and
     above), and the returned vector carries a certificate computed after
     the run: ``||s - P y||_2 <= eps ||y||_2`` under the gap window, with eps

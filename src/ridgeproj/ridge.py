@@ -1,4 +1,4 @@
-"""Black-box ridge regression: solve ``(A^T A + lambda I) x = y``.
+"""Ridge regression: every solve with ``A^T A + lambda I`` and its shifts.
 
 One function, :func:`_cg_budget`, turns :class:`MatrixStats` (which hold
 lambda) and a tolerance into CG's relative residual target and iteration
@@ -11,6 +11,12 @@ The handle runs CG too, except on a dense A with at least ``10 d`` rows:
 there it makes two triangular solves with the Cholesky factor of the
 ridge matrix that :meth:`~ridgeproj.matrix.DesignMatrix._ridge_factor`
 builds once per handle under its memory rule, or runs CG if that fails.
+:func:`_rational_gram_step`, the engine behind ``pc_proj(method=
+"rational")`` and ``pc_regress``'s projection stage, opens the ridge box:
+every system of the Zolotarev step is a shift of the ridge system, so one
+multi-shift run on it (:func:`~ridgeproj.stepfn._multishift_cg`) solves
+them all, certified from recomputed residuals and the rounding terms of
+:func:`_gram_rounding`, not from the residual floor below.
 
 Conjugate gradient runs on the regularized gram operator, which is never
 materialized: each CG step makes one gram product on the gram factor of A
@@ -66,7 +72,7 @@ from ._float64 import _EPS, _exponent
 from .exceptions import BudgetExceeded, ConvergenceFailure
 from .matrix import DesignMatrix, _as_finite_1d
 from .spectral import MatrixStats
-from .stepfn import OperatorHandle
+from .stepfn import OperatorHandle, _multishift_cg, _rational_plan, _Zolotarev
 
 __all__ = ["ridge_solve"]
 
@@ -208,3 +214,142 @@ def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float,
         return v - lam * _cg(A, lam, v, max(err * math.sqrt(rs), floor), max_iters)[0]
 
     return OperatorHandle(dimension=d, apply=apply, err_bound=err)
+
+
+def _gamma(k: int) -> float:
+    """``k eps_machine / (1 - k eps_machine)``: the relative rounding error of k operations."""
+    return k * _EPS / (1.0 - k * _EPS)
+
+
+def _gram_rounding(G):
+    """``(eta, F)``: ``||fl(G^T fl(G v)) - G^T G v||_2 <= eta ||v||_2`` with room to spare, ``F >= ||G||_F^2``.
+
+    With m_1 and m_2 the longest inner products of ``G v`` and ``G^T w``
+    (the row lengths of G and G^T: stored entries per row for CSR), read
+    with the stored entries from
+    :meth:`~ridgeproj.matrix.DesignMatrix._row_lengths_and_values`, each
+    product errs by at most ``gamma_m || |G| |v| ||_2 <= gamma_m ||G||_F
+    ||v||_2`` in any summation order, so the gram product errs by at most
+    ``(gamma_{m_1} + gamma_{m_2} + gamma_{m_1} gamma_{m_2}) ||G||_F^2
+    ||v||_2 <= gamma_{m_1 + m_2} ||G||_F^2 ||v||_2``.  ``||G||_F^2`` is read
+    off the stored entries and rounded up to F; it bounds ``||G||_2^2`` from
+    above, which a Lanczos estimate of sigma_1 does not.  The returned eta
+    is ``gamma_{m_1 + m_2 + 8} F``, which also covers six roundings of each
+    entry of the product, ``gamma_6 ||fl(G^T G v)||_2``.
+    """
+    m_1, m_2, entries = G._row_lengths_and_values()
+    frob = float(np.vdot(entries, entries)) * (1.0 + 2.0 * _gamma(entries.size + 2))
+    return _gamma(m_1 + m_2 + 8) * frob, frob
+
+
+def _gram_terms(r: _Zolotarev, lam: float, h, gain, eta: float, ny: float, rho, z) -> float:
+    """The solve and rounding terms of :func:`_rational_gram_step`'s bound.
+
+    ``rho`` and ``z`` hold the residual and solution norms, the real
+    system's first; h and gain are the engine's ``b_l / (1 + c_l)`` and
+    ``(D, w_1, ..., w_n)``, and eta comes from :func:`_gram_rounding`.
+    """
+    solves = float(gain @ (rho + eta * z + _gamma(6) * (ny + 2.0 * lam * z)))
+    terms = (1.0 + h.sum()) * ny + 2.0 * lam * (z[0] + float(h @ z[1:]))
+    return solves + 0.5 * _gamma(3 * r.poles.size + 20) * (ny + r.scale * terms)
+
+
+def _rational_gram_step(A, lam: float, y, alpha: float, eps: float):
+    """Apply ``(1/2)(y + r(X) y)``, ``X = (t - lam)/(t + lam)``, ``t = A^T A``; returns ``(s, bound)``.
+
+    The same Zolotarev step as
+    :func:`~ridgeproj.stepfn.apply_rational_step`, with the same plan
+    (``r``, tol; see :func:`_rational_plan`), but computed from the gram
+    operator of A directly instead of a black-box ridge handle.  This
+    entry opens the ridge box: it runs conjugate gradient on the ridge
+    system ``t + lam`` itself, at one gram product ``G^T (G v)`` through the
+    gram factor's ``_mv``/``_rmv`` per iteration, with no CG nested inside.
+
+    Every shifted system is a rational function of t alone.  With ``X = 1 -
+    2 lam (t + lam)^{-1}`` and, for each pole c_l,
+    ``tau_l = lam ((1 - c_l) + 2i sqrt(c_l)) / (1 + c_l)`` (so ``|tau_l| =
+    lam``), ``X / (X^2 + c_l) = (1 + c_l)^{-1} (1 + 2 Re(tau_l (t -
+    tau_l)^{-1}))``.  Hence
+
+        r(X) y = D [ y - 2 lam z_0 + sum_l b_l / (1 + c_l) (y + 2 Re(tau_l z_l)) ],
+
+    ``z_0 = (t + lam)^{-1} y``, ``z_l = (t - tau_l)^{-1} y``: the real ridge
+    system and n complex shifts ``-tau_l - lam`` of it, all solved by one
+    multi-shift run (:func:`_multishift_cg`) that stops when ``D ||r_0|| +
+    sum_l w_l ||r_l|| <= tol ||y||_2 / 4``, ``w_l = D b_l / (2 sqrt(c_l))``.
+    No final product is needed: s is assembled from the z's.  y must be
+    prepared as :func:`~ridgeproj.project.pc_proj` prepares it: a finite
+    float64 vector of length ``A.n_cols`` that is zero or has its largest
+    absolute entry in [1/2, 1), so no squared norm of it over- or
+    underflows.  The engine neither checks nor scales it.
+
+    Certificate.  One gram product on the block of the 2n + 1 real columns
+    of the z's recomputes each residual ``rho_l``.  Since t is symmetric,
+    ``||(t + lam)^{-1}|| <= 1 / lam`` and ``||(t - tau_l)^{-1}|| <= 1 / |Im
+    tau_l|``, and ``|tau_l| / |Im tau_l| = (1 + c_l) / (2 sqrt(c_l))``, the
+    distance from s to ``(1/2)(y + sgn(X) y)`` is at most
+
+        (1 + gamma_{2d + 4n + 24}) [ delta_n ||y|| / 2 + D R_0 + sum_l w_l R_l + E ],
+        R_l = ||rho_l|| + eta ||z_l|| + gamma_6 (||y|| + 2 lam ||z_l||),
+        E = gamma_{3n + 20} (||y|| + D ((1 + sum_l h_l) ||y|| + 2 lam (||z_0||
+            + sum_l h_l ||z_l||))) / 2,   h_l = b_l / (1 + c_l),
+
+    with ``gamma_k = k eps_machine / (1 - k eps_machine)``, eta of
+    :func:`_gram_rounding` for the gram factor G of A (``G^T G = t``), and
+    every norm as computed.  R_l covers the
+    rounding of the recomputed residual (its gram product, its entrywise
+    operations, and ``tau_l`` rounded to within ``gamma_4 lam``); E covers
+    the rounded coefficients and the assembly of s; the leading factor
+    covers the rounding of the norms and of the bound itself.  So every
+    rounding term rests on ``||G||_F``, never on an estimate of sigma_1, and
+    the bound holds whenever the spectrum of X keeps ``|x| >= alpha``.  The
+    vector is returned only if the bound is at most ``tol ||y||_2``;
+    otherwise the run goes on as in :func:`_multishift_cg`.  Four times the
+    rounding terms at their a-priori values (``rho = 0``, ``||z_0|| <=
+    ||y|| / lam``, ``||z_l|| <= ||y|| / |Im tau_l|``) above tol raises
+    :class:`~ridgeproj.exceptions.BudgetExceeded` before any product, after
+    the refusals of :func:`_rational_plan`.  Inside the window the step
+    follows ``(1 + r(x)) / 2`` as in
+    :func:`~ridgeproj.stepfn.apply_rational_step`.
+    """
+    r, tol = _rational_plan(alpha, eps)
+    G = A._gram
+    ny = float(np.linalg.norm(y))
+    c, D = r.poles, r.scale
+    n, d = c.size, y.size
+    h = r.weights / (1.0 + c)
+    gain = np.concatenate(([D], r.gain))
+    tau = lam * ((1.0 - c) + 2j * np.sqrt(c)) / (1.0 + c)
+    coef = 2.0 * h * tau
+    eta, frob = _gram_rounding(G)
+    inv_im = (1.0 + c) / (2.0 * lam * np.sqrt(c))  # 1 / |Im tau_l|
+    noise = 4.0 * _gram_terms(r, lam, h, gain, eta, 1.0, 0.0,
+                              np.concatenate(([1.0 / lam], inv_im)))
+    if not noise <= tol:
+        raise BudgetExceeded(
+            f"gram-product rounding cannot be certified to {tol:.3e}: four times its"
+            f" a-priori size is {noise:.3e} at alpha = {alpha:.3e}")
+    mv, rmv = G._mv, G._rmv
+    # CG on t - tau_l converges like CG at condition number about
+    # sqrt(kappa_lambda) lam / |Im tau_l|; frob / lam bounds kappa_lambda.
+    max_iters = 10 * math.ceil(math.sqrt(1.0 + frob / lam) * lam * inv_im[0]
+                               * math.log(4.0 / tol))
+
+    def certify(z0, z, it):
+        block = np.empty((d, 2 * n + 1))
+        block[:, 0] = z0
+        block[:, 1::2] = z.real.T
+        block[:, 2::2] = z.imag.T
+        t = rmv(mv(block))
+        rho = np.empty((n + 1, d), dtype=z.dtype)
+        rho[0] = y - (t[:, 0] + lam * z0)
+        rho[1:] = y - ((t[:, 1::2] + 1j * t[:, 2::2]).T - tau[:, None] * z)
+        zn = np.concatenate(([np.linalg.norm(z0)], np.linalg.norm(z, axis=1)))
+        terms = _gram_terms(r, lam, h, gain, eta, ny, np.linalg.norm(rho, axis=1), zn)
+        bound = (1.0 + _gamma(2 * d + 4 * n + 24)) * (0.5 * r.error * ny + terms)
+        v = (1.0 + float(h.sum())) * y - 2.0 * lam * z0 + (coef @ z).real
+        return bound, lambda: 0.5 * (y + D * v)
+
+    finish, bound = _multishift_cg(lambda v, it: rmv(mv(v)) + lam * v, y, -tau - lam, gain,
+                                   0.25 * tol * ny, max_iters, tol, certify)
+    return finish(), bound

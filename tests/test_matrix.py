@@ -27,9 +27,13 @@ from helpers import random_csr
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "ridgeproj").glob("*.py"))
 # Storage attributes of a DesignMatrix, and the modules that may read them:
-# the file writer picks its format by ``storage``.
+# the file writer picks its format by ``storage``, and only the ridge module
+# reaches the product seam and the storage-backed helpers inside a solve.
+_SEAM = {"matrix.py", "ridge.py"}
 STORAGE_READERS = {"_m": {"matrix.py"}, "_mt": {"matrix.py"}, "_factor": {"matrix.py"},
-                   "storage": {"matrix.py", "fileio.py"}}
+                   "storage": {"matrix.py", "fileio.py"},
+                   "_gram": _SEAM, "_mv": _SEAM, "_rmv": _SEAM,
+                   "_row_lengths_and_values": _SEAM, "_ridge_factor": _SEAM}
 
 
 class TestGramApply:
