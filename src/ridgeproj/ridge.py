@@ -156,11 +156,14 @@ def ridge_solve(A: DesignMatrix, eps: float, y, stats: MatrixStats) -> np.ndarra
     documented float64 floor), by :func:`_cg` on the budget of
     :func:`_cg_budget` and y scaled by the power of two that puts its
     largest entry in [1/2, 1); x is scaled back.  That is exact, and no
-    squared norm of y over- or underflows.  Raises :class:`ConvergenceFailure`
-    carrying the final residual norm if the iteration budget runs out first.
+    squared norm of y over- or underflows.  A zero-width A gives the empty
+    solution.  Raises :class:`ConvergenceFailure` carrying the final
+    residual norm if the iteration budget runs out first.
     """
     rel_target, max_iters = _cg_budget(stats, eps)
     y = _as_finite_1d(y, A.n_cols, what="right-hand side")
+    if not y.size:  # BLAS refuses empty vectors
+        return np.zeros(0)
     e = _exponent(y)
     y = np.ldexp(y, -e)
     x = _cg(A, stats.lam, y, rel_target * math.sqrt(ddot(y, y)), max_iters)[0]
@@ -296,13 +299,15 @@ def _rational_gram_step(A, lam: float, y, alpha: float, eps: float):
 
     with ``gamma_k = k eps_machine / (1 - k eps_machine)``, eta of
     :func:`_gram_rounding` for the gram factor G of A (``G^T G = t``), and
-    every norm as computed.  R_l covers the
-    rounding of the recomputed residual (its gram product, its entrywise
-    operations, and ``tau_l`` rounded to within ``gamma_4 lam``); E covers
-    the rounded coefficients and the assembly of s; the leading factor
-    covers the rounding of the norms and of the bound itself.  So every
-    rounding term rests on ``||G||_F``, never on an estimate of sigma_1, and
-    the bound holds whenever the spectrum of X keeps ``|x| >= alpha``.  The
+    every norm as computed; the norms of the z's, which grow like ``y /
+    lam``, are taken of ``2^e z`` with ``2^e <= lam`` and scaled back,
+    exactly.  R_l covers the rounding of the recomputed residual (its gram
+    product, its entrywise operations, and ``tau_l`` rounded to within
+    ``gamma_4 lam``); E covers the rounded coefficients and the assembly of
+    s; the leading factor covers the rounding of the norms and of the bound
+    itself.  So every rounding term rests on ``||G||_F``, never on an
+    estimate of sigma_1, and the bound holds whenever the spectrum of X
+    keeps ``|x| >= alpha``.  The
     vector is returned only if the bound is at most ``tol ||y||_2``;
     otherwise the run goes on as in :func:`_multishift_cg`.  Four times the
     rounding terms at their a-priori values (``rho = 0``, ``||z_0|| <=
@@ -330,6 +335,8 @@ def _rational_gram_step(A, lam: float, y, alpha: float, eps: float):
             f"gram-product rounding cannot be certified to {tol:.3e}: four times its"
             f" a-priori size is {noise:.3e} at alpha = {alpha:.3e}")
     mv, rmv = G._mv, G._rmv
+    e = math.frexp(lam)[1] - 1  # 2^e <= lam < 2^(e+1)
+    scale = math.ldexp(1.0, e)
     # CG on t - tau_l converges like CG at condition number about
     # sqrt(kappa_lambda) lam / |Im tau_l|; frob / lam bounds kappa_lambda.
     max_iters = 10 * math.ceil(math.sqrt(1.0 + frob / lam) * lam * inv_im[0]
@@ -344,7 +351,9 @@ def _rational_gram_step(A, lam: float, y, alpha: float, eps: float):
         rho = np.empty((n + 1, d), dtype=z.dtype)
         rho[0] = y - (t[:, 0] + lam * z0)
         rho[1:] = y - ((t[:, 1::2] + 1j * t[:, 2::2]).T - tau[:, None] * z)
-        zn = np.concatenate(([np.linalg.norm(z0)], np.linalg.norm(z, axis=1)))
+        # Of 2^e z, near y's scale: the squares of z itself may overflow.
+        zn = np.ldexp(np.concatenate(([np.linalg.norm(z0 * scale)],
+                                      np.linalg.norm(z * scale, axis=1))), -e)
         terms = _gram_terms(r, lam, h, gain, eta, ny, np.linalg.norm(rho, axis=1), zn)
         bound = (1.0 + _gamma(2 * d + 4 * n + 24)) * (0.5 * r.error * ny + terms)
         v = (1.0 + float(h.sum())) * y - 2.0 * lam * z0 + (coef @ z).real

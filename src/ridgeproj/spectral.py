@@ -12,10 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dscal
 from scipy.linalg.lapack import dstebz, dstein
 
+from ._float64 import _exponent
 from .exceptions import ConvergenceFailure
-from .matrix import DesignMatrix, gram_apply
+from .matrix import DesignMatrix, _check_int, gram_apply
 
 __all__ = ["MatrixStats", "spectral_norm_estimate", "matrix_stats"]
 
@@ -97,6 +99,14 @@ def spectral_norm_estimate(A: DesignMatrix, tol: float = 1e-3, max_iters: int = 
     ``beta_k |e_k^T s| <= tol * theta / 2`` (a zero ``beta_k`` is an exact
     invariant subspace) and returns ``sqrt(theta)``.
 
+    Scaling.  Every product is scaled by ``4^-h``, the even power of two
+    that brings the first one's largest entry near 1, and the estimate is
+    ``2^h sqrt(theta)``.  That is exact in float64, so no squared entry of
+    a product over- or underflows, and for ``c = 2^k`` the run on ``c A``
+    makes the same steps as the run on A and returns exactly c times its
+    estimate, while ``A^T A`` times a unit vector stays in the normal range
+    (a unit-scale 40 x 12 Gaussian A is exact for ``-510 <= k <= 500``).
+
     Guarantee.  The residual bounds the distance from theta to the nearest
     eigenvalue of ``A^T A``, and a Ritz value never exceeds sigma_1^2 (up
     to rounding), so when that eigenvalue is sigma_1^2 the estimate lies in
@@ -112,11 +122,15 @@ def spectral_norm_estimate(A: DesignMatrix, tol: float = 1e-3, max_iters: int = 
     settle the run on the lower value: at singular values 1 and 1 - 1e-4
     and ``tol = 1e-5``, 1 to 2 starts in 100 do.
 
-    Raises ``ValueError`` for ``tol`` outside (0, 1) or a zero matrix, and
+    Raises ``ValueError`` for ``tol`` outside (0, 1), a ``max_iters`` below
+    1 or a zero matrix (a zero-width one included), and
     :class:`ConvergenceFailure` with the last Ritz value after ``max_iters`` steps.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    _check_int(max_iters, "max_iters")
+    if not A.n_cols:  # BLAS refuses empty vectors
+        raise ValueError("matrix is zero: it has no columns")
     v = np.random.default_rng(seed).standard_normal(A.n_cols)
     v /= np.linalg.norm(v)
     v_prev = np.zeros_like(v)
@@ -125,6 +139,10 @@ def spectral_norm_estimate(A: DesignMatrix, tol: float = 1e-3, max_iters: int = 
     theta = None
     for k in range(max_iters):
         w = gram_apply(A, v)
+        if k == 0:  # 4^half lies near this product's largest entry; 4^-half is finite
+            half = max(_exponent(w), -1022) // 2
+            scale = math.ldexp(1.0, -2 * half)
+        w = dscal(scale, w)
         alpha = float(v @ w)
         w -= alpha * v
         w -= beta * v_prev
@@ -134,9 +152,10 @@ def spectral_norm_estimate(A: DesignMatrix, tol: float = 1e-3, max_iters: int = 
         if theta == 0.0:
             raise ValueError("matrix is zero on the iteration subspace")
         if beta * abs(s_last) <= 0.5 * tol * theta:
-            return float(np.sqrt(theta))
+            return math.ldexp(math.sqrt(theta), half)
         betas.append(beta)
         v_prev, v = v, w / beta
+    theta = math.ldexp(theta, 2 * half)
     raise ConvergenceFailure(f"Lanczos run did not converge within {max_iters} steps"
                              f" (last Ritz value {theta})", diagnostic=theta)
 

@@ -208,6 +208,27 @@ def test_rational_power_of_two_rescaling_is_bit_identical(c, problem):
             == pc_proj(problem.A, rational_cfg(), problem.y, stats).tobytes())
 
 
+@pytest.mark.parametrize("k", [-300, 250])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@given(problem=problems())
+@settings(max_examples=5, deadline=None)
+def test_rescaled_a_far_from_unit_scale_is_bit_identical(storage, k, problem):
+    # (A, lam) -> (2^k A, 4^k lam): a Lanczos product's squared entries, or
+    # a gram-engine solution's (it grows like y / lam), would leave the
+    # float64 range here if their norms were taken unscaled.
+    A = build(problem.values, storage)
+    kA = build(np.ldexp(problem.values, k), storage)
+    lam = np.ldexp(LAM, 2 * k)
+    stats, k_stats = matrix_stats(A, LAM), matrix_stats(kA, lam)
+    assert k_stats.sigma1_estimate == np.ldexp(stats.sigma1_estimate, k)
+    assert k_stats.kappa_lambda == stats.kappa_lambda
+    for cfg in (proj_cfg, rational_cfg):
+        assert (pc_proj(kA, cfg(lam), problem.y, k_stats).tobytes()
+                == pc_proj(A, cfg(), problem.y, stats).tobytes())
+    assert (pc_regress(kA, pcr_cfg(lam), problem.b, k_stats).tobytes()
+            == np.ldexp(pc_regress(A, pcr_cfg(), problem.b, stats), -k).tobytes())
+
+
 @given(problem=problems(), k=st.integers(min_value=-900, max_value=900))
 @settings(max_examples=15, deadline=None)
 def test_rational_power_of_two_query_is_bit_identical(problem, k):

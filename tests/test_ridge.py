@@ -11,6 +11,7 @@ from ridgeproj import (
     PcrConfig,
     ProjectionConfig,
     gram_apply,
+    load_matrix,
     matrix_stats,
     pc_proj,
     pc_regress,
@@ -54,7 +55,7 @@ class TestRidgeSolve:
             stats = matrix_stats(A, lam)
             x = ridge_solve(A, eps, y, stats)
             F = svd_small(A)
-            x_star = _exact_solve(F, lam, y)
+            x_star = m_inverse_apply(F, lam, y)
             assert m_norm(F, lam, x - x_star) <= eps * m_inv_norm(F, lam, y), (
                 f"contract violated on trial {trial}"
             )
@@ -107,12 +108,6 @@ class TestRidgeSolve:
         for eps in (0.0, 1.0, float("nan")):
             with pytest.raises(ValueError, match="eps"):
                 ridge_solve(A, eps, np.ones(2), stats)
-
-
-def _exact_solve(F, lam, y):
-    coeff = F.V.T @ y
-    perp = y - F.V @ coeff
-    return F.V @ (coeff / (F.singular_values ** 2 + lam)) + perp / lam
 
 
 def _apply_gram(A, eps, x, stats):
@@ -501,3 +496,25 @@ class TestExtremeKappaLambda:
         with pytest.raises(BudgetExceeded, match="residual floor"):
             ridge_solve(A, 1e-2, np.ones(3), stats)
         assert calls == []
+
+
+class TestZeroWidth:
+    @staticmethod
+    def matrices(tmp_path):
+        path = tmp_path / "empty.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n3 0 0\n")
+        return (DesignMatrix.from_dense(np.ones((3, 0))),
+                DesignMatrix.from_csr(3, 0, [0, 0, 0, 0], [], []), load_matrix(str(path)))
+
+    def test_solves_return_the_empty_solution(self, tmp_path):
+        # BLAS level-1 calls refuse empty vectors; each entry answers first.
+        stats = MatrixStats(sigma1_estimate=1.0, lam=1.0)
+        rational = ProjectionConfig(lam=1.0, gamma=0.1, eps=1e-2, method="rational")
+        for A in self.matrices(tmp_path):
+            assert A.shape == (3, 0)
+            for x in (ridge_solve(A, 1e-2, np.zeros(0), stats),
+                      pc_proj(A, rational, np.zeros(0), stats),
+                      pc_regress(A, PcrConfig(lam=1.0, gamma=0.1, eps=1e-2), np.ones(3), stats)):
+                assert x.dtype == np.float64 and x.shape == (0,)
+            with pytest.raises(ValueError, match="no columns"):
+                matrix_stats(A, 1.0)

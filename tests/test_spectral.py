@@ -55,6 +55,26 @@ class TestSpectralNormEstimate:
             spectral_norm_estimate(A, tol=1e-12, max_iters=2, seed=0)
         assert exc.value.diagnostic is not None
 
+    def test_nonconvergence_diagnostic_is_at_the_matrix_scale(self):
+        # The run scales its products by a power of two; the Ritz value it
+        # reports is scaled back to A^T A.
+        values = random_dense(np.random.default_rng(1), 30, 20).toarray()
+        diagnostics = []
+        for k in (-300, 0, 250):
+            with pytest.raises(ConvergenceFailure) as exc:
+                spectral_norm_estimate(DesignMatrix.from_dense(np.ldexp(values, k)),
+                                       tol=1e-12, max_iters=2, seed=0)
+            diagnostics.append(exc.value.diagnostic)
+        low, unit, high = diagnostics
+        assert 0.0 < unit <= np.linalg.norm(values, 2) ** 2
+        assert low == np.ldexp(unit, -600) and high == np.ldexp(unit, 500)
+
+    def test_max_iters_domain(self):
+        A = DesignMatrix.from_dense(np.eye(2))
+        for bad in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="max_iters"):
+                spectral_norm_estimate(A, max_iters=bad)
+
     def test_tol_domain(self):
         A = DesignMatrix.from_dense(np.eye(2))
         for bad in (0.0, 1.0, -0.5):
