@@ -14,26 +14,25 @@ finds the ``%%MatrixMarket`` banner after ASCII whitespace (the set
 does a non-ASCII byte, since every reader takes ASCII only, and so does a
 ``_`` in a number, which ``int`` and ``float`` read as a digit separator.
 
-Matrix Market files are read in one bulk pass: the banner, leading comments
-and size line one line at a time, then the body at once.  The pass takes
-printable ASCII, space, tab, LF and CRLF only.  A coordinate body is one
-``np.loadtxt`` call into ``int64`` rows and columns and ``float64`` values;
-numpy's C parser refuses every token that ``int`` or ``float`` refuses, a
-``%`` or ``_``, and a line of other than three fields, and reads a value as
-``float`` does.  An array body is split and converted by ``float`` as the
-per-line reader does, since ``loadtxt`` refuses the ragged lines that format
-allows.  A file that fails a check, or raises anywhere in the bulk pass, is
-parsed again by the per-line reader; that reader is the only place errors
-come from, so messages and line numbers do not depend on which pass ran.
-The traced peak of a load is 5.5 MB, against 15.4 MB for the per-line
-reader, on a 1.55 MB, 50,000-entry file.
+Coordinate Matrix Market files are read in one bulk pass: the banner,
+leading comments and size line one line at a time, then the body at once.
+The pass takes printable ASCII, space, tab, LF and CRLF only.  The body is
+one ``np.loadtxt`` call into ``int64`` rows and columns and ``float64``
+values; numpy's C parser refuses every token that ``int`` or ``float``
+refuses, a ``%`` or ``_``, and a line of other than three fields, and reads
+a value as ``float`` does.  A file that fails a check, or raises anywhere in
+the bulk pass, is parsed again by the per-line reader; that reader is the
+only place errors come from, so messages and line numbers do not depend on
+which pass ran.  The traced peak of a load is 5.5 MB, against 15.4 MB for
+the per-line reader, on a 1.55 MB, 50,000-entry file.  Array bodies are
+read by the per-line reader only, and CSV matrices and vectors line by line
+through :func:`_csv_rows`.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -176,10 +175,10 @@ _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
 
 
 def _bulk_matrix_market(path, raw):
-    """Parse whitelisted bytes in one pass; None where a check fails.
+    """Parse a coordinate file of whitelisted bytes in one pass; None where a check fails.
 
-    A file that passes every check builds the matrix the per-line reader
-    builds.  The caller discards any error raised here and parses the file
+    An array file fails the layout check.  A file that passes every check
+    builds the matrix the per-line reader builds.  The caller discards any error raised here and parses the file
     again with the per-line reader.
     """
     if not raw.endswith(b"\n"):
@@ -197,20 +196,9 @@ def _bulk_matrix_market(path, raw):
         if line and not (head and line.startswith("%")):
             head.append((no, line))
     layout = _mm_layout(path, *head[0])
-    sizes = _mm_sizes(path, *head[1], layout)
-
-    if layout == "array":
-        if raw.find(b"%", pos) >= 0 or raw.find(b"_", pos) >= 0:
-            return None  # a comment, or a digit separator float would read
-        n, d = sizes
-        tokens = raw.split()
-        first = len(raw[:pos].split())
-        if len(tokens) - first != n * d:
-            return None
-        dense = np.fromiter(map(float, islice(tokens, first, None)), np.float64, n * d)
-        return DesignMatrix.from_dense(dense.reshape((d, n)).T)  # column-major
-
-    n, d, nnz = sizes
+    if layout != "coordinate":
+        return None  # array bodies are read by the per-line reader
+    n, d, nnz = _mm_sizes(path, *head[1], layout)
     # Read from the size line on, so the input is never empty (loadtxt only
     # warns on that), then drop its row.
     fh = io.BytesIO(raw)
@@ -252,6 +240,20 @@ def _numbered_lines(path, raw):
     return [(no, ln) for no, ln in lines if ln]
 
 
+def _csv_rows(path, lines, width=None):
+    """The floats of numbered CSV ``lines``, ``width`` per line (by default the first's)."""
+    if not lines:
+        raise ValueError(f"{path}:1: empty file")
+    width = width or len(lines[0][1].split(","))
+    rows = []
+    for no, ln in lines:
+        fields = ln.split(",")
+        if len(fields) != width:
+            _fail(path, no, f"expected {width} columns, found {len(fields)}")
+        rows.append(_parse_floats(path, no, fields))
+    return rows
+
+
 def load_matrix(path) -> DesignMatrix:
     """Read a DesignMatrix from Matrix Market or headerless CSV.
 
@@ -268,18 +270,7 @@ def load_matrix(path) -> DesignMatrix:
         return A if A is not None else _parse_matrix_market(path, _numbered_lines(path, raw))
     lines = _numbered_lines(path, raw)
     del raw
-    if not lines:
-        raise ValueError(f"{path}:1: empty file")
-    rows = []
-    width = None
-    for no, ln in lines:
-        fields = ln.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            _fail(path, no, f"expected {width} columns, found {len(fields)}")
-        rows.append(_parse_floats(path, no, fields))
-    return DesignMatrix.from_dense(np.array(rows, dtype=np.float64))
+    return DesignMatrix.from_dense(np.array(_csv_rows(path, lines), dtype=np.float64))
 
 
 def save_matrix(A: DesignMatrix, path):
@@ -293,17 +284,8 @@ def save_matrix(A: DesignMatrix, path):
 def load_vector(path) -> np.ndarray:
     """Read a vector from CSV: one value per line, or a single CSV line."""
     lines = _numbered_lines(path, Path(path).read_bytes())
-    if not lines:
-        raise ValueError(f"{path}:1: empty file")
-    if len(lines) == 1 and "," in lines[0][1]:
-        return np.array(_parse_floats(path, lines[0][0], lines[0][1].split(",")))
-    values = []
-    for no, ln in lines:
-        fields = ln.split(",")
-        if len(fields) != 1:
-            _fail(path, no, "vector file must have one value per line")
-        values.append(_parse_floats(path, no, fields)[0])
-    return np.array(values, dtype=np.float64)
+    rows = _csv_rows(path, lines, width=None if len(lines) == 1 else 1)
+    return np.array(rows, dtype=np.float64).ravel()
 
 
 def save_vector(x, path):

@@ -170,8 +170,9 @@ class TestCsv:
     def test_vector_rejects_matrix(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,4\n")
-        with pytest.raises(ValueError, match="one value per line"):
+        with pytest.raises(ValueError, match=r":1: expected 1 columns, found 2$") as exc:
             load_vector(str(path))
+        assert str(exc.value).startswith(f"{path}:")
 
 
 class TestTraceCsv:
@@ -305,8 +306,11 @@ class TestBulkMatrixMarket:
         path.write_bytes(text.encode("ascii"))
         ref = _per_line(path)
         got = _bulk(path)
-        assert got is not None  # no fallback for a well-formed file
-        _assert_identical(got, ref)
+        if text.startswith("%%MatrixMarket matrix array"):
+            assert got is None  # array bodies are left to the per-line reader
+        else:
+            assert got is not None  # no fallback for a well-formed coordinate file
+            _assert_identical(got, ref)
         _assert_identical(load_matrix(path), ref)
 
     @staticmethod
