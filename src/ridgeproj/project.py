@@ -207,6 +207,9 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     directions get a soft step between ``delta/2`` and ``1 - delta/2``,
     delta the Zolotarev error, at most eps/2.  This engine takes no
     callback.
+
+    A zero-width A gives the empty vector on both engines, after the checks
+    of ``cfg`` against ``stats``; a ``p_k`` callback sees k = 0..q.
     """
     if cfg.method == "rational" and callback is not None:
         raise ValueError("callback applies to method 'pk' only")
@@ -219,6 +222,10 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
         s = _rational_gram_step(A, cfg.lam, y, alpha, cfg.eps)[0]
     else:
         q, eps_inner, _ = cfg.resolve(stats)
+        if not y.size:  # a zero-width A; OperatorHandle refuses dimension 0
+            for k in range(q + 1) if callback is not None else ():
+                callback(k, np.zeros(0))
+            return np.zeros(0)
         handle = _gram_solver(A, stats, eps_inner, query_norm=float(np.linalg.norm(y)))
         scaled = None if callback is None else lambda k, s: callback(k, np.ldexp(s, e))
         s = apply_step(handle, y, q, callback=scaled)

@@ -123,7 +123,8 @@ def spectral_norm_estimate(A: DesignMatrix, tol: float = 1e-3, max_iters: int = 
     and ``tol = 1e-5``, 1 to 2 starts in 100 do.
 
     Raises ``ValueError`` for ``tol`` outside (0, 1), a ``max_iters`` below
-    1 or a zero matrix (a zero-width one included), and
+    1, a zero matrix (a zero-width one included) or a nonzero one whose
+    gram products underflow to zero (entries below about 1e-162), and
     :class:`ConvergenceFailure` with the last Ritz value after ``max_iters`` steps.
     """
     if not 0.0 < tol < 1.0:
@@ -150,6 +151,9 @@ def spectral_norm_estimate(A: DesignMatrix, tol: float = 1e-3, max_iters: int = 
         beta = float(np.linalg.norm(w))
         theta, s_last = _top_ritz(alphas, betas)
         if theta == 0.0:
+            if A.csr_parts()[2].any():  # a nonzero entry, looked for on this path only
+                raise ValueError("gram products of a nonzero matrix underflow float64;"
+                                 " rescale A")
             raise ValueError("matrix is zero on the iteration subspace")
         if beta * abs(s_last) <= 0.5 * tol * theta:
             return math.ldexp(math.sqrt(theta), half)

@@ -3,11 +3,15 @@ import pytest
 
 from ridgeproj import (
     ConvergenceFailure,
+    ProjectionConfig,
     exact_pcr,
     exact_projection,
     load_matrix,
     load_trace_csv,
     load_vector,
+    matrix_stats,
+    pc_proj,
+    save_vector,
     svd_small,
 )
 from ridgeproj import cli
@@ -60,6 +64,18 @@ class TestProjectAndPcr:
         got = load_vector(out)
         ref = exact_projection(svd_small(A), 0.5, y)
         assert np.linalg.norm(got - ref) <= 1e-3 * np.linalg.norm(y)
+
+    def test_project_q_override_matches_library(self, synth_files, tmp_path):
+        out, ref = str(tmp_path / "proj.csv"), str(tmp_path / "ref.csv")
+        assert run(["project", "--matrix", synth_files + "_A.mtx",
+                    "--vector", synth_files + "_xtrue.csv", "--lambda", "0.5",
+                    "--gamma", "0.0577", "--eps", "1e-3", "--q", "3", "--out", out]) == 0
+        A = load_matrix(synth_files + "_A.mtx")
+        y = load_vector(synth_files + "_xtrue.csv")
+        cfg = ProjectionConfig(lam=0.5, gamma=0.0577, eps=1e-3, q_override=3)
+        save_vector(pc_proj(A, cfg, y, matrix_stats(A, 0.5)), ref)
+        with open(out, "rb") as got, open(ref, "rb") as want:
+            assert got.read() == want.read()
 
     def test_pcr_matches_oracle(self, synth_files, tmp_path):
         out = str(tmp_path / "pcr.csv")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -518,3 +519,18 @@ class TestZeroWidth:
                 assert x.dtype == np.float64 and x.shape == (0,)
             with pytest.raises(ValueError, match="no columns"):
                 matrix_stats(A, 1.0)
+
+    @pytest.mark.parametrize("method", ["pk", "rational"])
+    def test_pc_proj_returns_the_empty_vector(self, tmp_path, method):
+        # OperatorHandle refuses dimension 0, so p_k answers before building one.
+        stats = MatrixStats(sigma1_estimate=1.0, lam=0.5)
+        cfg = ProjectionConfig(lam=0.5, gamma=0.1, eps=1e-2, method=method)
+        for A in self.matrices(tmp_path):
+            seen = []
+            callback = None if method == "rational" else lambda k, s: seen.append((k, s.shape))
+            x = pc_proj(A, cfg, np.zeros(0), stats, callback=callback)
+            assert x.dtype == np.float64 and x.shape == (0,)
+            if method == "pk":
+                assert seen == [(k, (0,)) for k in range(cfg.resolve(stats)[0] + 1)]
+            with pytest.raises(ValueError, match="MatrixStats built for lambda=0.5"):
+                pc_proj(A, replace(cfg, lam=1.0), np.zeros(0), stats)

@@ -69,6 +69,21 @@ class TestSpectralNormEstimate:
         assert 0.0 < unit <= np.linalg.norm(values, 2) ** 2
         assert low == np.ldexp(unit, -600) and high == np.ldexp(unit, 500)
 
+    def test_underflowing_gram_products_are_not_blamed_on_a(self):
+        # Entries near 1e-163 are normal doubles, but every entry of A^T A v
+        # is below the smallest subnormal, so the first product is +0.0.
+        values = np.ldexp(np.random.default_rng(3).standard_normal((40, 12)), -540)
+        csr = sp.csr_matrix(values)
+        for A in (DesignMatrix.from_dense(values),
+                  DesignMatrix.from_csr(40, 12, csr.indptr, csr.indices, csr.data)):
+            with pytest.raises(ValueError, match=r"underflow float64; rescale A$"):
+                matrix_stats(A, 1.0)
+        zeros = (DesignMatrix.from_dense(np.zeros((4, 3))),
+                 DesignMatrix.from_csr(4, 3, [0, 1, 2, 2, 2], [0, 2], [0.0, 0.0]))
+        for A in zeros:
+            with pytest.raises(ValueError, match=r"^matrix is zero on the iteration subspace$"):
+                matrix_stats(A, 1.0)
+
     def test_max_iters_domain(self):
         A = DesignMatrix.from_dense(np.eye(2))
         for bad in (0, -1, 2.5, True):
