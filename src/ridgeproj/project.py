@@ -223,8 +223,9 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     else:
         q, eps_inner, _ = cfg.resolve(stats)
         if not y.size:  # a zero-width A; OperatorHandle refuses dimension 0
-            for k in range(q + 1) if callback is not None else ():
-                callback(k, np.zeros(0))
+            if callback is not None:
+                for k in range(q + 1):
+                    callback(k, np.zeros(0))
             return np.zeros(0)
         handle = _gram_solver(A, stats, eps_inner, query_norm=float(np.linalg.norm(y)))
         scaled = None if callback is None else lambda k, s: callback(k, np.ldexp(s, e))

@@ -124,7 +124,7 @@ def spectral_norm_estimate(A: DesignMatrix, tol: float = 1e-3, max_iters: int = 
 
     Raises ``ValueError`` for ``tol`` outside (0, 1), a ``max_iters`` below
     1, a zero matrix (a zero-width one included) or a nonzero one whose
-    gram products underflow to zero (entries below about 1e-162), and
+    gram products underflow to zero (every entry below about 1e-162), and
     :class:`ConvergenceFailure` with the last Ritz value after ``max_iters`` steps.
     """
     if not 0.0 < tol < 1.0:
