@@ -4,9 +4,9 @@ A :class:`DesignMatrix` holds the data matrix, rows as samples, as one
 operator (a dense row-major array or a CSR matrix) and its transpose (a
 view of the array, or a second CSR matrix).  Every storage rule lives
 here: downstream code touches a matrix through ``A x`` and ``A^T z``, the
-Cholesky factor of ``R^T R + lambda I`` (dense inputs with n >= 10 d only,
-see :meth:`DesignMatrix._ridge_factor`) and the row lengths and values
-that bound a product's rounding.
+inverse of ``R^T R + lambda I``, built from its Cholesky factor (dense
+inputs with n >= 10 d only, see :meth:`DesignMatrix._ridge_factor`), and
+the row lengths and values that bound a product's rounding.
 
 Gram products ``A^T (A x)`` -- every product inside a ridge solve or a
 Lanczos step -- run on the gram factor: for a dense matrix with
@@ -29,7 +29,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from ._float64 import _exponent
 from .exceptions import DimensionMismatch
@@ -38,8 +38,8 @@ __all__ = ["DesignMatrix", "gram_apply", "gram_norm"]
 
 _ALIGN = 64
 
-# Dense matrices with at least this many rows per column get a Cholesky
-# factor of the ridge matrix; it then adds at most a tenth to A's bytes.
+# Dense matrices with at least this many rows per column get the inverse
+# of the ridge matrix; it then adds at most a tenth to A's bytes.
 _FACTOR_ROWS_PER_COL = 10
 
 
@@ -192,14 +192,22 @@ class DesignMatrix:
         return self if self._factor is None else self._factor
 
     def _ridge_factor(self, lam):
-        """Upper Cholesky factor of ``A^T A + lam I``; None unless dense with ``0 < 10 d <= n``, or on failure."""
+        """Upper triangle of ``(A^T A + lam I)^{-1}``, Fortran order; None unless dense with ``0 < 10 d <= n``.
+
+        Built from the Cholesky factor ``M = T^T T`` (``dpotrf``), inverted
+        in place (``dpotri``), so one d-by-d array is alive; None too if
+        either LAPACK call fails.
+        """
         d = self.n_cols
         if self.storage != "dense" or not 0 < _FACTOR_ROWS_PER_COL * d <= self.n_rows:
             return None
         M = dsyrk(1.0, self._factor._m.T)  # upper triangle of R^T R, Fortran order
         M.flat[::d + 1] += lam
         T, info = dpotrf(M, overwrite_a=1)
-        return T if info == 0 else None
+        if info != 0:
+            return None
+        Minv, info = dpotri(T, overwrite_c=1)
+        return Minv if info == 0 else None
 
     def _row_lengths_and_values(self):
         """``(m_1, m_2, values)``: longest rows of A and ``A^T`` (d, n if dense), stored entries."""

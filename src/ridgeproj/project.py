@@ -43,8 +43,8 @@ grow like ``(m_1 + m_2) eps_machine ||A||_F^2 / lambda``, ``m_1`` and
 
 The paper's failure probability delta has no counterpart here: the inner
 solvers are deterministic, conjugate gradient meeting its tolerance or
-raising, and a Cholesky solve on tall dense matrices (see
-:mod:`ridgeproj.ridge`).
+raising, and a product with the inverse ridge matrix, built from its
+Cholesky factor, on tall dense matrices (see :mod:`ridgeproj.ridge`).
 """
 
 from __future__ import annotations

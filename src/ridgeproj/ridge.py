@@ -8,7 +8,7 @@ returns the handle that applies ``B = M^{-1} A^T A = I - lambda M^{-1}``
 as ``v - lambda x``, x the ridge solve of v itself, for every projection
 step: one ridge solve and no gram product of its own per application.
 The handle runs CG too, except on a dense A with at least ``10 d`` rows:
-there it makes two triangular solves with the Cholesky factor of the
+there it makes one symmetric product (``dsymv``) with the inverse of the
 ridge matrix that :meth:`~ridgeproj.matrix.DesignMatrix._ridge_factor`
 builds once per handle under its memory rule, or runs CG if that fails.
 :func:`_rational_gram_step`, the engine behind ``pc_proj(method=
@@ -30,15 +30,17 @@ deterministic: within ``10 * ceil(sqrt(kappa_lambda + 1) * ln(2/eps))``
 iterations it either meets its stopping rule or raises.
 
 The factored solver forms ``M = R^T R + lambda I`` (``dsyrk``) only to
-hand it to LAPACK's Cholesky factorization ``M = T^T T`` (``dpotrf``); it
-computes no singular value or vector.  Each application returns ``v -
-lambda T^{-1} T^{-T} v`` (two ``dtrsv`` calls) and makes no product with A
-or R.  A Cholesky solve is backward stable, and the standard bound puts
-``lambda`` times its error at order ``d * eps_machine * (kappa_lambda + 1)
-* ||v||_2``.  For d > 64 and kappa_lambda < d / 64 that is above the
-float64 floor of the handle's stated error below, so on this path the
-stated error is checked, not proved: the tests hold it against an SVD
-oracle up to d = 200 and kappa_lambda = 1e9.
+hand it to LAPACK's Cholesky factorization ``M = T^T T`` (``dpotrf``) and
+invert that factor in place (``dpotri``, the upper triangle of
+``M^{-1}``); it computes no singular value or vector.  Each application
+returns ``v - lambda M^{-1} v`` as one ``dsymv`` call and makes no product
+with A or R.  For an inverse built from a Cholesky factor, the standard
+bound (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 14)
+puts ``lambda`` times the error of ``M^{-1} v`` at order ``d * eps_machine
+* (kappa_lambda + 1) * ||v||_2``.  For d > 64 and kappa_lambda < d / 64
+that is above the float64 floor of the handle's stated error below, so on
+this path the stated error is checked, not proved: the tests hold it
+against an SVD oracle up to d = 200 and kappa_lambda = 1e9.
 
 Error contract and floors.  The returned ``x`` satisfies
 
@@ -66,7 +68,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.blas import daxpy, ddot, dscal, dtrsv
+from scipy.linalg.blas import daxpy, ddot, dscal, dsymv
 
 from ._float64 import _EPS, _exponent
 from .exceptions import BudgetExceeded, ConvergenceFailure
@@ -175,8 +177,8 @@ def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float,
     """The handle of ``B = (A^T A + lambda I)^{-1} A^T A``, as ``v - lambda x`` with ``M x = v``.
 
     ``B = I - lambda M^{-1}``, ``M = A^T A + lambda I``: one application is
-    one ridge solve on v itself, with no gram product of its own: two
-    ``dtrsv`` calls with the factor of
+    one ridge solve on v itself, with no gram product of its own: one
+    ``dsymv`` call with the inverse ``M^{-1}`` of
     :meth:`~ridgeproj.matrix.DesignMatrix._ridge_factor`, built once
     :func:`_cg_budget` has checked eps, or :func:`_cg` if there is none.  The
     handle states ``err_bound = max(kappa_lambda rel_target, 64 eps_machine
@@ -196,13 +198,14 @@ def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float,
     eps_machine query_norm)``, and ``lambda ||x_hat - x||_2 = lambda
     ||M^{-1} r||_2 <= ||r||_2``; the rounding of ``v - lambda x_hat`` adds at
     most ``2 eps_machine ||v||_2``, which CG's 0.9 stopping margin absorbs
-    because err_bound is at least 64 eps_machine.  The Cholesky solve errs
-    as the module docstring states.
+    because err_bound is at least 64 eps_machine.  The product with the
+    inverse errs as the module docstring states.  ``dsymv`` writes into a
+    copy of v (``overwrite_y`` stays 0), so v is never modified.
     """
     d = A.n_cols
     lam, kappa = stats.lam, stats.kappa_lambda
     rel_target, max_iters = _cg_budget(stats, eps)
-    T = A._ridge_factor(lam)
+    Minv = A._ridge_factor(lam)
     err = max(kappa * rel_target, RESIDUAL_FLOOR_MULT * _EPS * (kappa + 1.0))
     floor = _EPS * query_norm
     stop = 0.9 * floor
@@ -212,8 +215,8 @@ def _gram_solver(A: DesignMatrix, stats: MatrixStats, eps: float,
         rs = ddot(v, v)
         if rs <= stop2:
             return np.zeros(d)
-        if T is not None:
-            return v - lam * dtrsv(T, dtrsv(T, v, trans=1), overwrite_x=1)
+        if Minv is not None:
+            return dsymv(-lam, Minv, v, beta=1.0, y=v)
         return v - lam * _cg(A, lam, v, max(err * math.sqrt(rs), floor), max_iters)[0]
 
     return OperatorHandle(dimension=d, apply=apply, err_bound=err)

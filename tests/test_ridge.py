@@ -288,7 +288,7 @@ class TestProductSeam:
 
 
 class TestFactoredGramSolver:
-    """Dense matrices with ``n_rows >= 10 * n_cols`` apply B by a Cholesky factor."""
+    """Dense matrices with ``n_rows >= 10 * n_cols`` apply B by the inverse ridge matrix."""
 
     @staticmethod
     def case(rng, n, d):
@@ -315,13 +315,13 @@ class TestFactoredGramSolver:
         assert bool(calls) != factored
         assert self.within_contract(A, stats, 1e-8, 0.0, v, x)
 
-    def test_failed_factorization_falls_back_to_cg(self, monkeypatch):
+    def falls_back_to_cg(self, monkeypatch):
         calls = []
         cg = ridge_module._cg
         monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1) or cg(*a))
-        monkeypatch.setattr(matrix_module, "dpotrf", lambda a, **kw: (a, 1))
         rng = np.random.default_rng(410)
         A, stats = self.case(rng, 400, 40)
+        assert A._ridge_factor(stats.lam) is None
         y = rng.standard_normal(40)
         query_norm = float(np.linalg.norm(y))
         apply = ridge_module._gram_solver(A, stats, 1e-6, query_norm).apply
@@ -330,6 +330,40 @@ class TestFactoredGramSolver:
             x = apply(v)
             assert calls == [1]
             assert self.within_contract(A, stats, 1e-6, query_norm, v, x)
+
+    def test_failed_factorization_falls_back_to_cg(self, monkeypatch):
+        monkeypatch.setattr(matrix_module, "dpotrf", lambda a, **kw: (a, 1))
+        self.falls_back_to_cg(monkeypatch)
+
+    def test_failed_inversion_falls_back_to_cg(self, monkeypatch):
+        # dpotrf succeeds, then dpotri reports a zero pivot.
+        inversions = []
+        monkeypatch.setattr(matrix_module, "dpotri",
+                            lambda c, **kw: inversions.append(1) or (c, 1))
+        self.falls_back_to_cg(monkeypatch)
+        assert inversions == [1, 1]  # one in the check above, one per handle
+
+    @pytest.mark.parametrize("n, factored", [(399, False), (400, True)])
+    def test_apply_leaves_its_input_alone(self, monkeypatch, n, factored):
+        # dsymv adds into a copy of y = v (overwrite_y = 0): apply_step
+        # reuses the w it passes in, so v must come back bit for bit.
+        calls = []
+        cg = ridge_module._cg
+        monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1) or cg(*a))
+        rng = np.random.default_rng(416)
+        A, stats = self.case(rng, n, 40)
+        apply = ridge_module._gram_solver(A, stats, 1e-8, 1.0).apply
+        v = rng.standard_normal(40)
+        assert v.dtype == np.float64 and v.flags.writeable and v.flags.c_contiguous
+        before = v.tobytes()
+        out = apply(v)
+        assert v.tobytes() == before and not np.shares_memory(out, v)
+        x = rng.standard_normal(80)
+        x_before = x.tobytes()
+        strided = apply(x[::2])
+        assert x.tobytes() == x_before
+        assert strided.tobytes() == apply(np.ascontiguousarray(x[::2])).tobytes()
+        assert bool(calls) != factored
 
     def test_no_columns_no_factor(self, capfd):
         # BLAS would print a parameter error for a 0-by-0 dsyrk; no factor is
@@ -439,7 +473,7 @@ class TestSmoothProjectionHandle:
     def test_factored_handle_at_bench_width(self, monkeypatch):
         # The tall-dense benchmark's width d = 200, at n = 10 d; squared
         # singular values from 1 down to 1e-8 put some on each side of every
-        # lambda.  The Cholesky error is checked here, not proved.
+        # lambda.  The error of the inverse is checked here, not proved.
         calls = []
         monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1))
         rng = np.random.default_rng(415)

@@ -274,7 +274,7 @@ class TestZeroIncrement:
         self.every_step_vs_early_stop(monkeypatch, 12)
 
     def test_pc_proj_factored_solver_ends_early(self, monkeypatch):
-        # At n = 10 d the ridge handle solves with a Cholesky factor, not CG,
+        # At n = 10 d the ridge handle applies the inverse ridge matrix, not CG,
         # and its zero return below the query floor still ends the loop.
         cg_calls = []
         cg = ridge._cg
