@@ -126,6 +126,8 @@ def _cmd_convergence(args):
 
 
 def _cmd_poly(args):
+    if args.grid < 1:
+        raise ValueError(f"--grid must be a positive integer, got {args.grid}")
     if args.kind in ("pk", "bound"):
         if args.k is None or args.k < 1:
             raise ValueError("--k (a positive integer) is required for pk/bound tables")

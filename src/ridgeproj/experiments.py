@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrix import DesignMatrix, _as_finite_1d, gram_norm
+from .matrix import DesignMatrix, _as_finite_1d, _check_int, gram_norm
 from .pcr import PcrConfig, pc_regress
 from .project import ProjectionConfig, pc_proj
 from .spectral import matrix_stats
@@ -31,10 +31,12 @@ def convergence_trace(A: DesignMatrix, b, lam: float, gamma: float, algo: str,
     ``||A(s_k - x*)||_2^2 / ||A x*||_2^2`` against the exact PCR solution.
     When the reference is zero, the input's norm (squared for ``"pcr"``)
     is the denominator instead.  ``max_q`` fixes the number of recorded
-    iterations (the trace has ``max_q + 1`` entries).
+    iterations (the trace has ``max_q + 1`` entries); it and ``algo`` are
+    checked before any oracle or Lanczos run.
     """
     if algo not in ("project", "pcr"):
         raise ValueError(f"algo must be 'project' or 'pcr', got {algo!r}")
+    _check_int(max_q, "max_q")
     b = _as_finite_1d(b, A.n_rows, what="right-hand side")
     oracle = svd_small(A)
     stats = matrix_stats(A, lam)

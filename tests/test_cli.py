@@ -14,7 +14,7 @@ from ridgeproj import (
     save_vector,
     svd_small,
 )
-from ridgeproj import cli
+from ridgeproj import cli, experiments
 
 
 def run(argv):
@@ -118,6 +118,17 @@ class TestConvergence:
                 outs.append(fh.read())
         assert outs[0] == outs[1]
 
+    def test_max_iters_below_one_refused_before_the_oracle(self, synth_files, tmp_path,
+                                                           capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "svd_small", lambda *a: calls.append(1))
+        out = tmp_path / "t.csv"
+        assert run(["convergence", "--algo", "project", "--matrix", synth_files + "_A.mtx",
+                    "--rhs", synth_files + "_b.csv", "--lambda", "0.5", "--gamma", "0.0577",
+                    "--eps", "1e-2", "--max-iters", "0", "--out", str(out)]) == 1
+        assert "max_q must be an integer of at least 1, got 0" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
 
 class TestPoly:
     def test_pk_table(self, tmp_path):
@@ -150,6 +161,15 @@ class TestPoly:
     def test_poly_missing_k_is_usage_error(self, tmp_path):
         out = str(tmp_path / "x.csv")
         assert run(["poly", "--kind", "pk", "--grid", "5", "--out", out]) == 1
+
+    @pytest.mark.parametrize("grid", ["0", "-5"])
+    @pytest.mark.parametrize("kind", [["pk", "--k", "3"], ["bound", "--k", "3"],
+                                      ["chebyshev", "--alpha", "0.3", "--eps", "0.2"]])
+    def test_grid_below_one_is_usage_error(self, tmp_path, capsys, kind, grid):
+        out = tmp_path / "x.csv"
+        assert run(["poly", "--kind", *kind, "--grid", grid, "--out", str(out)]) == 1
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

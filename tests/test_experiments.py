@@ -12,6 +12,7 @@ from ridgeproj import (
     run_convergence,
     svd_small,
 )
+from ridgeproj import experiments
 from ridgeproj.project import ProjectionConfig, pc_proj
 
 
@@ -81,6 +82,17 @@ class TestRunConvergence:
     def test_algo_validation(self, problem):
         with pytest.raises(ValueError, match="algo"):
             run_convergence(problem, "pca", eps=1e-2, max_q=3)
+
+    @pytest.mark.parametrize("max_q", [0, -3, 2.5, True])
+    def test_max_q_checked_before_the_oracle(self, problem, monkeypatch, max_q):
+        calls = []
+        for name in ("svd_small", "matrix_stats"):
+            monkeypatch.setattr(experiments, name, lambda *a, name=name: calls.append(name))
+        for algo in ("project", "pcr"):
+            with pytest.raises(ValueError, match="^max_q must be an integer of at least 1"):
+                convergence_trace(problem.A, problem.b, problem.lam, problem.algorithm_gap(),
+                                  algo, 1e-2, max_q)
+        assert calls == []
 
 
 def trace_eps_inner(problem, eps, q):
