@@ -3,7 +3,9 @@
 One function, :func:`_cg_budget`, turns :class:`MatrixStats` (which hold
 lambda) and a tolerance into CG's relative residual target and iteration
 budget; each entry runs its own back end on them.  :func:`ridge_solve`
-runs conjugate gradient on one right-hand side.  :func:`_gram_solver`
+runs conjugate gradient on one right-hand side, from zero or from a
+caller's starting guess (the PCR series passes the solution of its
+previous solve).  :func:`_gram_solver`
 returns the handle that applies ``B = M^{-1} A^T A = I - lambda M^{-1}``
 as ``v - lambda x``, x the ridge solve of v itself, for every projection
 step: one ridge solve and no gram product of its own per application.
@@ -27,7 +29,12 @@ fraction of the equivalent numpy expressions.  Results are bit-identical
 from run to run on one machine and BLAS build; another BLAS build may
 round the fused updates differently in the last bits.  CG is
 deterministic: within ``10 * ceil(sqrt(kappa_lambda + 1) * ln(2/eps))``
-iterations it either meets its stopping rule or raises.
+iterations it either meets its stopping rule or raises.  That budget
+holds for a warm start too: a starting guess costs one gram product for
+its true residual and is kept only if that residual is smaller than the
+right-hand side; otherwise CG starts from zero, exactly as without one.
+The stopping rule is the same absolute residual either way, so a guess
+changes the work, never the contract below.
 
 The factored solver forms ``M = R^T R + lambda I`` (``dsyrk``) only to
 hand it to LAPACK's Cholesky factorization ``M = T^T T`` (``dpotrf``) and
@@ -83,11 +90,16 @@ __all__ = ["ridge_solve"]
 RESIDUAL_FLOOR_MULT = 64.0
 
 
-def _cg(A: DesignMatrix, lam, y, resid_target, max_iters):
-    """CG iterations from x0 = 0; returns (x, final residual norm, iters).
+def _cg(A: DesignMatrix, lam, y, resid_target, max_iters, x0=None):
+    """CG iterations from x0, or from 0; returns (x, final residual norm, iters).
 
     Stops at 0.9 * resid_target on the recursively updated residual so the
-    true residual at the accepted iterate stays below the target.
+    true residual at the accepted iterate stays below the target.  A guess
+    x0 costs one gram product for its true residual ``r_0 = y - (G^T (G
+    x_0) + lam x_0)``; if ``||r_0||_2 >= ||y||_2`` (or is not finite) it is
+    dropped and CG starts from 0, so a cold start's budget still holds.
+    A kept x0 becomes the iterate and is updated in place.  Without x0
+    nothing is added to the loop.
 
     One step is one gram product ``rmv(mv(p))`` through the gram factor's
     ``_mv``/``_rmv`` plus seven BLAS level-1 calls on length-d vectors: two
@@ -99,15 +111,24 @@ def _cg(A: DesignMatrix, lam, y, resid_target, max_iters):
     copy instead when an argument is not a writable contiguous float64
     array.
     """
-    x = np.zeros(A.n_cols)
-    r = y.copy()
-    p = y.copy()
-    rs = ddot(r, r)
+    G = A._gram
+    mv, rmv = G._mv, G._rmv
+    if x0 is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge guess is dropped below
+            r = y - daxpy(x0, rmv(mv(x0)), a=lam)
+        rs = ddot(r, r)
+        if not rs < ddot(y, y):  # no better than zero: start cold
+            x0 = None
+    if x0 is None:
+        x = np.zeros(A.n_cols)
+        r = y.copy()
+        rs = ddot(r, r)
+    else:
+        x = x0
+    p = r.copy()
     target = 0.9 * resid_target
     target2 = target * target
     it = 0
-    G = A._gram
-    mv, rmv = G._mv, G._rmv
     while rs > target2:
         if it >= max_iters:
             raise ConvergenceFailure(
@@ -151,7 +172,7 @@ def _cg_budget(stats: MatrixStats, eps: float):
     return max(eps * scale, floor), max_iters
 
 
-def ridge_solve(A: DesignMatrix, eps: float, y, stats: MatrixStats) -> np.ndarray:
+def ridge_solve(A: DesignMatrix, eps: float, y, stats: MatrixStats, x0=None) -> np.ndarray:
     """Solve ``(A^T A + stats.lam I) x = y`` to the relative-energy contract.
 
     Returns ``x`` with ``||x - x*||_M <= eps * ||y||_{M^{-1}}`` (up to the
@@ -161,14 +182,24 @@ def ridge_solve(A: DesignMatrix, eps: float, y, stats: MatrixStats) -> np.ndarra
     squared norm of y over- or underflows.  A zero-width A gives the empty
     solution.  Raises :class:`ConvergenceFailure` carrying the final
     residual norm if the iteration budget runs out first.
+
+    ``x0``, if given, is a starting guess: scaled by the same power of two
+    as y, so the solve stays exact under rescaling of both, and used by
+    :func:`_cg` only if its residual is smaller than y.  The stopping rule,
+    and so the contract, does not depend on it.
     """
     rel_target, max_iters = _cg_budget(stats, eps)
     y = _as_finite_1d(y, A.n_cols, what="right-hand side")
+    if x0 is not None:
+        x0 = _as_finite_1d(x0, A.n_cols, what="starting guess")
     if not y.size:  # BLAS refuses empty vectors
         return np.zeros(0)
     e = _exponent(y)
     y = np.ldexp(y, -e)
-    x = _cg(A, stats.lam, y, rel_target * math.sqrt(ddot(y, y)), max_iters)[0]
+    if x0 is not None:
+        with np.errstate(over="ignore"):  # an infinite guess is dropped in _cg
+            x0 = np.ldexp(x0, -e)
+    x = _cg(A, stats.lam, y, rel_target * math.sqrt(ddot(y, y)), max_iters, x0)[0]
     return np.ldexp(x, e)
 
 

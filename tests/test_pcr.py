@@ -204,18 +204,29 @@ class TestPcRegress:
         # product per multi-shift iteration plus one for its certificate, 26
         # on this problem (the bound below leaves 20% headroom), and no ridge
         # CG run; the series makes exactly q + 1 ridge solves, one CG run each.
+        # Solves 3..q+1 start from the solution of the solve before, which
+        # costs one gram product for the residual and cuts the series from
+        # the 102 gram products of cold starts to 72.
         from ridgeproj import ridge
 
         problem, stats, _ = small_problem
         cfg = PcrConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-3)
         q = cfg.resolve(stats)[0]
         calls = {"mv": 0, "rmv": 0, "cg": 0, "solve": 0}
-        stage = {}
+        stage, guesses, series = {}, [], {"mv": 0, "rmv": 0}
         mv, rmv, cg = DesignMatrix._mv, DesignMatrix._rmv, ridge._cg
         original, solve = pcr_module.pc_proj, pcr_module.ridge_solve
 
         def counted(name, fn):
-            return lambda *a: calls.__setitem__(name, calls[name] + 1) or fn(*a)
+            return lambda *a, **k: calls.__setitem__(name, calls[name] + 1) or fn(*a, **k)
+
+        def counted_solve(*args, x0=None):
+            guesses.append(x0 is not None)
+            before = dict(calls)
+            out = counted("solve", solve)(*args, x0=x0)
+            for name in series:
+                series[name] += calls[name] - before[name]
+            return out
 
         def counted_stage(*args):
             before = dict(calls)
@@ -226,13 +237,16 @@ class TestPcRegress:
         monkeypatch.setattr(DesignMatrix, "_mv", counted("mv", mv))
         monkeypatch.setattr(DesignMatrix, "_rmv", counted("rmv", rmv))
         monkeypatch.setattr(ridge, "_cg", counted("cg", cg))
-        monkeypatch.setattr(pcr_module, "ridge_solve", counted("solve", solve))
+        monkeypatch.setattr(pcr_module, "ridge_solve", counted_solve)
         monkeypatch.setattr(pcr_module, "pc_proj", counted_stage)
         pc_regress(problem.A, cfg, problem.b, stats)
         assert stage["cg"] == 0 and stage["solve"] == 0
         assert stage["mv"] == stage["rmv"] <= 31
+        assert q == 16
         assert calls["solve"] == q + 1
         assert calls["cg"] == q + 1
+        assert guesses == [False, False] + [True] * (q - 1)
+        assert series["mv"] == series["rmv"] == 72
 
     def test_projection_budget_sees_the_residual_floor(self):
         # At kappa_lambda = 1e6 no projection stage can take eps' = 1.8e-9:
@@ -270,8 +284,8 @@ class TestPcRegress:
         calls = []
         original = pcr_module.ridge_solve
 
-        def spy(A, params, v, st):
-            out = original(A, params, v, st)
+        def spy(A, params, v, st, **kwargs):
+            out = original(A, params, v, st, **kwargs)
             exact = m_inverse_apply(oracle, lam, v)
             calls.append((m_norm(oracle, lam, out - exact), np.linalg.norm(v)))
             return out
@@ -299,8 +313,8 @@ class TestPcRegress:
         calls = []
         orig = pcr_module.ridge_solve
 
-        def ridge_recording(A_, params, v, stats_):
-            out = orig(A_, params, v, stats_)
+        def ridge_recording(A_, params, v, stats_, **kwargs):
+            out = orig(A_, params, v, stats_, **kwargs)
             calls.append((v.copy(), np.array(out)))
             return out
 

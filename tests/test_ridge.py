@@ -8,6 +8,7 @@ from ridgeproj import (
     BudgetExceeded,
     ConvergenceFailure,
     DesignMatrix,
+    DimensionMismatch,
     MatrixStats,
     PcrConfig,
     ProjectionConfig,
@@ -45,7 +46,11 @@ class TestRidgeSolve:
         assert np.allclose(_solve(A, 1.0, 1e-12, np.array([5.0, 5.0])), [1.0, 4.0])
 
     def test_error_contract_100_instances(self):
+        # Cold, and warm from the exact solution, a 1e-3-perturbed one and a
+        # bad guess; guesses come from their own generator, so the instances
+        # are the same as without them.
         rng = np.random.default_rng(2024)
+        guess_rng = np.random.default_rng(2025)
         for trial in range(100):
             n = int(rng.integers(8, 60))
             d = int(rng.integers(4, min(n, 40) + 1))
@@ -54,12 +59,14 @@ class TestRidgeSolve:
             eps = float(10 ** rng.uniform(-8, -0.5))
             y = rng.standard_normal(d)
             stats = matrix_stats(A, lam)
-            x = ridge_solve(A, eps, y, stats)
             F = svd_small(A)
             x_star = m_inverse_apply(F, lam, y)
-            assert m_norm(F, lam, x - x_star) <= eps * m_inv_norm(F, lam, y), (
-                f"contract violated on trial {trial}"
-            )
+            for x0 in (None, x_star, x_star * (1.0 + 1e-3 * guess_rng.standard_normal(d)),
+                       10.0 * guess_rng.standard_normal(d)):
+                x = ridge_solve(A, eps, y, stats, x0=x0)
+                assert m_norm(F, lam, x - x_star) <= eps * m_inv_norm(F, lam, y), (
+                    f"contract violated on trial {trial}"
+                )
 
     def test_residual_below_threshold(self):
         rng = np.random.default_rng(5)
@@ -99,6 +106,22 @@ class TestRidgeSolve:
         y = rng.standard_normal(12)
         x = ridge_solve(A, 1e-8, np.ldexp(y, k), stats)
         assert x.tobytes() == np.ldexp(ridge_solve(A, 1e-8, y, stats), k).tobytes()
+        # A warm start: the guess is scaled with y, so its bits do not move either.
+        x0 = x * (1.0 + 1e-3 * rng.standard_normal(12))
+        keep = x0.copy()
+        warm = ridge_solve(A, 1e-8, np.ldexp(y, k), stats, x0=x0)
+        assert x0.tobytes() == keep.tobytes()
+        assert warm.tobytes() == np.ldexp(ridge_solve(A, 1e-8, y, stats, x0=np.ldexp(x0, -k)),
+                                          k).tobytes()
+
+    def test_guess_validation(self):
+        A = DesignMatrix.from_dense(np.eye(3))
+        stats = MatrixStats(sigma1_estimate=1.0, lam=1.0)
+        with pytest.raises(DimensionMismatch, match="starting guess"):
+            ridge_solve(A, 1e-6, np.ones(3), stats, x0=np.ones(2))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="starting guess"):
+                ridge_solve(A, 1e-6, np.ones(3), stats, x0=np.array([0.0, bad, 0.0]))
 
     def test_params_validation(self):
         # lambda is checked where it lives, in MatrixStats; eps by the solver.
@@ -275,6 +298,45 @@ class TestProductSeam:
         (iters,) = counted["iters"]
         assert iters > 0
         assert counted["mv"] == counted["rmv"] == iters  # CG on v itself, no rhs product
+
+    @pytest.mark.parametrize("kind", ["tall", "square", "csr"])
+    def test_exact_guess_costs_one_product(self, kind, counted):
+        # The residual of the guess is one gram product; it already meets the
+        # stopping rule, so CG makes no iteration.
+        rng = np.random.default_rng(417)
+        A, arr = _kernel_case(kind, rng)
+        lam = 0.05 * np.linalg.norm(arr, 2) ** 2
+        stats = matrix_stats(A, lam)
+        y = rng.standard_normal(A.n_cols)
+        x0 = m_inverse_apply(svd_small(A), lam, y)
+        counted.update(mv=0, rmv=0)
+        x = ridge_solve(A, 1e-8, y, stats, x0=x0)
+        assert counted["iters"] == [0]
+        assert counted["mv"] == counted["rmv"] == 1
+        assert x.tobytes() == x0.tobytes()
+
+    @pytest.mark.parametrize("kind", ["tall", "square", "csr"])
+    def test_guess_no_better_than_zero_starts_cold(self, kind, counted):
+        # ||y - M x0|| >= ||y||: the guess is dropped after its residual
+        # product and CG runs from 0, bit for bit as without a guess.  The
+        # last guess overflows once scaled with y; that is dropped too.
+        rng = np.random.default_rng(418)
+        A, arr = _kernel_case(kind, rng)
+        lam = 0.05 * np.linalg.norm(arr, 2) ** 2
+        stats = matrix_stats(A, lam)
+        y = rng.standard_normal(A.n_cols)
+        counted.update(mv=0, rmv=0)
+        cold = ridge_solve(A, 1e-8, y, stats)
+        (iters,) = counted["iters"]
+        assert counted["mv"] == iters > 0
+        tiny = np.ldexp(y, -1000)
+        for rhs, x0 in ((y, 10.0 * rng.standard_normal(A.n_cols) / lam), (y, -y / lam),
+                        (tiny, np.full(A.n_cols, 1e10))):
+            counted.update(mv=0, rmv=0, iters=[])
+            x = ridge_solve(A, 1e-8, rhs, stats, x0=x0)
+            assert counted["iters"] == [iters]
+            assert counted["mv"] == counted["rmv"] == iters + 1
+            assert np.ldexp(x, 1000 if rhs is tiny else 0).tobytes() == cold.tobytes()
 
     def test_factored_gram_solver_application(self, counted):
         rng = np.random.default_rng(408)
