@@ -53,16 +53,23 @@ def _aligned_copy(arr):
     return out
 
 
+def _all_finite(x) -> bool:
+    """Whether every entry of the float64 array ``x`` is finite.
+
+    One pass: the self dot product is non-finite iff an entry is, except
+    for benign overflow of huge finite entries, which the slow path then
+    clears.  Unlike ``x @ x``, np.vdot gives no overflow warning.
+    """
+    return math.isfinite(float(np.vdot(x, x))) or bool(np.all(np.isfinite(x)))
+
+
 def _as_finite_1d(x, length, what="vector"):
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional, got shape {x.shape}")
     if x.shape[0] != length:
         raise DimensionMismatch(length, x.shape[0], what=f"{what} length")
-    # One-pass check: the self dot product is non-finite iff an entry is,
-    # except for benign overflow of huge finite entries, which the slow
-    # path then clears.  Unlike ``x @ x``, np.vdot gives no overflow warning.
-    if not math.isfinite(float(np.vdot(x, x))) and not np.all(np.isfinite(x)):
+    if not _all_finite(x):
         raise ValueError(f"{what} contains non-finite entries")
     return x
 
@@ -101,7 +108,7 @@ class DesignMatrix:
         arr = np.ascontiguousarray(values, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("matrix contains non-finite entries")
         n, d = arr.shape
         factor = None
@@ -141,7 +148,7 @@ class DesignMatrix:
             if bad.any():
                 i = int(np.searchsorted(indptr, np.argmax(bad) + 1, side="right")) - 1
                 raise ValueError(f"CSR column indices not strictly increasing in row {i}")
-        if not np.all(np.isfinite(data)):
+        if not _all_finite(data):
             raise ValueError("matrix contains non-finite entries")
         csr = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
         return cls(csr)

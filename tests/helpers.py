@@ -1,7 +1,12 @@
-"""Shared test utilities: exact norms from the factorization, matrix makers."""
+"""Shared test utilities: exact norms from the factorization, matrix makers, call recorders."""
+
+from contextlib import ExitStack
+from dataclasses import dataclass
 
 import numpy as np
 
+import ridgeproj.project as project
+import ridgeproj.ridge as ridge
 from ridgeproj import DesignMatrix, SvdFactors
 
 
@@ -99,25 +104,111 @@ def black_box_rational(A, stats, y, gamma, eps):
     return np.ldexp(s, e), bound / ny
 
 
+# The recorded calls now running, innermost last: shared by every Recorder,
+# so each call knows the recorded call it ran inside.
+_RUNNING = []
+
+
+def _snapshot(value):
+    """``value`` with its arrays copied, also inside tuples and dicts."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, tuple):
+        return tuple(_snapshot(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _snapshot(v) for k, v in value.items()}
+    return value
+
+
+@dataclass
+class Call:
+    """One recorded call: its arguments and result as they were, and the recorded call around it."""
+
+    recorder: "Recorder"
+    parent: "Call | None"
+    args: tuple
+    kwargs: dict
+    result: object = None
+    error: "BaseException | None" = None
+
+    def ran_inside(self, outer) -> bool:
+        """Whether ``outer`` -- a Call, or any call of a Recorder -- encloses this call."""
+        call = self.parent
+        while call is not None and outer is not call and outer is not call.recorder:
+            call = call.parent
+        return call is not None
+
+
+class Recorder:
+    """Context manager that records every call of ``owner.name`` and makes it as before.
+
+    ``owner`` is a class (a ``DesignMatrix`` method) or a module (a module
+    function); callers that look the attribute up at call time reach the
+    recorder.  Each :class:`Call` keeps copies of the arrays among its
+    arguments and result, so a later in-place write does not alter the
+    record, and the raised exception, if any.  The attribute is restored on
+    exit, exception or not, so nested and repeated recorders compose under
+    pytest, inside hypothesis examples and in worker processes alike.
+    """
+
+    def __init__(self, owner, name):
+        self.owner, self.name, self.calls = owner, name, []
+
+    def __enter__(self):
+        self.original = original = getattr(self.owner, self.name)
+
+        def recorded(*args, **kwargs):
+            call = Call(self, _RUNNING[-1] if _RUNNING else None, _snapshot(args), _snapshot(kwargs))
+            self.calls.append(call)
+            _RUNNING.append(call)
+            try:
+                out = original(*args, **kwargs)
+            except BaseException as exc:
+                call.error = exc
+                raise
+            finally:
+                _RUNNING.pop()
+            call.result = _snapshot(out)
+            return out
+
+        setattr(self.owner, self.name, recorded)
+        return self
+
+    def __exit__(self, *exc):
+        setattr(self.owner, self.name, self.original)
+
+    def inside(self, outer=None) -> list:
+        """The calls that ran inside ``outer`` (a Call or a Recorder); every call for None."""
+        return [call for call in self.calls if outer is None or call.ran_inside(outer)]
+
+
+class GramCounts(ExitStack):
+    """``DesignMatrix._mv``, ``DesignMatrix._rmv`` and ``ridge._cg`` recorded over a ``with`` block."""
+
+    def __enter__(self):
+        super().__enter__()
+        self.mv, self.rmv, self.cg = (self.enter_context(Recorder(owner, name)) for owner, name in
+                                      ((DesignMatrix, "_mv"), (DesignMatrix, "_rmv"), (ridge, "_cg")))
+        return self
+
+    def clear(self):
+        for recorder in (self.mv, self.rmv, self.cg):
+            recorder.calls.clear()
+
+    def products(self, outer=None):
+        """``(mv, rmv)`` products made inside ``outer``, or in all."""
+        return len(self.mv.inside(outer)), len(self.rmv.inside(outer))
+
+    def iters(self, outer=None):
+        """Iterations of each CG run made inside ``outer``, or of all."""
+        return [call.result[2] for call in self.cg.inside(outer)]
+
+
 def gram_step_calls(fn, *args):
     """``fn(*args)`` and ``(y, bound)`` of every gram-engine run it makes."""
-    import ridgeproj.project as project
-
-    engine = project._rational_gram_step
-    calls = []
-
-    def recording(A, lam, y, alpha, eps):
-        y = y.copy()
-        s, bound = engine(A, lam, y, alpha, eps)
-        calls.append((y, bound))
-        return s, bound
-
-    project._rational_gram_step = recording
-    try:
+    with Recorder(project, "_rational_gram_step") as engine:
         out = fn(*args)
-    finally:
-        project._rational_gram_step = engine
-    return out, calls
+    return out, [(call.args[2], call.result[1]) for call in engine.calls]
 
 
 def recorded_gram_step(fn, *args):

@@ -80,6 +80,15 @@ class TestMatrixMarket:
             ("%%MatrixMarket matrix coordinate real general\n1 1 1\n5 5 2\n", ":3:"),
             ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 oops\n", ":3:"),
             ("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n", "expected 4 values"),
+            ("%%MatrixMarket tensor coordinate real general\n1 1 1\n1 1 2\n",
+             ":1: malformed MatrixMarket header$"),
+            ("%%MatrixMarket matrix dense real general\n1 1\n2\n", ":1: unsupported layout 'dense'$"),
+            ("%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 2\n",
+             r":1: unsupported symmetry 'symmetric' \(general only\)$"),
+            ("%%MatrixMarket matrix array real general\n1 1 1\n2\n",
+             ":2: array size line must be 'rows cols'$"),
+            ("%%MatrixMarket matrix coordinate real general\n% a comment, no size line\n",
+             ":2: missing size line$"),
         ]
         for text, needle in cases:
             path = tmp_path / "bad.mtx"
@@ -173,6 +182,9 @@ class TestCsv:
         with pytest.raises(ValueError, match=r":1: expected 1 columns, found 2$") as exc:
             load_vector(str(path))
         assert str(exc.value).startswith(f"{path}:")
+        with pytest.raises(ValueError, match=r"expected a vector, got shape \(2, 2\)"):
+            save_vector(np.ones((2, 2)), str(tmp_path / "v.csv"))
+        assert not (tmp_path / "v.csv").exists()
 
 
 class TestTraceCsv:
@@ -190,6 +202,13 @@ class TestTraceCsv:
         path.write_text("iter,err\n0,1\n")
         with pytest.raises(ValueError, match="header"):
             load_trace_csv(str(path))
+
+    def test_row_of_other_than_two_fields_refused(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        for row in ("1,0.5,0.25", "1"):
+            path.write_text(f"iteration,rel_error\n0,1\n{row}\n")
+            with pytest.raises(ValueError, match=":3: expected 'iteration,rel_error'$"):
+                load_trace_csv(str(path))
 
     def test_nan_error_refused(self, tmp_path):
         path = tmp_path / "nan.csv"

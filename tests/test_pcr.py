@@ -15,8 +15,10 @@ from ridgeproj import (
     pc_regress,
     svd_small,
 )
+import ridgeproj.project as project
 from ridgeproj import pcr as pcr_module
-from helpers import kappa_1e3_matrix, m_inverse_apply, m_norm
+from ridgeproj import ridge
+from helpers import Recorder, kappa_1e3_matrix, m_inverse_apply, m_norm
 
 
 @pytest.fixture(scope="module")
@@ -140,66 +142,38 @@ class TestPcRegress:
         for plain, scaled in zip(*runs):
             assert scaled.tobytes() == np.ldexp(plain, k).tobytes()
 
-    def test_projection_stage_engine(self, small_problem, monkeypatch):
+    def test_projection_stage_engine(self, small_problem):
         # The stage runs on the rational engine where it can certify eps'.
         # At kappa_lambda = 1e4 and eps = 1e-4, eps' = 1.8e-10 is below four
         # times the a-priori gram-product rounding terms of that engine's
         # certificate: it raises BudgetExceeded before any product with A, the
         # stage reruns on p_k, and the result still meets the contract.
-        methods, refused_mv = [], []
-        original = pcr_module.pc_proj
-        mv_calls = []
-        mv = DesignMatrix._mv
-        monkeypatch.setattr(DesignMatrix, "_mv", lambda self, x: mv_calls.append(1) or mv(self, x))
-
-        def spy(A, proj_cfg, y, st):
-            methods.append(proj_cfg.method)
-            before = len(mv_calls)
-            try:
-                return original(A, proj_cfg, y, st)
-            except BudgetExceeded:
-                refused_mv.append(len(mv_calls) - before)
-                raise
-
-        monkeypatch.setattr(pcr_module, "pc_proj", spy)
         problem, stats, _ = small_problem
-        pc_regress(problem.A, PcrConfig(lam=problem.lam, gamma=problem.algorithm_gap(),
-                                        eps=1e-4), problem.b, stats)
-        A = kappa_1e3_matrix(top=1e4)
-        stats = matrix_stats(A, 1.0)
-        b = np.random.default_rng(1002).standard_normal(40)
-        s = pc_regress(A, PcrConfig(lam=1.0, gamma=0.125, eps=1e-4), b, stats)
-        assert methods == ["rational", "rational", "pk"]
-        assert refused_mv == [0] and mv_calls
+        with Recorder(pcr_module, "pc_proj") as stage, Recorder(DesignMatrix, "_mv") as mv:
+            pc_regress(problem.A, PcrConfig(lam=problem.lam, gamma=problem.algorithm_gap(),
+                                            eps=1e-4), problem.b, stats)
+            A = kappa_1e3_matrix(top=1e4)
+            stats = matrix_stats(A, 1.0)
+            b = np.random.default_rng(1002).standard_normal(40)
+            s = pc_regress(A, PcrConfig(lam=1.0, gamma=0.125, eps=1e-4), b, stats)
+        assert [call.args[1].method for call in stage.calls] == ["rational", "rational", "pk"]
+        refused = [call for call in stage.calls if isinstance(call.error, BudgetExceeded)]
+        assert [len(mv.inside(call)) for call in refused] == [0] and mv.calls
         assert gram_norm(A, s - exact_pcr(svd_small(A), 1.0, b)) <= 1e-4 * np.linalg.norm(b)
 
-    def test_stage_certifies_at_kappa_1e3(self, monkeypatch):
+    def test_stage_certifies_at_kappa_1e3(self):
         # At kappa_lambda = 1e3, gamma = 0.125 and eps = 1e-4 the stage's
         # eps' = 7e-10 is certified by the rational engine on the gram
         # operator: no p_k step and no ridge CG run inside the stage.
-        import ridgeproj.project as project
-        from ridgeproj import ridge
-
-        in_stage, pk_calls, stage_cg = [], [], []
-        original, cg, step = pcr_module.pc_proj, ridge._cg, project.apply_step
-
-        def stage(*args):
-            in_stage.append(1)
-            try:
-                return original(*args)
-            finally:
-                in_stage.pop()
-
-        monkeypatch.setattr(pcr_module, "pc_proj", stage)
-        monkeypatch.setattr(ridge, "_cg", lambda *a: stage_cg.extend(in_stage) or cg(*a))
-        monkeypatch.setattr(project, "apply_step", lambda *a, **k: pk_calls.append(1) or step(*a, **k))
         A = kappa_1e3_matrix()
         b = np.random.default_rng(1002).standard_normal(40)
-        s = pc_regress(A, PcrConfig(lam=1.0, gamma=0.125, eps=1e-4), b, matrix_stats(A, 1.0))
-        assert pk_calls == [] and stage_cg == []
+        with Recorder(pcr_module, "pc_proj") as stage, Recorder(ridge, "_cg") as cg, \
+                Recorder(project, "apply_step") as pk:
+            s = pc_regress(A, PcrConfig(lam=1.0, gamma=0.125, eps=1e-4), b, matrix_stats(A, 1.0))
+        assert pk.calls == [] and cg.inside(stage) == []
         assert gram_norm(A, s - exact_pcr(svd_small(A), 1.0, b)) <= 1e-4 * np.linalg.norm(b)
 
-    def test_stage_and_series_counts(self, small_problem, monkeypatch):
+    def test_stage_and_series_counts(self, small_problem, gram_counts):
         # Counts that hold on any machine: the projection stage makes one gram
         # product per multi-shift iteration plus one for its certificate, 26
         # on this problem (the bound below leaves 20% headroom), and no ridge
@@ -207,47 +181,20 @@ class TestPcRegress:
         # Solves 3..q+1 start from the solution of the solve before, which
         # costs one gram product for the residual and cuts the series from
         # the 102 gram products of cold starts to 72.
-        from ridgeproj import ridge
-
         problem, stats, _ = small_problem
         cfg = PcrConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-3)
         q = cfg.resolve(stats)[0]
-        calls = {"mv": 0, "rmv": 0, "cg": 0, "solve": 0}
-        stage, guesses, series = {}, [], {"mv": 0, "rmv": 0}
-        mv, rmv, cg = DesignMatrix._mv, DesignMatrix._rmv, ridge._cg
-        original, solve = pcr_module.pc_proj, pcr_module.ridge_solve
-
-        def counted(name, fn):
-            return lambda *a: calls.__setitem__(name, calls[name] + 1) or fn(*a)
-
-        def counted_solve(*args, x0=None):
-            calls["solve"] += 1
-            guesses.append(x0 is not None)
-            before = dict(calls)
-            out = solve(*args, x0=x0)
-            for name in series:
-                series[name] += calls[name] - before[name]
-            return out
-
-        def counted_stage(*args):
-            before = dict(calls)
-            out = original(*args)
-            stage.update({name: calls[name] - before[name] for name in calls})
-            return out
-
-        monkeypatch.setattr(DesignMatrix, "_mv", counted("mv", mv))
-        monkeypatch.setattr(DesignMatrix, "_rmv", counted("rmv", rmv))
-        monkeypatch.setattr(ridge, "_cg", counted("cg", cg))
-        monkeypatch.setattr(pcr_module, "ridge_solve", counted_solve)
-        monkeypatch.setattr(pcr_module, "pc_proj", counted_stage)
-        pc_regress(problem.A, cfg, problem.b, stats)
-        assert stage["cg"] == 0 and stage["solve"] == 0
-        assert stage["mv"] == stage["rmv"] <= 31
+        with Recorder(pcr_module, "pc_proj") as stage, \
+                Recorder(pcr_module, "ridge_solve") as solve:
+            pc_regress(problem.A, cfg, problem.b, stats)
+        assert gram_counts.iters(stage) == [] and solve.inside(stage) == []
+        stage_mv, stage_rmv = gram_counts.products(stage)
+        assert stage_mv == stage_rmv <= 31
         assert q == 16
-        assert calls["solve"] == q + 1
-        assert calls["cg"] == q + 1
-        assert guesses == [False, False] + [True] * (q - 1)
-        assert series["mv"] == series["rmv"] == 72
+        assert len(solve.calls) == q + 1
+        assert len(gram_counts.iters()) == q + 1
+        assert [call.kwargs["x0"] is not None for call in solve.calls] == [False, False] + [True] * (q - 1)
+        assert gram_counts.products(solve) == (72, 72)
 
     def test_projection_budget_sees_the_residual_floor(self):
         # At kappa_lambda = 1e6 no projection stage can take eps' = 1.8e-9:
@@ -282,26 +229,16 @@ class TestPcRegress:
         lam = problem.lam
         cfg = PcrConfig(lam=lam, gamma=problem.algorithm_gap(), eps=1e-3)
         q, eps_inner, _ = cfg.resolve(stats)
-        calls = []
-        original = pcr_module.ridge_solve
-
-        def spy(A, params, v, st, **kwargs):
-            out = original(A, params, v, st, **kwargs)
-            exact = m_inverse_apply(oracle, lam, v)
-            calls.append((m_norm(oracle, lam, out - exact), np.linalg.norm(v)))
-            return out
-
-        pcr_module.ridge_solve = spy
-        try:
+        with Recorder(pcr_module, "ridge_solve") as solve:
             pc_regress(problem.A, cfg, problem.b, stats)
-        finally:
-            pcr_module.ridge_solve = original
-        assert calls
-        for err_m, nx in calls:
-            assert err_m <= eps_inner * nx / math.sqrt(lam) * (1.0 + 1e-9)
+        assert solve.calls
+        for call in solve.calls:
+            v = call.args[2]
+            err_m = m_norm(oracle, lam, call.result - m_inverse_apply(oracle, lam, v))
+            assert err_m <= eps_inner * np.linalg.norm(v) / math.sqrt(lam) * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("c", [1.0, 0.1, 0.01])
-    def test_series_handle_meets_declared_bound(self, c, monkeypatch):
+    def test_series_handle_meets_declared_bound(self, c):
         # A -> cA, lam -> c^2 lam leaves the configuration's q and eps'
         # unchanged but scales M^{-1} by 1/c^2; the declared 2-norm bound
         # eps_op of resolve() has to scale with it.
@@ -311,20 +248,13 @@ class TestPcRegress:
         stats = matrix_stats(A, lam)
         oracle = svd_small(A)
         cfg = PcrConfig(lam=lam, gamma=problem.algorithm_gap(), eps=1e-3)
-        calls = []
-        orig = pcr_module.ridge_solve
-
-        def ridge_recording(A_, params, v, stats_, **kwargs):
-            out = orig(A_, params, v, stats_, **kwargs)
-            calls.append((v.copy(), np.array(out)))
-            return out
-
-        monkeypatch.setattr(pcr_module, "ridge_solve", ridge_recording)
-        pc_regress(A, cfg, c * problem.b, stats)
+        with Recorder(pcr_module, "ridge_solve") as solve:
+            pc_regress(A, cfg, c * problem.b, stats)
         q, _, eps_op = cfg.resolve(stats)
-        assert len(calls) == q + 1
-        for v, out in calls:
-            err = np.linalg.norm(out - m_inverse_apply(oracle, lam, v))
+        assert len(solve.calls) == q + 1
+        for call in solve.calls:
+            v = call.args[2]
+            err = np.linalg.norm(call.result - m_inverse_apply(oracle, lam, v))
             assert err <= eps_op * np.linalg.norm(v)
 
     def test_stage_labels(self, small_problem, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ridgeproj.project as project
-import ridgeproj.ridge as ridge
+import ridgeproj.stepfn as stepfn
 from ridgeproj import (
     BudgetExceeded,
     DesignMatrix,
@@ -23,7 +23,7 @@ from ridgeproj import (
     svd_small,
 )
 
-from helpers import black_box_rational, kappa_1e3_matrix, recorded_gram_step
+from helpers import Recorder, black_box_rational, kappa_1e3_matrix, recorded_gram_step
 
 EPS_MACH = float(np.finfo(np.float64).eps)
 
@@ -338,22 +338,6 @@ def smooth_projection(oracle, lam, v):
     return oracle.V @ ((oracle.V.T @ v) * (sig2 / (sig2 + lam)))
 
 
-def recorded_applications(monkeypatch):
-    """Record ``(v, S v)`` for every operator application inside ``pc_proj``."""
-    calls = []
-    orig = project.apply_step
-
-    def apply_step_recording(S, *args, **kwargs):
-        def apply(v):
-            out = S.apply(v)
-            calls.append((v.copy(), np.array(out)))
-            return out
-        return orig(dataclasses.replace(S, apply=apply), *args, **kwargs)
-
-    monkeypatch.setattr(project, "apply_step", apply_step_recording)
-    return calls
-
-
 def relative_only_step(problem, stats, cfg, y):
     """``apply_step`` on ``B v = v - lam x``, x a public ``ridge_solve`` of v itself.
 
@@ -373,7 +357,7 @@ def relative_only_step(problem, stats, cfg, y):
 
 
 class TestProjectionHandle:
-    def test_every_application_meets_its_bound(self, small_problem, monkeypatch):
+    def test_every_application_meets_its_bound(self, small_problem):
         # eps = 1e-3 makes the late recurrence increments small enough that
         # the query-level floor, not the relative tolerance, stops CG.
         problem, stats, oracle = small_problem
@@ -382,55 +366,31 @@ class TestProjectionHandle:
         eps_op = math.sqrt(stats.kappa_lambda) * eps_inner
         y = np.random.default_rng(5).standard_normal(40)
         ny = np.linalg.norm(y)
-        calls = recorded_applications(monkeypatch)
-        pc_proj(problem.A, cfg, y, stats)
-        assert len(calls) == 2 * q + 1
+        with Recorder(stepfn, "_guarded") as applications:
+            pc_proj(problem.A, cfg, y, stats)
+        assert len(applications.calls) == 2 * q + 1
         floor_bound = 0
-        for v, out in calls:
+        for call in applications.calls:
+            v, out = call.args[1], call.result
             err = np.linalg.norm(out - smooth_projection(oracle, problem.lam, v))
             assert err <= (eps_op * np.linalg.norm(v) + EPS_MACH * ny) * (1 + 1e-9)
             floor_bound += err > eps_op * np.linalg.norm(v)
         assert floor_bound >= 1
 
     @pytest.mark.parametrize("n, factored", [(119, False), (120, True)])
-    def test_products_inside_the_step(self, monkeypatch, n, factored):
+    def test_products_inside_the_step(self, gram_counts, n, factored):
         # B v = v - lam M^{-1} v: every product of a query is a CG iteration's
         # gram product, none is made for a right-hand side, and the factored
         # path (n >= 10 d) makes none at all.
         problem = gen_synthetic(n, 12, 4, 0.3, seed=415)
         stats = matrix_stats(problem.A, problem.lam)
         cfg = ProjectionConfig(lam=problem.lam, gamma=problem.algorithm_gap(), eps=1e-3)
-        counts = {"mv": 0, "rmv": 0, "iters": 0, "cg": 0}
-        inside = []
-        mv, rmv, cg, step = DesignMatrix._mv, DesignMatrix._rmv, ridge._cg, project.apply_step
-
-        def count(name, orig):
-            def wrapped(self, v):
-                counts[name] += bool(inside)
-                return orig(self, v)
-            return wrapped
-
-        def cg_spy(*args):
-            out = cg(*args)
-            counts["iters"] += out[2]
-            counts["cg"] += 1
-            return out
-
-        def step_spy(*args, **kwargs):
-            inside.append(1)
-            try:
-                return step(*args, **kwargs)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(DesignMatrix, "_mv", count("mv", mv))
-        monkeypatch.setattr(DesignMatrix, "_rmv", count("rmv", rmv))
-        monkeypatch.setattr(ridge, "_cg", cg_spy)
-        monkeypatch.setattr(project, "apply_step", step_spy)
-        pc_proj(problem.A, cfg, np.random.default_rng(11).standard_normal(12), stats)
-        assert counts["mv"] == counts["rmv"] == counts["iters"]
-        assert (counts["cg"] == 0) == factored
-        assert factored or counts["iters"] > 0
+        with Recorder(project, "apply_step") as step:
+            pc_proj(problem.A, cfg, np.random.default_rng(11).standard_normal(12), stats)
+        iters = sum(gram_counts.iters())
+        assert gram_counts.products(step) == (iters, iters)
+        assert (gram_counts.iters() == []) == factored
+        assert factored or iters > 0
 
     def test_matches_relative_only_path_where_floor_cannot_bind(self, small_problem):
         problem, stats, _ = small_problem

@@ -22,7 +22,8 @@ from ridgeproj import (
 )
 from ridgeproj import matrix as matrix_module
 from ridgeproj import ridge as ridge_module
-from helpers import m_inv_norm, m_inverse_apply, m_norm, random_csr, random_dense, spectrum_dense
+from helpers import (GramCounts, Recorder, m_inv_norm, m_inverse_apply, m_norm, random_csr,
+                     random_dense, spectrum_dense)
 
 EPS_MACH = float(np.finfo(np.float64).eps)
 
@@ -87,6 +88,14 @@ class TestRidgeSolve:
             ridge_module._cg(A, 0.3, y, 1e-10 * np.linalg.norm(y), 2)
         assert exc.value.diagnostic > 0
 
+    def test_negative_shift_breaks_down(self):
+        # A^T A - 10 I, sigma1 = 2: the first step already has p.Mp < 0.
+        A = random_dense(np.random.default_rng(6), 30, 20, scale=2.0)
+        y = np.random.default_rng(6).standard_normal(20)
+        with pytest.raises(ConvergenceFailure, match="non-positive curvature") as exc:
+            ridge_module._cg(A, -10.0, y, 1e-10 * np.linalg.norm(y), 100)
+        assert exc.value.diagnostic == pytest.approx(np.linalg.norm(y), rel=1e-12)
+
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         A = random_dense(rng, 25, 12)
@@ -127,6 +136,8 @@ class TestRidgeSolve:
         # lambda is checked where it lives, in MatrixStats; eps by the solver.
         with pytest.raises(ValueError, match="lambda"):
             MatrixStats(sigma1_estimate=1.0, lam=0.0)
+        with pytest.raises(ValueError, match="sigma1_estimate must be finite and nonnegative"):
+            MatrixStats(sigma1_estimate=-1.0, lam=1.0)
         A = DesignMatrix.from_dense(np.eye(2))
         stats = MatrixStats(sigma1_estimate=1.0, lam=1.0)
         for eps in (0.0, 1.0, float("nan")):
@@ -253,54 +264,33 @@ class TestCgKernel:
 class TestProductSeam:
     """Every gram product inside a solve goes through ``DesignMatrix._mv`` / ``_rmv``."""
 
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        counts = {"mv": 0, "rmv": 0, "iters": []}
-        mv, rmv, cg = DesignMatrix._mv, DesignMatrix._rmv, ridge_module._cg
-
-        def count(name, orig):
-            def wrapped(self, v):
-                counts[name] += 1
-                return orig(self, v)
-            return wrapped
-
-        def cg_spy(*args):
-            out = cg(*args)
-            counts["iters"].append(out[2])
-            return out
-
-        monkeypatch.setattr(DesignMatrix, "_mv", count("mv", mv))
-        monkeypatch.setattr(DesignMatrix, "_rmv", count("rmv", rmv))
-        monkeypatch.setattr(ridge_module, "_cg", cg_spy)
-        return counts
-
     @pytest.mark.parametrize("kind", ["tall", "very_tall", "square", "csr"])
-    def test_ridge_solve(self, kind, counted):
+    def test_ridge_solve(self, kind, gram_counts):
         rng = np.random.default_rng(406)
         A, arr = _kernel_case(kind, rng)
         lam = 0.05 * np.linalg.norm(arr, 2) ** 2
         stats = matrix_stats(A, lam)
-        counted.update(mv=0, rmv=0)
+        gram_counts.clear()
         ridge_solve(A, 1e-8, rng.standard_normal(A.n_cols), stats)
-        (iters,) = counted["iters"]
+        (iters,) = gram_counts.iters()
         assert iters > 0
-        assert counted["mv"] == counted["rmv"] == iters
+        assert gram_counts.products() == (iters, iters)
 
     @pytest.mark.parametrize("kind", ["tall", "square", "csr"])
-    def test_gram_solver_application(self, kind, counted):
+    def test_gram_solver_application(self, kind, gram_counts):
         rng = np.random.default_rng(407)
         A, arr = _kernel_case(kind, rng)
         lam = 0.05 * np.linalg.norm(arr, 2) ** 2
         stats = matrix_stats(A, lam)
         apply = ridge_module._gram_solver(A, stats, 1e-8, 0.0).apply
-        counted.update(mv=0, rmv=0)
+        gram_counts.clear()
         apply(rng.standard_normal(A.n_cols))
-        (iters,) = counted["iters"]
+        (iters,) = gram_counts.iters()
         assert iters > 0
-        assert counted["mv"] == counted["rmv"] == iters  # CG on v itself, no rhs product
+        assert gram_counts.products() == (iters, iters)  # CG on v itself, no rhs product
 
     @pytest.mark.parametrize("kind", ["tall", "square", "csr"])
-    def test_exact_guess_costs_one_product(self, kind, counted):
+    def test_exact_guess_costs_one_product(self, kind, gram_counts):
         # The residual of the guess is one gram product; it already meets the
         # stopping rule, so CG makes no iteration.
         rng = np.random.default_rng(417)
@@ -309,14 +299,14 @@ class TestProductSeam:
         stats = matrix_stats(A, lam)
         y = rng.standard_normal(A.n_cols)
         x0 = m_inverse_apply(svd_small(A), lam, y)
-        counted.update(mv=0, rmv=0)
+        gram_counts.clear()
         x = ridge_solve(A, 1e-8, y, stats, x0=x0)
-        assert counted["iters"] == [0]
-        assert counted["mv"] == counted["rmv"] == 1
+        assert gram_counts.iters() == [0]
+        assert gram_counts.products() == (1, 1)
         assert x.tobytes() == x0.tobytes()
 
     @pytest.mark.parametrize("kind", ["tall", "square", "csr"])
-    def test_guess_no_better_than_zero_starts_cold(self, kind, counted):
+    def test_guess_no_better_than_zero_starts_cold(self, kind, gram_counts):
         # ||y - M x0|| >= ||y||: the guess is dropped after its residual
         # product and CG runs from 0, bit for bit as without a guess.  The
         # last guess overflows once scaled with y; that is dropped too.
@@ -325,28 +315,28 @@ class TestProductSeam:
         lam = 0.05 * np.linalg.norm(arr, 2) ** 2
         stats = matrix_stats(A, lam)
         y = rng.standard_normal(A.n_cols)
-        counted.update(mv=0, rmv=0)
+        gram_counts.clear()
         cold = ridge_solve(A, 1e-8, y, stats)
-        (iters,) = counted["iters"]
-        assert counted["mv"] == iters > 0
+        (iters,) = gram_counts.iters()
+        assert gram_counts.products()[0] == iters > 0
         tiny = np.ldexp(y, -1000)
         for rhs, x0 in ((y, 10.0 * rng.standard_normal(A.n_cols) / lam), (y, -y / lam),
                         (tiny, np.full(A.n_cols, 1e10))):
-            counted.update(mv=0, rmv=0, iters=[])
+            gram_counts.clear()
             x = ridge_solve(A, 1e-8, rhs, stats, x0=x0)
-            assert counted["iters"] == [iters]
-            assert counted["mv"] == counted["rmv"] == iters + 1
+            assert gram_counts.iters() == [iters]
+            assert gram_counts.products() == (iters + 1, iters + 1)
             assert np.ldexp(x, 1000 if rhs is tiny else 0).tobytes() == cold.tobytes()
 
-    def test_factored_gram_solver_application(self, counted):
+    def test_factored_gram_solver_application(self, gram_counts):
         rng = np.random.default_rng(408)
         A, arr = _kernel_case("very_tall", rng)
         lam = 0.05 * np.linalg.norm(arr, 2) ** 2
         apply = ridge_module._gram_solver(A, matrix_stats(A, lam), 1e-8, 0.0).apply
-        counted.update(mv=0, rmv=0)
+        gram_counts.clear()
         apply(rng.standard_normal(A.n_cols))
-        assert counted["mv"] == counted["rmv"] == 0
-        assert counted["iters"] == []
+        assert gram_counts.products() == (0, 0)
+        assert gram_counts.iters() == []
 
 
 class TestFactoredGramSolver:
@@ -366,21 +356,16 @@ class TestFactoredGramSolver:
         return np.linalg.norm(x - exact) <= bound
 
     @pytest.mark.parametrize("n, factored", [(79, False), (80, True)])
-    def test_ten_rows_per_column_boundary(self, monkeypatch, n, factored):
-        calls = []
-        cg = ridge_module._cg
-        monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1) or cg(*a))
+    def test_ten_rows_per_column_boundary(self, n, factored):
         rng = np.random.default_rng(409)
         A, stats = self.case(rng, n, 8)
         v = rng.standard_normal(8)
-        x = ridge_module._gram_solver(A, stats, 1e-8, 0.0).apply(v)
-        assert bool(calls) != factored
+        with Recorder(ridge_module, "_cg") as cg:
+            x = ridge_module._gram_solver(A, stats, 1e-8, 0.0).apply(v)
+        assert bool(cg.calls) != factored
         assert self.within_contract(A, stats, 1e-8, 0.0, v, x)
 
-    def falls_back_to_cg(self, monkeypatch):
-        calls = []
-        cg = ridge_module._cg
-        monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1) or cg(*a))
+    def falls_back_to_cg(self):
         rng = np.random.default_rng(410)
         A, stats = self.case(rng, 400, 40)
         assert A._ridge_factor(stats.lam) is None
@@ -388,44 +373,42 @@ class TestFactoredGramSolver:
         query_norm = float(np.linalg.norm(y))
         apply = ridge_module._gram_solver(A, stats, 1e-6, query_norm).apply
         for v in (y, 1e-3 * rng.standard_normal(40)):
-            calls.clear()
-            x = apply(v)
-            assert calls == [1]
+            with Recorder(ridge_module, "_cg") as cg:
+                x = apply(v)
+            assert len(cg.calls) == 1
             assert self.within_contract(A, stats, 1e-6, query_norm, v, x)
 
     def test_failed_factorization_falls_back_to_cg(self, monkeypatch):
         monkeypatch.setattr(matrix_module, "dpotrf", lambda a, **kw: (a, 1))
-        self.falls_back_to_cg(monkeypatch)
+        self.falls_back_to_cg()
 
     def test_failed_inversion_falls_back_to_cg(self, monkeypatch):
         # dpotrf succeeds, then dpotri reports a zero pivot.
         inversions = []
         monkeypatch.setattr(matrix_module, "dpotri",
                             lambda c, **kw: inversions.append(1) or (c, 1))
-        self.falls_back_to_cg(monkeypatch)
+        self.falls_back_to_cg()
         assert inversions == [1, 1]  # one in the check above, one per handle
 
     @pytest.mark.parametrize("n, factored", [(399, False), (400, True)])
-    def test_apply_leaves_its_input_alone(self, monkeypatch, n, factored):
+    def test_apply_leaves_its_input_alone(self, n, factored):
         # dsymv adds into a copy of y = v (overwrite_y = 0): apply_step
         # reuses the w it passes in, so v must come back bit for bit.
-        calls = []
-        cg = ridge_module._cg
-        monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1) or cg(*a))
         rng = np.random.default_rng(416)
         A, stats = self.case(rng, n, 40)
         apply = ridge_module._gram_solver(A, stats, 1e-8, 1.0).apply
         v = rng.standard_normal(40)
         assert v.dtype == np.float64 and v.flags.writeable and v.flags.c_contiguous
         before = v.tobytes()
-        out = apply(v)
-        assert v.tobytes() == before and not np.shares_memory(out, v)
-        x = rng.standard_normal(80)
-        x_before = x.tobytes()
-        strided = apply(x[::2])
-        assert x.tobytes() == x_before
-        assert strided.tobytes() == apply(np.ascontiguousarray(x[::2])).tobytes()
-        assert bool(calls) != factored
+        with Recorder(ridge_module, "_cg") as cg:
+            out = apply(v)
+            assert v.tobytes() == before and not np.shares_memory(out, v)
+            x = rng.standard_normal(80)
+            x_before = x.tobytes()
+            strided = apply(x[::2])
+            assert x.tobytes() == x_before
+            assert strided.tobytes() == apply(np.ascontiguousarray(x[::2])).tobytes()
+        assert bool(cg.calls) != factored
 
     def test_no_columns_no_factor(self, capfd):
         # BLAS would print a parameter error for a 0-by-0 dsyrk; no factor is
@@ -476,14 +459,11 @@ class TestFactoredGramSolver:
         assert np.linalg.norm(handle.apply(v) - exact) <= handle.err_bound * np.linalg.norm(v)
 
     @pytest.mark.parametrize("n, factored", [(60, False), (200, True)])
-    def test_err_bound_is_kappa_times_the_residual_target(self, monkeypatch, n, factored):
+    def test_err_bound_is_kappa_times_the_residual_target(self, n, factored):
         # Where eps binds, err_bound = kappa_lambda * eps * sqrt(lambda /
         # (sigma1^2 + lambda)) = eps kappa / sqrt(kappa + 1), about 3.18e-6 at
         # kappa_lambda = 11 and eps = 1e-6, below sqrt(kappa) eps = 3.32e-6;
         # both back ends meet it.
-        calls = []
-        cg = ridge_module._cg
-        monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1) or cg(*a))
         rng = np.random.default_rng(413)
         A = spectrum_dense(rng, n, np.geomspace(11.0, 0.1, 20))
         stats = matrix_stats(A, 1.0)
@@ -494,8 +474,10 @@ class TestFactoredGramSolver:
         assert 3.1e-6 < handle.err_bound < 3.25e-6 < math.sqrt(kappa) * eps
         v = rng.standard_normal(20)
         exact = m_inverse_apply(svd_small(A), 1.0, gram_apply(A, v))
-        assert np.linalg.norm(handle.apply(v) - exact) <= handle.err_bound * np.linalg.norm(v)
-        assert bool(calls) != factored
+        with Recorder(ridge_module, "_cg") as cg:
+            out = handle.apply(v)
+        assert np.linalg.norm(out - exact) <= handle.err_bound * np.linalg.norm(v)
+        assert bool(cg.calls) != factored
 
 
 class TestSmoothProjectionHandle:
@@ -504,10 +486,7 @@ class TestSmoothProjectionHandle:
     @pytest.mark.parametrize("eps", [1e-2, 1e-8, 3e-15])
     @pytest.mark.parametrize("kappa", [0.01, 0.5, 11.0, 1e3])
     @pytest.mark.parametrize("n, factored", [(119, False), (120, True)])
-    def test_meets_its_stated_error(self, monkeypatch, n, factored, kappa, eps):
-        calls = []
-        cg = ridge_module._cg
-        monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1) or cg(*a))
+    def test_meets_its_stated_error(self, n, factored, kappa, eps):
         rng = np.random.default_rng([414, n, int(math.log10(kappa) + 2), int(-math.log10(eps))])
         # Rank 9 of d = 12, sigma_1 = 1: lambda = 1 / kappa sets kappa_lambda.
         A = spectrum_dense(rng, n, np.r_[np.geomspace(1.0, 1e-2, 9), np.zeros(3)])
@@ -526,18 +505,17 @@ class TestSmoothProjectionHandle:
         assert sig2.size == 9
         v = rng.standard_normal(12)
         null = v - F.V @ (F.V.T @ v)
-        for x in (y, v, null, 1e-14 * v):
-            exact = F.V @ (sig2 / (sig2 + lam) * (F.V.T @ x))
-            err = np.linalg.norm(handle.apply(x) - exact)
-            assert err <= handle.err_bound * np.linalg.norm(x) + EPS_MACH * np.linalg.norm(y)
-        assert bool(calls) != factored
+        with Recorder(ridge_module, "_cg") as cg:
+            for x in (y, v, null, 1e-14 * v):
+                exact = F.V @ (sig2 / (sig2 + lam) * (F.V.T @ x))
+                err = np.linalg.norm(handle.apply(x) - exact)
+                assert err <= handle.err_bound * np.linalg.norm(x) + EPS_MACH * np.linalg.norm(y)
+        assert bool(cg.calls) != factored
 
-    def test_factored_handle_at_bench_width(self, monkeypatch):
+    def test_factored_handle_at_bench_width(self):
         # The tall-dense benchmark's width d = 200, at n = 10 d; squared
         # singular values from 1 down to 1e-8 put some on each side of every
         # lambda.  The error of the inverse is checked here, not proved.
-        calls = []
-        monkeypatch.setattr(ridge_module, "_cg", lambda *a: calls.append(1))
         rng = np.random.default_rng(415)
         d = 200
         A = spectrum_dense(rng, 10 * d, np.geomspace(1.0, 1e-8, d))
@@ -546,16 +524,17 @@ class TestSmoothProjectionHandle:
         assert sig2.size == d
         y = rng.standard_normal(d)
         vectors = (y, rng.standard_normal(d), F.V[:, 0], F.V[:, -1])
-        for kappa in (0.5, 2.0, 1e3, 1e9):
-            stats = matrix_stats(A, 1.0 / kappa)
-            for eps in (1e-2, 1e-12):
-                handle = ridge_module._gram_solver(A, stats, eps, float(np.linalg.norm(y)))
-                for v in vectors:
-                    exact = F.V @ (sig2 / (sig2 + stats.lam) * (F.V.T @ v))
-                    err = np.linalg.norm(handle.apply(v) - exact)
-                    bound = handle.err_bound * np.linalg.norm(v) + EPS_MACH * np.linalg.norm(y)
-                    assert err <= bound, (kappa, eps, err / bound)
-        assert calls == []
+        with Recorder(ridge_module, "_cg") as cg:
+            for kappa in (0.5, 2.0, 1e3, 1e9):
+                stats = matrix_stats(A, 1.0 / kappa)
+                for eps in (1e-2, 1e-12):
+                    handle = ridge_module._gram_solver(A, stats, eps, float(np.linalg.norm(y)))
+                    for v in vectors:
+                        exact = F.V @ (sig2 / (sig2 + stats.lam) * (F.V.T @ v))
+                        err = np.linalg.norm(handle.apply(v) - exact)
+                        bound = handle.err_bound * np.linalg.norm(v) + EPS_MACH * np.linalg.norm(y)
+                        assert err <= bound, (kappa, eps, err / bound)
+        assert cg.calls == []
 
 
 class TestExtremeKappaLambda:
@@ -582,17 +561,15 @@ class TestExtremeKappaLambda:
         with pytest.raises(BudgetExceeded):
             pc_regress(A, PcrConfig(lam=lam, gamma=0.1, eps=1e-2), np.ones(5), stats)
 
-    def test_handle_refuses_before_factor_or_product(self, monkeypatch):
-        calls = []
-        for name in ("_ridge_factor", "_mv", "_rmv"):
-            monkeypatch.setattr(DesignMatrix, name, lambda *a, name=name: calls.append(name))
+    def test_handle_refuses_before_factor_or_product(self):
         A = DesignMatrix.from_dense(np.random.default_rng(1).standard_normal((40, 3)))
         stats = MatrixStats(sigma1_estimate=1.0, lam=1e-20)
-        with pytest.raises(BudgetExceeded, match="residual floor"):
-            ridge_module._gram_solver(A, stats, 1e-2, 1.0)
-        with pytest.raises(BudgetExceeded, match="residual floor"):
-            ridge_solve(A, 1e-2, np.ones(3), stats)
-        assert calls == []
+        with Recorder(DesignMatrix, "_ridge_factor") as factor, GramCounts() as products:
+            with pytest.raises(BudgetExceeded, match="residual floor"):
+                ridge_module._gram_solver(A, stats, 1e-2, 1.0)
+            with pytest.raises(BudgetExceeded, match="residual floor"):
+                ridge_solve(A, 1e-2, np.ones(3), stats)
+        assert factor.calls == [] and products.products() == (0, 0)
 
 
 class TestZeroWidth:

@@ -17,7 +17,7 @@ from ridgeproj import (
 )
 from ridgeproj.synthetic import haar_orthonormal
 from acceptance_helpers import ridge_contract_instance
-from helpers import random_dense
+from helpers import Recorder, random_dense
 
 
 class TestSpectralNormEstimate:
@@ -188,18 +188,22 @@ class TestLanczosEstimate:
             arr, A, lam, _, _ = ridge_contract_instance(seed)
             assert matrix_stats(A, lam).sigma1_estimate >= np.linalg.norm(arr, 2)
 
-    def test_gram_products_per_estimate(self, monkeypatch):
+    def test_inflation_covers_a_top_pair_closer_than_tol(self):
+        # Singular values 1, 1 - 1e-4, then 0.9 down to 0.1: where the run
+        # settles on sigma_2, the 1 + tol inflation still lifts it past
+        # sigma_1.  From a gap of 1e-3 it need not (see matrix_stats).
+        sigma = np.r_[1.0, 1.0 - 1e-4, np.linspace(0.9, 0.1, 18)]
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            arr = (haar_orthonormal(rng, 30, 20) * sigma) @ haar_orthonormal(rng, 20, 20).T
+            estimate = matrix_stats(DesignMatrix.from_dense(arr), 0.5).sigma1_estimate
+            assert estimate >= np.linalg.norm(arr, 2), seed
+
+    def test_gram_products_per_estimate(self):
         problem = gen_synthetic(120, 80, 20, 0.1, seed=0)
-        calls = []
-        orig = spectral.gram_apply
-
-        def counted(A, v):
-            calls.append(1)
-            return orig(A, v)
-
-        monkeypatch.setattr(spectral, "gram_apply", counted)
-        matrix_stats(problem.A, problem.lam)
-        assert 0 < len(calls) <= 40
+        with Recorder(spectral, "gram_apply") as products:
+            matrix_stats(problem.A, problem.lam)
+        assert 0 < len(products.calls) <= 40
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     @pytest.mark.parametrize("kind", ["repeated-top", "cluster-1e-4", "cluster-1e-8",

@@ -5,6 +5,7 @@ import pytest
 
 import ridgeproj.project as project
 import ridgeproj.ridge as ridge
+import ridgeproj.stepfn as stepfn
 from ridgeproj import (
     BudgetExceeded,
     ConvergenceFailure,
@@ -17,9 +18,10 @@ from ridgeproj import (
     p_k_eval,
     pc_proj,
 )
-from ridgeproj.stepfn import _certified_level, _rational_plan, _zolotarev, apply_rational_step
+from ridgeproj.stepfn import (_certified_level, _multishift_cg, _rational_plan, _zolotarev,
+                              apply_rational_step)
 from ridgeproj.synthetic import haar_orthonormal
-from helpers import rotated_symmetric
+from helpers import Recorder, rotated_symmetric
 
 EPS_MACH = float(np.finfo(np.float64).eps)
 
@@ -152,6 +154,20 @@ class TestApplyStep:
         for bad in (-1.0, np.nan, np.inf):  # NaN would skip apply_step's budget guard
             with pytest.raises(ValueError, match="err_bound"):
                 OperatorHandle(dimension=2, apply=lambda v: v, err_bound=bad)
+        # A failed application is re-raised with its iteration: the third is
+        # the outer application of iteration 0.
+        calls = []
+
+        def failing(v):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ConvergenceFailure("inner solve failed", diagnostic=0.5)
+            return v
+
+        with pytest.raises(ConvergenceFailure,
+                           match="application failed at iteration 0: inner solve failed") as exc:
+            apply_step(OperatorHandle(2, failing), np.ones(2), 3)
+        assert exc.value.diagnostic == 0.5 and isinstance(exc.value.__cause__, ConvergenceFailure)
 
     @pytest.mark.parametrize("dimension", [2.5, np.nan, True, 3.0, "3"])
     def test_dimension_must_be_an_integer(self, dimension):
@@ -195,14 +211,18 @@ class TestApplyStep:
 
 
 def apply_step_every_step(S, y, q, callback=None):
-    """The recurrence through all q steps, with no stop at a zero increment: the referee."""
-    s = np.asarray(S.apply(y), dtype=np.float64)
+    """The recurrence through all q steps, with no stop at a zero increment: the referee.
+
+    Each application goes through ``stepfn._guarded``, as in ``apply_step``,
+    so one recorder counts the applications of both.
+    """
+    s = stepfn._guarded(S, y, 0)
     w = s - 0.5 * y
     if callback is not None:
         callback(0, s.copy())
     for k in range(q):
-        inner = np.asarray(S.apply(w), dtype=np.float64)
-        w = (4.0 * (2 * k + 1) / (2 * k + 2)) * np.asarray(S.apply(w - inner), dtype=np.float64)
+        inner = stepfn._guarded(S, w, k)
+        w = (4.0 * (2 * k + 1) / (2 * k + 2)) * stepfn._guarded(S, w - inner, k)
         s = s + w
         if callback is not None:
             callback(k + 1, s.copy())
@@ -253,17 +273,11 @@ class TestZeroIncrement:
         y = rng.standard_normal(6)
         runs = []
         for run in (apply_step_every_step, apply_step):
-            calls, records = [], []
-
-            def counted_step(S, *args, run=run, calls=calls, **kwargs):
-                def apply(v):
-                    calls.append(1)
-                    return S.apply(v)
-                return run(dataclasses.replace(S, apply=apply), *args, **kwargs)
-
-            monkeypatch.setattr(project, "apply_step", counted_step)
-            out = pc_proj(A, cfg, y, stats, callback=lambda k, s: records.append((k, s.tobytes())))
-            runs.append((out.tobytes(), records, len(calls)))
+            records = []
+            monkeypatch.setattr(project, "apply_step", run)
+            with Recorder(stepfn, "_guarded") as applications:
+                out = pc_proj(A, cfg, y, stats, callback=lambda k, s: records.append((k, s.tobytes())))
+            runs.append((out.tobytes(), records, len(applications.calls)))
         (ref, ref_records, ref_calls), (got, got_records, got_calls) = runs
         assert got == ref and got_records == ref_records
         q = cfg.resolve(stats)[0]
@@ -276,11 +290,9 @@ class TestZeroIncrement:
     def test_pc_proj_factored_solver_ends_early(self, monkeypatch):
         # At n = 10 d the ridge handle applies the inverse ridge matrix, not CG,
         # and its zero return below the query floor still ends the loop.
-        cg_calls = []
-        cg = ridge._cg
-        monkeypatch.setattr(ridge, "_cg", lambda *a: cg_calls.append(1) or cg(*a))
-        self.every_step_vs_early_stop(monkeypatch, 60)
-        assert cg_calls == []
+        with Recorder(ridge, "_cg") as cg:
+            self.every_step_vs_early_stop(monkeypatch, 60)
+        assert cg.calls == []
 
 
 def windowed_eigs(rng, d, alpha):
@@ -445,6 +457,16 @@ class TestApplyRationalStep:
                 apply_rational_step(S, np.ones(2), alpha, 1e-3)
         with pytest.raises(ValueError, match="non-finite"):
             apply_rational_step(S, np.array([1.0, np.inf]), 0.2, 1e-3)
+        # The multi-shift run's own refusals, reached directly: its iteration
+        # cap (three distinct eigenvalues take three steps), and an operator
+        # that is not positive definite.
+        y = np.array([1.0, 2.0, 3.0])
+        shifts, gain, target = np.array([0.5]), np.ones(2), 1e-12
+        with pytest.raises(ConvergenceFailure, match="exhausted 2 iterations"):
+            _multishift_cg(lambda v, it: np.array([1.0, 2.0, 3.0]) * v, y, shifts, gain, target,
+                           2, 1.0, None)
+        with pytest.raises(ConvergenceFailure, match="non-positive curvature"):
+            _multishift_cg(lambda v, it: -v, y, shifts, gain, target, 10, 1.0, None)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_output_is_refused(self, bad):

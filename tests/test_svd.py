@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ridgeproj import DesignMatrix, exact_pcr, exact_projection, svd_small
+from ridgeproj import DesignMatrix, DimensionMismatch, exact_pcr, exact_projection, svd_small
 from ridgeproj.synthetic import haar_orthonormal
 from helpers import random_dense
 
@@ -123,6 +123,8 @@ class TestExactProjection:
         _, F = seeded_factors
         with pytest.raises(ValueError, match="positive"):
             exact_projection(F, 0.0, np.zeros(30))
+        with pytest.raises(DimensionMismatch):
+            exact_projection(F, 1.0, np.zeros(29))
         for lam in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 F.top_index(lam)

@@ -66,6 +66,9 @@ class TestGenSynthetic:
         assert sq[10] / (1 - 4 * g) <= lam <= (1 - 4 * g) * sq[9]
 
     def test_validation(self):
+        for n, d in ((0, 8), (10, 0)):
+            with pytest.raises(ValueError, match="dimensions must be positive"):
+                gen_synthetic(n, d, 3, 0.1, seed=0)
         with pytest.raises(ValueError):
             gen_synthetic(10, 8, 0, 0.1, seed=0)
         with pytest.raises(ValueError):
