@@ -140,7 +140,7 @@ class Call:
 
 
 class Recorder:
-    """Context manager that records every call of ``owner.name`` and makes it as before.
+    """Context manager: while open, each call of ``owner.name`` runs the original and is recorded.
 
     ``owner`` is a class (a ``DesignMatrix`` method) or a module (a module
     function); callers that look the attribute up at call time reach the
@@ -158,7 +158,8 @@ class Recorder:
         self.original = original = getattr(self.owner, self.name)
 
         def recorded(*args, **kwargs):
-            call = Call(self, _RUNNING[-1] if _RUNNING else None, _snapshot(args), _snapshot(kwargs))
+            parent = _RUNNING[-1] if _RUNNING else None
+            call = Call(self, parent, _snapshot(args), _snapshot(kwargs))
             self.calls.append(call)
             _RUNNING.append(call)
             try:
@@ -183,12 +184,12 @@ class Recorder:
 
 
 class GramCounts(ExitStack):
-    """``DesignMatrix._mv``, ``DesignMatrix._rmv`` and ``ridge._cg`` recorded over a ``with`` block."""
+    """``DesignMatrix._mv``, ``_rmv`` and ``ridge._cg`` recorded over a ``with`` block."""
 
     def __enter__(self):
         super().__enter__()
-        self.mv, self.rmv, self.cg = (self.enter_context(Recorder(owner, name)) for owner, name in
-                                      ((DesignMatrix, "_mv"), (DesignMatrix, "_rmv"), (ridge, "_cg")))
+        seams = ((DesignMatrix, "_mv"), (DesignMatrix, "_rmv"), (ridge, "_cg"))
+        self.mv, self.rmv, self.cg = (self.enter_context(Recorder(*seam)) for seam in seams)
         return self
 
     def clear(self):

@@ -161,7 +161,8 @@ class TestPoly:
     def test_poly_missing_k_is_usage_error(self, tmp_path):
         out = str(tmp_path / "x.csv")
         assert run(["poly", "--kind", "pk", "--grid", "5", "--out", out]) == 1
-        assert run(["poly", "--kind", "chebyshev", "--eps", "0.2", "--grid", "5", "--out", out]) == 1
+        assert run(["poly", "--kind", "chebyshev", "--eps", "0.2", "--grid", "5",
+                    "--out", out]) == 1
 
     @pytest.mark.parametrize("grid", ["0", "-5"])
     @pytest.mark.parametrize("kind", [["pk", "--k", "3"], ["bound", "--k", "3"],

@@ -82,7 +82,8 @@ class TestMatrixMarket:
             ("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n", "expected 4 values"),
             ("%%MatrixMarket tensor coordinate real general\n1 1 1\n1 1 2\n",
              ":1: malformed MatrixMarket header$"),
-            ("%%MatrixMarket matrix dense real general\n1 1\n2\n", ":1: unsupported layout 'dense'$"),
+            ("%%MatrixMarket matrix dense real general\n1 1\n2\n",
+             ":1: unsupported layout 'dense'$"),
             ("%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 2\n",
              r":1: unsupported symmetry 'symmetric' \(general only\)$"),
             ("%%MatrixMarket matrix array real general\n1 1 1\n2\n",

@@ -193,7 +193,8 @@ class TestPcRegress:
         assert q == 16
         assert len(solve.calls) == q + 1
         assert len(gram_counts.iters()) == q + 1
-        assert [call.kwargs["x0"] is not None for call in solve.calls] == [False, False] + [True] * (q - 1)
+        guesses = [call.kwargs["x0"] is not None for call in solve.calls]
+        assert guesses == [False, False] + [True] * (q - 1)
         assert gram_counts.products(solve) == (72, 72)
 
     def test_projection_budget_sees_the_residual_floor(self):

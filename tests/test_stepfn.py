@@ -276,7 +276,8 @@ class TestZeroIncrement:
             records = []
             monkeypatch.setattr(project, "apply_step", run)
             with Recorder(stepfn, "_guarded") as applications:
-                out = pc_proj(A, cfg, y, stats, callback=lambda k, s: records.append((k, s.tobytes())))
+                out = pc_proj(A, cfg, y, stats,
+                              callback=lambda k, s: records.append((k, s.tobytes())))
             runs.append((out.tobytes(), records, len(applications.calls)))
         (ref, ref_records, ref_calls), (got, got_records, got_calls) = runs
         assert got == ref and got_records == ref_records
