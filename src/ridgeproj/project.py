@@ -68,6 +68,11 @@ __all__ = ["ProjectionConfig", "pc_proj"]
 _C2 = 8.0
 
 
+def _window_alpha(gamma: float) -> float:
+    """Sign-window half-width for gap gamma: ``2 gamma / (1 - 2 gamma)``, 1/2 from gamma = 1/6."""
+    return 2.0 * gamma / (1.0 - 2.0 * gamma) if 6.0 * gamma < 1.0 else 0.5
+
+
 @dataclass(frozen=True)
 class _StageConfig:
     """Threshold ``lam``, gap ``gamma``, target ``eps`` and optional ``q_override``.
@@ -218,8 +223,7 @@ def pc_proj(A: DesignMatrix, cfg: ProjectionConfig, y, stats: MatrixStats,
     y = np.ldexp(y, -e)
     if cfg.method == "rational":
         stats.check_lambda(cfg.lam)
-        alpha = 2.0 * cfg.gamma / (1.0 - 2.0 * cfg.gamma) if 6.0 * cfg.gamma < 1.0 else 0.5
-        s = _rational_gram_step(A, cfg.lam, y, alpha, cfg.eps)[0]
+        s = _rational_gram_step(A, cfg.lam, y, _window_alpha(cfg.gamma), cfg.eps)[0]
     else:
         q, eps_inner, _ = cfg.resolve(stats)
         if not y.size:  # a zero-width A; OperatorHandle refuses dimension 0

@@ -102,7 +102,7 @@ def _quad(f, lo, hi, epsabs):
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             val, err = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=1e-13, limit=200)
-        except integrate.IntegrationWarning as exc:  # pragma: no cover - defensive
+        except integrate.IntegrationWarning as exc:
             raise ConvergenceFailure(f"quadrature did not converge: {exc}") from exc
     return val, err
 

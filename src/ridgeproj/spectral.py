@@ -126,8 +126,9 @@ def spectral_norm_estimate(A: DesignMatrix, tol: float = 1e-3, max_iters: int = 
     matrices, by at most 0.9% (counts there).
 
     Raises ``ValueError`` for ``tol`` outside (0, 1), a ``max_iters`` below
-    1, a zero matrix (a zero-width one included) or a nonzero one whose
-    gram products underflow to zero (every entry below about 1e-162), and
+    1, a zero matrix (a zero-width one included), a nonzero one whose gram
+    products underflow to zero (every entry below about 1e-162) or one
+    whose gram products overflow (entries near 1e153 and above), and
     :class:`ConvergenceFailure` with the last Ritz value after ``max_iters`` steps.
     """
     if not 0.0 < tol < 1.0:
@@ -141,27 +142,32 @@ def spectral_norm_estimate(A: DesignMatrix, tol: float = 1e-3, max_iters: int = 
     alphas, betas = [], []
     beta = 0.0
     theta = None
-    for k in range(max_iters):
-        w = gram_apply(A, v)
-        if k == 0:  # 4^half lies near this product's largest entry; 4^-half is finite
-            half = max(_exponent(w), -1022) // 2
-            scale = math.ldexp(1.0, -2 * half)
-        w = dscal(scale, w)
-        alpha = float(v @ w)
-        w -= alpha * v
-        w -= beta * v_prev
-        alphas.append(alpha)
-        beta = float(np.linalg.norm(w))
-        theta, s_last = _top_ritz(alphas, betas)
-        if theta == 0.0:
-            if A.csr_parts()[2].any():  # a nonzero entry, looked for on this path only
-                raise ValueError("gram products of a nonzero matrix underflow float64;"
-                                 " rescale A")
-            raise ValueError("matrix is zero on the iteration subspace")
-        if beta * abs(s_last) <= 0.5 * tol * theta:
-            return math.ldexp(math.sqrt(theta), half)
-        betas.append(beta)
-        v_prev, v = v, w / beta
+    # An overflowing product turns w, and so beta, non-finite; that is
+    # reported below, in place of numpy's warnings on the way there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_iters):
+            w = gram_apply(A, v)
+            if k == 0:  # 4^half lies near this product's largest entry; 4^-half is finite
+                half = max(_exponent(w), -1022) // 2
+                scale = math.ldexp(1.0, -2 * half)
+            w = dscal(scale, w)
+            alpha = float(v @ w)
+            w -= alpha * v
+            w -= beta * v_prev
+            alphas.append(alpha)
+            beta = float(np.linalg.norm(w))
+            if not math.isfinite(beta):
+                raise ValueError("gram products of the matrix overflow float64; rescale A")
+            theta, s_last = _top_ritz(alphas, betas)
+            if theta == 0.0:
+                if A.csr_parts()[2].any():  # a nonzero entry, looked for on this path only
+                    raise ValueError("gram products of a nonzero matrix underflow float64;"
+                                     " rescale A")
+                raise ValueError("matrix is zero on the iteration subspace")
+            if beta * abs(s_last) <= 0.5 * tol * theta:
+                return math.ldexp(math.sqrt(theta), half)
+            betas.append(beta)
+            v_prev, v = v, w / beta
     theta = math.ldexp(theta, 2 * half)
     raise ConvergenceFailure(f"Lanczos run did not converge within {max_iters} steps"
                              f" (last Ritz value {theta})", diagnostic=theta)

@@ -187,7 +187,7 @@ def kappa_sweep_worker(kappa):
     "certified" or "refused" (``BudgetExceeded``).
     """
     from ridgeproj import BudgetExceeded, DesignMatrix
-    from helpers import spectrum_dense
+    from helpers import Recorder, spectrum_dense
 
     gamma, lam = 0.1, 1.0
     rng = np.random.default_rng([14, int(np.log10(kappa))])
@@ -199,26 +199,20 @@ def kappa_sweep_worker(kappa):
     y = rng.standard_normal(300)
     ny = float(np.linalg.norm(y))
     ref = exact_projection(svd_small(A), lam, y)
-    products = []
-    mv = DesignMatrix._mv
-    DesignMatrix._mv = lambda self, x: products.append(1) or mv(self, x)
     rows = []
-    try:
-        for eps in SWEEP_EPS:
-            try:
-                black_box_rational(A, stats, y, gamma, eps)
-                black_box = True
-            except BudgetExceeded:
-                black_box = False
-            cfg = ProjectionConfig(lam=lam, gamma=gamma, eps=eps, method="rational")
-            products.clear()
+    for eps in SWEEP_EPS:
+        try:
+            black_box_rational(A, stats, y, gamma, eps)
+            black_box = True
+        except BudgetExceeded:
+            black_box = False
+        cfg = ProjectionConfig(lam=lam, gamma=gamma, eps=eps, method="rational")
+        with Recorder(DesignMatrix, "_mv") as products:
             try:
                 s, bound = recorded_gram_step(pc_proj, A, cfg, y, stats)
             except BudgetExceeded:
-                rows.append((eps, "refused", None, None, len(products), black_box))
+                rows.append((eps, "refused", None, None, len(products.calls), black_box))
                 continue
-            err = float(np.linalg.norm(s - ref)) / ny
-            rows.append((eps, "certified", err / eps, bound / eps, len(products), black_box))
-    finally:
-        DesignMatrix._mv = mv
+        err = float(np.linalg.norm(s - ref)) / ny
+        rows.append((eps, "certified", err / eps, bound / eps, len(products.calls), black_box))
     return rows

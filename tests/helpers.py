@@ -91,6 +91,7 @@ def black_box_rational(A, stats, y, gamma, eps):
     """
     from ridgeproj import ProjectionConfig
     from ridgeproj._float64 import _exponent
+    from ridgeproj.project import _window_alpha
     from ridgeproj.ridge import _gram_solver
     from ridgeproj.stepfn import apply_rational_step
 
@@ -99,8 +100,7 @@ def black_box_rational(A, stats, y, gamma, eps):
     y = np.ldexp(y, -e)
     ny = float(np.linalg.norm(y))
     handle = _gram_solver(A, stats, eps_inner, query_norm=ny)
-    alpha = 2.0 * gamma / (1.0 - 2.0 * gamma) if 6.0 * gamma < 1.0 else 0.5  # as in pc_proj
-    s, bound = apply_rational_step(handle, y, alpha, eps)
+    s, bound = apply_rational_step(handle, y, _window_alpha(gamma), eps)
     return np.ldexp(s, e), bound / ny
 
 

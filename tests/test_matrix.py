@@ -364,10 +364,9 @@ def test_storage_is_read_in_matrix_module_only(path):
 
 
 # The seams that product and CG counts are read from.  Only the recorder in
-# helpers.py may replace them; acceptance_helpers.py keeps criterion 14's own
-# product counter, since the acceptance suite is not edited.
+# helpers.py may replace them.
 COUNTED_SEAMS = {"_mv", "_rmv", "_cg"}
-SEAM_WRAPPERS = {"helpers.py", "acceptance_helpers.py"}
+SEAM_WRAPPERS = {"helpers.py"}
 
 
 def seam_writes(path):

@@ -1,4 +1,4 @@
-"""Property tests of pc_proj and pc_regress on drawn spectra.
+"""Property tests of the three projection engines and pc_regress on drawn spectra.
 
 Each example builds ``A = U diag(sigma) V^T`` with Haar factors and a
 prescribed squared spectrum, so the exact projection and PCR solution are
@@ -6,6 +6,8 @@ known from the construction.  The spectra cover the edge cases of the
 gap-window analysis: threshold above the whole spectrum, below it, zero
 singular values, and eigenvalues inside the window itself.
 """
+
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -23,21 +25,17 @@ from ridgeproj import (
     pc_proj,
     pc_regress,
 )
+from ridgeproj.project import _window_alpha
 from ridgeproj.stepfn import _rational_plan
-from helpers import gram_step_calls, recorded_gram_step
+from ridgeproj.synthetic import haar_orthonormal
+from helpers import black_box_rational, gram_step_calls, recorded_gram_step
 
-EPS_MACH = float(np.finfo(np.float64).eps)
 LAM = 1.0
 GAMMA = 0.1
 EPS = 1e-2
 # Squared singular values at or beyond these edges keep the gap window.
 KEEP_LO = LAM / (1.0 - 4.0 * GAMMA)
 DROP_HI = (1.0 - 4.0 * GAMMA) * LAM
-
-
-def haar(rng, rows, cols):
-    q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
-    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
 def build(values, storage):
@@ -59,7 +57,7 @@ class Problem:
                              np.zeros(zeros)])
         assert sq.size == d
         n = d + extra_rows
-        self.U, self.V = haar(rng, n, d), haar(rng, d, d)
+        self.U, self.V = haar_orthonormal(rng, n, d), haar_orthonormal(rng, d, d)
         self.sq = sq
         self.values = (self.U * np.sqrt(sq)) @ self.V.T
         self.storage = storage
@@ -107,112 +105,63 @@ def pcr_cfg(lam=LAM):
     return PcrConfig(lam=lam, gamma=GAMMA, eps=EPS)
 
 
-@pytest.mark.parametrize("c", [0.25, 0.5, 2.0, 8.0])
-@given(problem=problems())
-@settings(max_examples=10, deadline=None)
-def test_power_of_two_rescaling_is_bit_identical(c, problem):
-    # A -> cA, lam -> c^2 lam leaves B = (A^T A + lam I)^{-1} A^T A and, with
-    # b -> cb, the PCR solution unchanged; a power of two scales every
-    # intermediate exactly.
-    A, y, b = problem.A, problem.y, problem.b
-    cA = build(c * problem.values, problem.storage)
-    stats = matrix_stats(A, LAM)
-    c_stats = matrix_stats(cA, c * c * LAM)
-    assert c_stats.kappa_lambda == stats.kappa_lambda
-    assert (pc_proj(cA, proj_cfg(c * c * LAM), y, c_stats).tobytes()
-            == pc_proj(A, proj_cfg(), y, stats).tobytes())
-    assert (pc_regress(cA, pcr_cfg(c * c * LAM), c * b, c_stats).tobytes()
-            == pc_regress(A, pcr_cfg(), b, stats).tobytes())
+def run_pk(A, y, lam=LAM):
+    return pc_proj(A, proj_cfg(lam), y, matrix_stats(A, lam)), EPS
 
 
-@given(problem=problems(kept=0))
-@settings(max_examples=15, deadline=None)
-def test_lambda_above_spectrum_projects_to_zero(problem):
-    # Scale 1e-8 puts kappa_lambda below 1e-16, where an inner tolerance
-    # divided by sqrt(kappa_lambda) itself would exceed 1.
-    for scale in (1.0, 1e-8):
-        A = build(scale * problem.values, problem.storage)
-        stats = matrix_stats(A, LAM)
-        s = pc_proj(A, proj_cfg(), problem.y, stats)
-        assert np.linalg.norm(s) <= EPS * np.linalg.norm(problem.y)
-        x = pc_regress(A, pcr_cfg(), problem.b, stats)
-        assert gram_norm(A, x) <= EPS * np.linalg.norm(problem.b)
-
-
-@given(problem=problems(dropped=0, zeros=0))
-@settings(max_examples=15, deadline=None)
-def test_lambda_below_spectrum_is_identity(problem):
-    stats = matrix_stats(problem.A, LAM)
-    s = pc_proj(problem.A, proj_cfg(), problem.y, stats)
-    assert np.linalg.norm(s - problem.y) <= EPS * np.linalg.norm(problem.y)
-
-
-@given(problem=problems())
-@settings(max_examples=15, deadline=None)
-def test_rank_deficient_and_general_spectra_meet_both_bounds(problem):
-    # zeros is drawn from 0 up to every non-kept direction, so many examples
-    # are rank-deficient.
-    stats = matrix_stats(problem.A, LAM)
-    s = pc_proj(problem.A, proj_cfg(), problem.y, stats)
-    assert (np.linalg.norm(s - problem.exact_projection(problem.y))
-            <= EPS * np.linalg.norm(problem.y))
-    x = pc_regress(problem.A, pcr_cfg(), problem.b, stats)
-    assert (gram_norm(problem.A, x - problem.exact_pcr(problem.b))
-            <= EPS * np.linalg.norm(problem.b))
-
-
-@given(problem=problems(inside=1) | problems(inside=2))
-@settings(max_examples=15, deadline=None)
-def test_in_window_eigenvalues_follow_the_soft_step(problem):
-    # Every direction, inside the window or not, maps to 1/2 (1 + p_q(2b - 1))
-    # with b = sigma^2 / (sigma^2 + lam), up to the noise budget resolve() checks.
-    stats = matrix_stats(problem.A, LAM)
-    cfg = proj_cfg()
-    q, _, eps_op = cfg.resolve(stats)
-    s = pc_proj(problem.A, cfg, problem.y, stats)
-    b = problem.sq / (problem.sq + LAM)
-    step = 0.5 * (1.0 + p_k_grid(2.0 * b - 1.0, q))
-    expect = problem.V @ (step * (problem.V.T @ problem.y))
-    budget = 7.0 * q * (eps_op + EPS_MACH) * np.linalg.norm(problem.y)
-    assert np.linalg.norm(s - expect) <= budget
-
-
-@given(problem=problems())
-@settings(max_examples=15, deadline=None)
-def test_projection_is_idempotent(problem):
-    # ||pc_proj(s) - s|| <= eps ||s|| + ||P s - s|| and ||s|| <= (1 + eps) ||y||.
-    stats = matrix_stats(problem.A, LAM)
-    s = pc_proj(problem.A, proj_cfg(), problem.y, stats)
-    again = pc_proj(problem.A, proj_cfg(), s, stats)
-    assert np.linalg.norm(again - s) <= (2.0 + EPS) * EPS * np.linalg.norm(problem.y)
-
-
-# The rational engine (ProjectionConfig(method="rational"), one multi-shift CG
-# run on the ridge system) on the same spectra.  Its certified bound, which
-# includes the gram-product rounding terms, is checked against the true error.
-
-
-def rational_run(A, y, lam=LAM):
-    """``(s, bound / ||y||)`` of ``pc_proj`` on the rational engine."""
+def run_gram(A, y, lam=LAM):
     return recorded_gram_step(pc_proj, A, rational_cfg(lam), y, matrix_stats(A, lam))
 
 
-@pytest.mark.parametrize("c", [0.25, 4.0])
+def run_black_box(A, y, lam=LAM):
+    return black_box_rational(A, matrix_stats(A, lam), y, GAMMA, EPS)
+
+
+def pk_step(stats, b, bound):
+    # 1/2 (1 + p_q(2b - 1)), up to the noise budget resolve() checks.
+    q, _, eps_op = proj_cfg().resolve(stats)
+    return 0.5 * (1.0 + p_k_grid(2.0 * b - 1.0, q)), 7.0 * q * (eps_op + np.finfo(float).eps)
+
+
+def rational_step(stats, b, bound):
+    # 1/2 (1 + r(2b - 1)) for the Zolotarev r, up to the bound's window-free terms
+    # (all but delta/2); every factor lies in [-delta/2, 1 + delta/2].
+    r = _rational_plan(_window_alpha(GAMMA), EPS)[0]
+    step = 0.5 * (1.0 + r(2.0 * b - 1.0))
+    assert np.all((-r.error / 2 <= step) & (step <= 1.0 + r.error / 2))
+    return step, bound - r.error / 2
+
+
+# The engine table.  A row runs its engine on (A, y, lam) and returns (s, stated
+# bound / ||y||); its soft step gives, at b = sigma^2 / (sigma^2 + lam), each
+# direction's factor and the error over ||y|| allowed around it.  Every property
+# below runs on every row, so a new engine joins the suite by adding a row.
+Engine = namedtuple("Engine", "run soft_step")
+ENGINES = {"p_k": Engine(run_pk, pk_step),
+           "gram": Engine(run_gram, rational_step),
+           "black-box": Engine(run_black_box, rational_step)}
+every_engine = pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES.keys())
+
+
+@every_engine
+@pytest.mark.parametrize("c", [0.25, 0.5, 2.0, 4.0, 8.0])
 @given(problem=problems())
 @settings(max_examples=10, deadline=None)
-def test_rational_power_of_two_rescaling_is_bit_identical(c, problem):
+def test_power_of_two_rescaling_is_bit_identical(engine, c, problem):
+    # A -> cA, lam -> c^2 lam leaves B = (A^T A + lam I)^{-1} A^T A
+    # unchanged; a power of two scales every intermediate exactly.
     cA = build(c * problem.values, problem.storage)
-    stats = matrix_stats(problem.A, LAM)
-    c_stats = matrix_stats(cA, c * c * LAM)
-    assert (pc_proj(cA, rational_cfg(c * c * LAM), problem.y, c_stats).tobytes()
-            == pc_proj(problem.A, rational_cfg(), problem.y, stats).tobytes())
+    assert matrix_stats(cA, c * c * LAM).kappa_lambda == matrix_stats(problem.A, LAM).kappa_lambda
+    assert (engine.run(cA, problem.y, c * c * LAM)[0].tobytes()
+            == engine.run(problem.A, problem.y)[0].tobytes())
 
 
+@every_engine
 @pytest.mark.parametrize("k", [-300, 250])
 @pytest.mark.parametrize("storage", ["dense", "csr"])
 @given(problem=problems())
 @settings(max_examples=5, deadline=None)
-def test_rescaled_a_far_from_unit_scale_is_bit_identical(storage, k, problem):
+def test_rescaled_a_far_from_unit_scale_is_bit_identical(engine, storage, k, problem):
     # (A, lam) -> (2^k A, 4^k lam): a Lanczos product's squared entries, or
     # a gram-engine solution's (it grows like y / lam), would leave the
     # float64 range here if their norms were taken unscaled.
@@ -222,61 +171,110 @@ def test_rescaled_a_far_from_unit_scale_is_bit_identical(storage, k, problem):
     stats, k_stats = matrix_stats(A, LAM), matrix_stats(kA, lam)
     assert k_stats.sigma1_estimate == np.ldexp(stats.sigma1_estimate, k)
     assert k_stats.kappa_lambda == stats.kappa_lambda
-    for cfg in (proj_cfg, rational_cfg):
-        assert (pc_proj(kA, cfg(lam), problem.y, k_stats).tobytes()
-                == pc_proj(A, cfg(), problem.y, stats).tobytes())
-    assert (pc_regress(kA, pcr_cfg(lam), problem.b, k_stats).tobytes()
-            == np.ldexp(pc_regress(A, pcr_cfg(), problem.b, stats), -k).tobytes())
+    assert engine.run(kA, problem.y, lam)[0].tobytes() == engine.run(A, problem.y)[0].tobytes()
 
 
+@every_engine
 @given(problem=problems(), k=st.integers(min_value=-900, max_value=900))
 @settings(max_examples=15, deadline=None)
-def test_rational_power_of_two_query_is_bit_identical(problem, k):
-    s, bound = rational_run(problem.A, problem.y)
-    s_k, bound_k = rational_run(problem.A, np.ldexp(problem.y, k))
+def test_power_of_two_query_is_bit_identical(engine, problem, k):
+    s, bound = engine.run(problem.A, problem.y)
+    s_k, bound_k = engine.run(problem.A, np.ldexp(problem.y, k))
     assert s_k.tobytes() == np.ldexp(s, k).tobytes() and bound_k == bound
 
 
+@every_engine
 @given(problem=problems(kept=0))
 @settings(max_examples=15, deadline=None)
-def test_rational_lambda_above_spectrum_projects_to_zero(problem):
+def test_lambda_above_spectrum_projects_to_zero(engine, problem):
+    # Scale 1e-8 puts kappa_lambda below 1e-16, where an inner tolerance
+    # divided by sqrt(kappa_lambda) itself would exceed 1.
     for scale in (1.0, 1e-8):
-        A = build(scale * problem.values, problem.storage)
-        s, bound = rational_run(A, problem.y)
+        s, bound = engine.run(build(scale * problem.values, problem.storage), problem.y)
         assert np.linalg.norm(s) <= bound * np.linalg.norm(problem.y)
         assert bound <= EPS
 
 
+@every_engine
 @given(problem=problems(dropped=0, zeros=0))
 @settings(max_examples=15, deadline=None)
-def test_rational_lambda_below_spectrum_is_identity(problem):
-    s, bound = rational_run(problem.A, problem.y)
+def test_lambda_below_spectrum_is_identity(engine, problem):
+    s, bound = engine.run(problem.A, problem.y)
     assert np.linalg.norm(s - problem.y) <= bound * np.linalg.norm(problem.y)
     assert bound <= EPS
 
 
+@every_engine
 @given(problem=problems())
 @settings(max_examples=15, deadline=None)
-def test_rational_rank_deficient_and_general_spectra(problem):
-    s, bound = rational_run(problem.A, problem.y)
+def test_rank_deficient_and_general_spectra_meet_the_bound(engine, problem):
+    # zeros runs from 0 up to every non-kept direction: many examples are rank-deficient.
+    s, bound = engine.run(problem.A, problem.y)
     err = np.linalg.norm(s - problem.exact_projection(problem.y)) / np.linalg.norm(problem.y)
     assert err <= bound <= EPS
 
 
+@every_engine
 @given(problem=problems(inside=1) | problems(inside=2))
 @settings(max_examples=15, deadline=None)
-def test_rational_in_window_eigenvalues_follow_the_soft_step(problem):
-    # Every direction maps to 1/2 (1 + r(2b - 1)), r the engine's Zolotarev
-    # approximation, up to the certificate's solve and rounding terms, which
-    # do not depend on the window; the factors lie in [-delta/2, 1 + delta/2].
-    s, bound = rational_run(problem.A, problem.y)
-    r = _rational_plan(2.0 * GAMMA / (1.0 - 2.0 * GAMMA), EPS)[0]
+def test_in_window_eigenvalues_follow_the_soft_step(engine, problem):
+    # Every direction, inside the window or not, follows the engine's soft step.
+    s, bound = engine.run(problem.A, problem.y)
     b = problem.sq / (problem.sq + LAM)
-    step = 0.5 * (1.0 + r(2.0 * b - 1.0))
-    assert np.all((-r.error / 2 <= step) & (step <= 1.0 + r.error / 2))
+    step, tol = engine.soft_step(matrix_stats(problem.A, LAM), b, bound)
     expect = problem.V @ (step * (problem.V.T @ problem.y))
     ny = np.linalg.norm(problem.y)
-    assert np.linalg.norm(s - expect) <= (bound - r.error / 2) * ny <= EPS * ny
+    assert np.linalg.norm(s - expect) <= tol * ny <= EPS * ny
+
+
+@every_engine
+@given(problem=problems())
+@settings(max_examples=15, deadline=None)
+def test_projection_is_idempotent(engine, problem):
+    # ||pc(s) - s|| <= eps ||s|| + ||P s - s|| and ||s|| <= (1 + eps) ||y||.
+    s = engine.run(problem.A, problem.y)[0]
+    again = engine.run(problem.A, s)[0]
+    assert np.linalg.norm(again - s) <= (2.0 + EPS) * EPS * np.linalg.norm(problem.y)
+
+
+@pytest.mark.parametrize("c", [0.25, 0.5, 2.0, 8.0])
+@given(problem=problems())
+@settings(max_examples=10, deadline=None)
+def test_pcr_power_of_two_rescaling_is_bit_identical(c, problem):
+    # A -> cA, lam -> c^2 lam and b -> cb leave the PCR solution unchanged.
+    cA = build(c * problem.values, problem.storage)
+    c_lam = c * c * LAM
+    assert (pc_regress(cA, pcr_cfg(c_lam), c * problem.b, matrix_stats(cA, c_lam)).tobytes()
+            == pc_regress(problem.A, pcr_cfg(), problem.b, matrix_stats(problem.A, LAM)).tobytes())
+
+
+@pytest.mark.parametrize("k", [-300, 250])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@given(problem=problems())
+@settings(max_examples=5, deadline=None)
+def test_pcr_rescaled_a_far_from_unit_scale_is_bit_identical(storage, k, problem):
+    A = build(problem.values, storage)
+    kA = build(np.ldexp(problem.values, k), storage)
+    lam = np.ldexp(LAM, 2 * k)
+    assert (pc_regress(kA, pcr_cfg(lam), problem.b, matrix_stats(kA, lam)).tobytes()
+            == np.ldexp(pc_regress(A, pcr_cfg(), problem.b, matrix_stats(A, LAM)), -k).tobytes())
+
+
+@given(problem=problems(kept=0))
+@settings(max_examples=15, deadline=None)
+def test_pcr_lambda_above_spectrum_is_zero(problem):
+    for scale in (1.0, 1e-8):
+        A = build(scale * problem.values, problem.storage)
+        x = pc_regress(A, pcr_cfg(), problem.b, matrix_stats(A, LAM))
+        assert gram_norm(A, x) <= EPS * np.linalg.norm(problem.b)
+
+
+@given(problem=problems())
+@settings(max_examples=15, deadline=None)
+def test_pcr_rank_deficient_and_general_spectra_meet_the_bound(problem):
+    x = pc_regress(problem.A, pcr_cfg(), problem.b, matrix_stats(problem.A, LAM))
+    assert (gram_norm(problem.A, x - problem.exact_pcr(problem.b))
+            <= EPS * np.linalg.norm(problem.b))
 
 
 @given(problem=problems(), k=st.integers(min_value=-900, max_value=900))

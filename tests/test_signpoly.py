@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 from numpy.polynomial import Chebyshev
 from numpy.polynomial import chebyshev as cheb
 
+import ridgeproj.signpoly as signpoly
 from ridgeproj import (
+    ConvergenceFailure,
     chebyshev_monomial_approx,
     compressed_sign_poly,
     integral_step_oracle,
@@ -196,6 +199,28 @@ class TestIntegralOracle:
         with pytest.raises(ValueError):
             integral_step_oracle(0.5, 3, quad_tol=0.0)
 
+    def test_quadrature_warning_is_a_convergence_failure(self, monkeypatch):
+        quad = signpoly.integrate.quad
+
+        def warns(*args, **kwargs):
+            warnings.warn("maximum number of subdivisions reached",
+                          signpoly.integrate.IntegrationWarning)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(signpoly.integrate, "quad", warns)
+        with pytest.raises(ConvergenceFailure, match="^quadrature did not converge: maximum"
+                                                     " number of subdivisions reached$") as exc:
+            integral_step_oracle(0.5, 3)
+        assert isinstance(exc.value.__cause__, signpoly.integrate.IntegrationWarning)
+
+    def test_quadrature_error_above_quad_tol_is_refused(self, monkeypatch):
+        quad = signpoly._quad
+        monkeypatch.setattr(signpoly, "_quad", lambda *args, **kw: (quad(*args, **kw)[0], 1e-6))
+        with pytest.raises(ConvergenceFailure, match=r"^quadrature error estimate \S+ exceeds"
+                                                     r" quad_tol 1\.000e-09$") as exc:
+            integral_step_oracle(0.5, 3)
+        assert exc.value.diagnostic > 1e-6
+
 
 class TestChebyshevMonomial:
     def test_exact_when_degree_suffices(self):
@@ -276,6 +301,23 @@ class TestCompressedSignPoly:
         for alpha, eps in ((0.0, 0.1), (0.5, 0.5), (0.5, 0.0), (2.0, 0.1)):
             with pytest.raises(ValueError):
                 compressed_sign_poly(alpha, eps)
+
+    def test_missing_eps_after_doubling_d_is_a_convergence_failure(self, monkeypatch):
+        # Halved coefficients miss sgn by about 1/2 at both cuts, d and 2d.
+        interpolate = cheb.chebinterpolate
+        degrees = []
+
+        def halved(f, deg):
+            degrees.append(deg)
+            return 0.5 * interpolate(f, deg)
+
+        monkeypatch.setattr(cheb, "chebinterpolate", halved)
+        with pytest.raises(ConvergenceFailure, match=r"^compressed sign polynomial missed"
+                                                     r" eps=0\.1 on the grid even after"
+                                                     r" doubling d \(error 5\.") as exc:
+            compressed_sign_poly(0.25, 0.1)
+        assert degrees == [53, 97]
+        assert 0.5 <= exc.value.diagnostic < 0.6
 
 
 # Each construction with the degree its polynomial has.

@@ -69,6 +69,17 @@ class TestSpectralNormEstimate:
         assert 0.0 < unit <= np.linalg.norm(values, 2) ** 2
         assert low == np.ldexp(unit, -600) and high == np.ldexp(unit, 500)
 
+    def test_overflowing_gram_products_are_not_blamed_on_the_query(self):
+        # Entries near 3e153 are finite, but A^T A v overflows in its first
+        # product; the message names the overflow, not the Lanczos vector.
+        values = np.ldexp(np.random.default_rng(3).standard_normal((40, 12)), 510)
+        csr = sp.csr_matrix(values)
+        for A in (DesignMatrix.from_dense(values), DesignMatrix.from_dense(values[:10]),
+                  DesignMatrix.from_csr(40, 12, csr.indptr, csr.indices, csr.data)):
+            with pytest.raises(ValueError, match=r"^gram products of the matrix overflow"
+                                                 r" float64; rescale A$"):
+                matrix_stats(A, 1.0)
+
     def test_underflowing_gram_products_are_not_blamed_on_a(self):
         # Entries near 1e-163 are normal doubles, but every entry of A^T A v
         # is below the smallest subnormal, so the first product is +0.0.
@@ -83,6 +94,15 @@ class TestSpectralNormEstimate:
         for A in zeros:
             with pytest.raises(ValueError, match=r"^matrix is zero on the iteration subspace$"):
                 matrix_stats(A, 1.0)
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_tridiagonal_solver_failure_is_typed(self, routine, monkeypatch):
+        lapack = getattr(spectral, routine)
+        monkeypatch.setattr(spectral, routine, lambda *args: (*lapack(*args)[:-1], 3))
+        A = random_dense(np.random.default_rng(1), 30, 20)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^LAPACK tridiagonal eigensolver failed \(info=3\)$"):
+            spectral_norm_estimate(A)
 
     def test_max_iters_domain(self):
         A = DesignMatrix.from_dense(np.eye(2))
